@@ -70,7 +70,6 @@ class Whitener:
 
     order: int
     coeffs: np.ndarray  # predictor coefficients a_p, length order
-    refresh_interval: int = 16384
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -107,7 +106,7 @@ def _levinson(r: np.ndarray, order: int) -> np.ndarray:
     return a
 
 
-def fit_whitener(frame: AudioBuffer, order: int, refresh_interval: int = 16384) -> Whitener:
+def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
     """Fit a prediction-error (whitening) filter on an analysis frame.
 
     Uses the biased sample autocorrelation, so the resulting synthesis filter
@@ -122,8 +121,8 @@ def fit_whitener(frame: AudioBuffer, order: int, refresh_interval: int = 16384) 
         )
     r = np.correlate(x, x, mode="full")[len(x) - 1 : len(x) + order] / len(x)
     if r[0] <= 0.0:
-        return Whitener(order, np.zeros(order), refresh_interval)
-    return Whitener(order, _levinson(r, order), refresh_interval)
+        return Whitener(order, np.zeros(order))
+    return Whitener(order, _levinson(r, order))
 
 
 @dataclass
@@ -213,7 +212,7 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
             seg = AudioBuffer(
                 ref[k - cfg.refresh_interval : k], reference.sample_rate
             )
-            a = fit_whitener(seg, p, cfg.refresh_interval).coeffs
+            a = fit_whitener(seg, p).coeffs
         win = rp[pad + k - m + 1 : pad + k + 1]
         e = x[k] - np.dot(w, win)
         out[k] = e

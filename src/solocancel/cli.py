@@ -10,8 +10,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -19,107 +20,149 @@ from .anc import AncConfig, anc_cancel
 from .audio import AudioBuffer
 from .erb import make_partition
 from .errors import NoSignalError, SolverError
-from .metrics import MetricsReport, measure
+from .metrics import measure
 from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
-    SceneConfig,
-    SidoLayout,
-    broadband_accompaniment,
-    make_mic_ir,
-    noise_plus_tones,
-    read_kv,
-    synth_sido,
-    synth_siso,
-    write_kv,
+    SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
+    synth_sido, synth_siso, write_kv,
 )
 from .simo import ArrayGeometry, delay_from_angle, sbw_simo_cancel
-from .stft import make_window
+from .stft import _default_window
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, maw_cancel, maw_ss_cancel
-
-ALGORITHMS = ("anc", "anc-pw", "maw", "maw-ss", "sbw", "sbw-simo")
-SWEEP_PARAMS = (
-    "fft-size",
-    "window-shape",
-    "subbands",
-    "wiener-exponent",
-    "p-norm",
-    "level-diff",
-    "delay-mismatch",
-    "mic-spacing",
-    "angle-mismatch",
-)
 
 EXIT_BAD_ARGS = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 SWEEP_CSV_COLUMNS = (
-    "param",
-    "value",
-    "scene",
-    "algorithm",
-    "metric",
-    "measurement",
-    "median",
-    "q25",
-    "q75",
+    "param", "value", "scene", "algorithm", "metric", "measurement", "median", "q25", "q75",
 )
 
 
-@dataclass
-class RunConfig:
-    """A fully parsed invocation; `run` executes it."""
+def _check_p(p: float):
+    if p <= 0:
+        raise ValueError("p must be > 0")
 
-    command: str
-    algorithm: str = "sbw"
-    preset: str = "none"
-    inputs: list = field(default_factory=list)
-    output: str | None = None
-    out_dir: str = "."
-    overrides: dict = field(default_factory=dict)
-    seed: int = 0
-    # simulate
-    solo_path: str | None = None
-    accomp_path: str | None = None
-    duration: float = 5.0
-    level_diff_db: float | None = 6.02
-    gain: float | None = None
-    kappa: int = 32
-    ir_length: int = 606
-    rt_ms: float = 13.7
-    bit_depth: str = "float32"
-    sido: bool = False
-    spacing: float = 0.0214
-    solo_angle: float = 21.3
-    accomp_angle: float = 90.0
-    # evaluate
-    csv_path: str | None = None
-    elapsed: float | None = None
-    block_size: int = 1024
-    fft_size: int = 4096
-    hop: int = 2048
-    bands: int = 39
-    # cancel
-    timing_out: str | None = None
-    # sweep
-    param: str | None = None
-    values: list = field(default_factory=list)
-    num_scenes: int = 4
+
+def _anc_config(p: dict) -> AncConfig:
+    return AncConfig(
+        taps=int(p["taps"]), mu=float(p["mu"]), normalized=bool(p["normalized"]),
+        prewhiten=bool(p["prewhiten"]), lp_order=int(p["lp_order"]),
+        refresh_interval=int(p["refresh_interval"]),
+    )
+
+
+def _block_config(p: dict) -> BlockWienerConfig:
+    return BlockWienerConfig(
+        taps=int(p["taps"]), block_size=int(p["block_size"]), hop=int(p["hop"]),
+        regularization=float(p["regularization"]), interpolate=bool(p["interpolate"]),
+    )
+
+
+def _maw_ss_config(p: dict):
+    """Block settings plus the STFT subtraction settings, as a (cfg, extra) pair."""
+    cfg = _block_config(p)
+    extra = {
+        "fft_size": int(p["fft_size"]), "fft_hop": int(p["fft_hop"]),
+        "p": float(p["p"]), "window_shape": float(p["window_shape"]),
+    }
+    _check_p(extra["p"])
+    return cfg, extra
+
+
+def _sbw_config(p: dict) -> SbwConfig:
+    shape = float(p["window_shape"])
+    fft_size = int(p["fft_size"])
+    cfg = SbwConfig(
+        fft_size=fft_size, hop=int(fft_size // 2 if p["hop"] is None else p["hop"]),
+        window=_default_window(fft_size, shape), num_bands=int(p["num_bands"]),
+        cutoff=float(p["cutoff"]), p=float(p["p"]), wiener_exponent=float(p["wiener_exponent"]),
+        cross_cov=str(p["cross_cov"]),
+    )
+    _check_p(cfg.p)
+    return cfg
+
+
+def _simo_config(p: dict):
+    """ERB-band settings, array geometry and fixed delay: a (cfg, geometry_kw, kappa) triple."""
+    cfg = _sbw_config(p)
+    geometry_kw = {"spacing": float(p["spacing"]), "f_max": float(p["f_max"])}
+    return cfg, geometry_kw, None if p["kappa"] is None else float(p["kappa"])
+
+
+def _run_anc(cfg, channels, reference):
+    return anc_cancel(channels[0], reference, cfg)
+
+
+def _run_maw_ss(cfg, channels, reference):
+    block_cfg, extra = cfg
+    return maw_ss_cancel(
+        channels[0], reference, block_cfg,
+        fft_size=extra["fft_size"], fft_hop=extra["fft_hop"],
+        window=_default_window(extra["fft_size"], extra["window_shape"]), p=extra["p"],
+    )
+
+
+def _run_sbw_simo(cfg, channels, reference):
+    sbw_cfg, geometry_kw, kappa = cfg
+    if len(channels) != 2:
+        raise ValueError("sbw-simo needs a two-channel mixture WAV")
+    geometry = ArrayGeometry(sample_rate=channels[0].sample_rate, **geometry_kw)
+    return sbw_simo_cancel(channels[0], channels[1], reference, sbw_cfg, geometry, kappa=kappa)
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """One canceller: its parameters with their defaults, its paper-v preset, its config builder
+    and ``cancel(config, mixture_channels, reference)``. ``cancel`` calls the canceller through
+    its module-level name, so a rebound module attribute is what runs."""
+
+    defaults: dict
+    paper_v: dict
+    config: Callable[[dict], object]
+    cancel: Callable
+
+
+_ANC = {"taps": 256, "normalized": True, "lp_order": 15, "refresh_interval": 16384}
+_BLOCK = {"taps": 255, "block_size": 4096, "hop": 1024, "regularization": 1e-8, "interpolate": True}
+_ANC_PAPER = {"taps": 1023}
+_BLOCK_PAPER = {"taps": 1023, "block_size": 16384, "hop": 64}
+_SBW = {
+    "window_shape": 4.0, "fft_size": 4096, "hop": None, "num_bands": 39, "cutoff": 16000.0,
+    "p": 1.0, "wiener_exponent": 1.0, "cross_cov": "magnitude",
+}
+
+ALGORITHMS = {
+    "anc": _Algorithm({**_ANC, "mu": 0.1, "prewhiten": False}, _ANC_PAPER, _anc_config, _run_anc),
+    "anc-pw": _Algorithm(
+        {**_ANC, "mu": 0.01, "prewhiten": True}, _ANC_PAPER, _anc_config, _run_anc
+    ),
+    "maw": _Algorithm(
+        _BLOCK, _BLOCK_PAPER, _block_config, lambda cfg, ch, ref: maw_cancel(ch[0], ref, cfg)
+    ),
+    "maw-ss": _Algorithm(
+        {**_BLOCK, "fft_size": 4096, "fft_hop": 2048, "p": 2.0, "window_shape": 4.0},
+        _BLOCK_PAPER, _maw_ss_config, _run_maw_ss,
+    ),
+    "sbw": _Algorithm(_SBW, {}, _sbw_config, lambda cfg, ch, ref: sbw_cancel(ch[0], ref, cfg)),
+    "sbw-simo": _Algorithm(
+        {**_SBW, "spacing": 0.0214, "f_max": 8000.0, "kappa": None}, {},
+        _simo_config, _run_sbw_simo,
+    ),
+}
 
 
 def _parse_value(text: str):
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text.strip()
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text.strip()
 
 
 def _parse_overrides(pairs) -> dict:
@@ -132,108 +175,21 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _take(overrides: dict, key: str, default):
-    return overrides.pop(key, default)
-
-
 def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
     """Resolve an algorithm name + preset + overrides into a config object.
 
     Raises ValueError on unknown keys or precondition violations, before any
     audio has been read.
     """
-    ov = dict(overrides)
-    if algorithm in ("anc", "anc-pw"):
-        prewhiten = algorithm == "anc-pw"
-        if preset == "paper-v":
-            taps, mu = 1023, 0.01 if prewhiten else 0.10
-        else:
-            taps, mu = 256, 0.1 if not prewhiten else 0.01
-        cfg = AncConfig(
-            taps=int(_take(ov, "taps", taps)),
-            mu=float(_take(ov, "mu", mu)),
-            normalized=bool(_take(ov, "normalized", True)),
-            prewhiten=bool(_take(ov, "prewhiten", prewhiten)),
-            lp_order=int(_take(ov, "lp_order", 15)),
-            refresh_interval=int(_take(ov, "refresh_interval", 16384)),
-        )
-    elif algorithm in ("maw", "maw-ss"):
-        if preset == "paper-v":
-            taps, block, hop = 1023, 16384, 64
-        else:
-            taps, block, hop = 255, 4096, 1024
-        cfg = BlockWienerConfig(
-            taps=int(_take(ov, "taps", taps)),
-            block_size=int(_take(ov, "block_size", block)),
-            hop=int(_take(ov, "hop", hop)),
-            regularization=float(_take(ov, "regularization", 1e-8)),
-            interpolate=bool(_take(ov, "interpolate", True)),
-        )
-        if algorithm == "maw-ss":
-            extra = {
-                "fft_size": int(_take(ov, "fft_size", 4096)),
-                "fft_hop": int(_take(ov, "fft_hop", 2048)),
-                "p": float(_take(ov, "p", 2.0)),
-                "window_shape": float(_take(ov, "window_shape", 4.0)),
-            }
-            if extra["p"] <= 0:
-                raise ValueError("p must be > 0")
-            cfg = (cfg, extra)
-    elif algorithm in ("sbw", "sbw-simo"):
-        shape = float(_take(ov, "window_shape", 4.0))
-        fft_size = int(_take(ov, "fft_size", 4096))
-        cfg = SbwConfig(
-            fft_size=fft_size,
-            hop=int(_take(ov, "hop", fft_size // 2)),
-            window=make_window("kbd", fft_size, shape),
-            num_bands=int(_take(ov, "num_bands", 39)),
-            cutoff=float(_take(ov, "cutoff", 16000.0)),
-            p=float(_take(ov, "p", 1.0)),
-            wiener_exponent=float(_take(ov, "wiener_exponent", 1.0)),
-            cross_cov=str(_take(ov, "cross_cov", "magnitude")),
-        )
-        if cfg.p <= 0:
-            raise ValueError("p must be > 0")
-        if algorithm == "sbw-simo":
-            geometry_kw = {
-                "spacing": float(_take(ov, "spacing", 0.0214)),
-                "f_max": float(_take(ov, "f_max", 8000.0)),
-            }
-            kappa = _take(ov, "kappa", None)
-            cfg = (cfg, geometry_kw, None if kappa is None else float(kappa))
-    else:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if ov:
-        raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(sorted(ov))}")
+    entry = ALGORITHMS[algorithm]
+    params = {**entry.defaults, **(entry.paper_v if preset == "paper-v" else {})}
+    unknown = sorted(set(overrides) - set(params))
+    cfg = entry.config({**params, **overrides})
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(unknown)}")
     return cfg
-
-
-def _run_cancel_algorithm(algorithm, cfg, mixture_channels, reference):
-    mix = mixture_channels[0]
-    if algorithm in ("anc", "anc-pw"):
-        return anc_cancel(mix, reference, cfg)
-    if algorithm == "maw":
-        return maw_cancel(mix, reference, cfg)
-    if algorithm == "maw-ss":
-        block_cfg, extra = cfg
-        window = make_window("kbd", extra["fft_size"], extra["window_shape"])
-        return maw_ss_cancel(
-            mix, reference, block_cfg,
-            fft_size=extra["fft_size"], fft_hop=extra["fft_hop"],
-            window=window, p=extra["p"],
-        )
-    if algorithm == "sbw":
-        return sbw_cancel(mix, reference, cfg)
-    if algorithm == "sbw-simo":
-        sbw_cfg, geometry_kw, kappa = cfg
-        if len(mixture_channels) != 2:
-            raise ValueError("sbw-simo needs a two-channel mixture WAV")
-        geometry = ArrayGeometry(sample_rate=mix.sample_rate, **geometry_kw)
-        return sbw_simo_cancel(
-            mixture_channels[0], mixture_channels[1], reference,
-            sbw_cfg, geometry, kappa=kappa,
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,304 +197,242 @@ def _run_cancel_algorithm(algorithm, cfg, mixture_channels, reference):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    fs = 44100
-    if cfg.solo_path:
-        solo = read_mono(cfg.solo_path)
-        fs = solo.sample_rate
+def _scene(args, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
+    """Read or generate the solo and accompaniment, cut them to a common
+    length and synthesise a SISO scene, or a SIDO scene when ``layout`` is
+    given. Both inputs must share a sample rate."""
+    if args.solo_path:
+        solo = read_mono(args.solo_path)
     else:
-        solo = noise_plus_tones(cfg.duration, fs, seed=cfg.seed)
-    if cfg.accomp_path:
-        accomp = read_mono(cfg.accomp_path)
+        solo = noise_plus_tones(args.duration, 44100, seed=seed)
+    fs = solo.sample_rate
+    if args.accomp_path:
+        accomp = read_mono(args.accomp_path)
     else:
-        accomp = broadband_accompaniment(cfg.duration, fs, seed=cfg.seed)
+        accomp = broadband_accompaniment(args.duration, fs, seed=seed)
     n = min(len(solo), len(accomp))
-    solo = AudioBuffer(solo.samples[:n], solo.sample_rate)
-    accomp = AudioBuffer(accomp.samples[:n], accomp.sample_rate)
-
-    ir = make_mic_ir(cfg.rt_ms, cfg.ir_length, seed=cfg.seed, sample_rate=fs)
-    layout = None
-    if cfg.sido:
-        layout = SidoLayout(
-            spacing=cfg.spacing,
-            solo_angle_deg=cfg.solo_angle,
-            accomp_angle_deg=cfg.accomp_angle,
-        )
     scene_cfg = SceneConfig(
-        solo=solo,
-        accompaniment_reference=accomp,
-        mic_ir=ir,
-        channel_delay=cfg.kappa,
-        level_diff_db=None if cfg.gain is not None else cfg.level_diff_db,
-        accompaniment_gain=cfg.gain,
-        sido=layout,
+        solo=AudioBuffer(solo.samples[:n], fs),
+        accompaniment_reference=AudioBuffer(accomp.samples[:n], accomp.sample_rate),
+        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, seed=seed, sample_rate=fs),
+        channel_delay=kappa, level_diff_db=level_diff_db, accompaniment_gain=gain, sido=layout,
     )
-    scene = synth_sido(scene_cfg) if cfg.sido else synth_siso(scene_cfg)
+    return synth_siso(scene_cfg) if layout is None else synth_sido(scene_cfg)
 
-    out_dir = Path(cfg.out_dir)
+
+def _cmd_simulate(args) -> int:
+    layout = SidoLayout(args.spacing, args.solo_angle, args.accomp_angle) if args.sido else None
+    level_diff = None if args.gain is not None else args.level_diff_db
+    scene = _scene(args, args.seed, args.kappa, level_diff, args.gain, layout)
+    fs = scene.reference.sample_rate
+
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    mixture = scene.mixture.samples
     if scene.is_sido:
-        stereo = np.stack([scene.mixture.samples, scene.mixture2.samples], axis=1)
-        write_wav(out_dir / "mixture.wav", stereo, fs, cfg.bit_depth)
-    else:
-        write_wav(out_dir / "mixture.wav", scene.mixture.samples, fs, cfg.bit_depth)
-    write_wav(out_dir / "reference.wav", scene.reference.samples, fs, cfg.bit_depth)
-    write_wav(out_dir / "reference_solo.wav", scene.reference_solo.samples, fs, cfg.bit_depth)
+        mixture = np.stack([mixture, scene.mixture2.samples], axis=1)
+    write_wav(out_dir / "mixture.wav", mixture, fs, args.bit_depth)
+    write_wav(out_dir / "reference.wav", scene.reference.samples, fs, args.bit_depth)
+    write_wav(out_dir / "reference_solo.wav", scene.reference_solo.samples, fs, args.bit_depth)
 
     manifest = {
-        "sample_rate": fs,
-        "samples": n,
-        "kappa": cfg.kappa,
-        "level_diff_db": "" if cfg.level_diff_db is None else cfg.level_diff_db,
+        "sample_rate": fs, "samples": len(scene.reference), "kappa": args.kappa,
+        "level_diff_db": "" if level_diff is None else level_diff,
         "accompaniment_gain": f"{scene.accompaniment_gain:.12g}",
-        "ir_length": cfg.ir_length,
-        "rt_ms": cfg.rt_ms,
-        "seed": cfg.seed,
-        "sido": int(cfg.sido),
-        "mixture": "mixture.wav",
-        "reference": "reference.wav",
+        "ir_length": args.ir_length, "rt_ms": args.rt_ms, "seed": args.seed, "sido": int(args.sido),
+        "mixture": "mixture.wav", "reference": "reference.wav",
         "reference_solo": "reference_solo.wav",
     }
-    if cfg.sido:
+    if args.sido:
         manifest.update(
-            spacing=cfg.spacing, solo_angle=cfg.solo_angle, accomp_angle=cfg.accomp_angle
+            spacing=args.spacing, solo_angle=args.solo_angle, accomp_angle=args.accomp_angle
         )
     write_kv(out_dir / "scene.manifest", manifest)
     print(f"scene written to {out_dir}")
     return 0
 
 
-def _cmd_cancel(cfg: RunConfig) -> int:
-    algo_cfg = build_algorithm_config(cfg.algorithm, cfg.preset, cfg.overrides)
-    mixture_path, reference_path, out_path = cfg.inputs
-    channels = read_channels(mixture_path)
-    reference = read_mono(reference_path)
+def _cmd_cancel(args) -> int:
+    algo_cfg = build_algorithm_config(args.algorithm, args.preset, _parse_overrides(args.overrides))
+    channels = read_channels(args.mixture)
+    reference = read_mono(args.reference)
     for ch in channels:
         if ch.sample_rate != reference.sample_rate:
             raise ValueError("mixture and reference sample rates differ")
 
     start = time.perf_counter()
-    estimate = _run_cancel_algorithm(cfg.algorithm, algo_cfg, channels, reference)
+    estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, channels, reference)
     elapsed = time.perf_counter() - start
 
-    write_wav(out_path, estimate.samples, estimate.sample_rate, cfg.bit_depth)
+    write_wav(args.output, estimate.samples, estimate.sample_rate, args.bit_depth)
     ratio = elapsed / estimate.duration
-    print(f"algorithm={cfg.algorithm} elapsed_s={elapsed:.3f} rtf={ratio:.4f}")
-    if cfg.timing_out:
-        write_kv(cfg.timing_out, {"elapsed_s": f"{elapsed:.6f}", "rtf": f"{ratio:.6f}"})
+    print(f"algorithm={args.algorithm} elapsed_s={elapsed:.3f} rtf={ratio:.4f}")
+    if args.timing_out:
+        write_kv(args.timing_out, {"elapsed_s": f"{elapsed:.6f}", "rtf": f"{ratio:.6f}"})
     return 0
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    est = read_mono(cfg.inputs[0])
-    ref = read_mono(cfg.inputs[1])
-    partition = make_partition(
-        cfg.fft_size, est.sample_rate, min(16000.0, est.sample_rate / 2), cfg.bands
-    )
+def _cmd_evaluate(args) -> int:
+    est = read_mono(args.estimate)
+    ref = read_mono(args.reference_solo)
+    cutoff = min(16000.0, est.sample_rate / 2)
+    partition = make_partition(args.fft_size, est.sample_rate, cutoff, args.bands)
     report = measure(
-        est, ref,
-        block_size=cfg.block_size,
-        partition=partition,
-        fft_size=cfg.fft_size,
-        hop=cfg.hop,
-        elapsed=cfg.elapsed,
+        est, ref, block_size=args.block_size, partition=partition, fft_size=args.fft_size,
+        hop=args.hop, elapsed=args.elapsed,
     )
     print(report.summary())
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
+    if args.csv_path:
+        with open(args.csv_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
     return 0
 
 
-def _sweep_point(cfg: RunConfig, value, scene_index: int):
+#: Sweep parameters that set an algorithm parameter: name -> (parameter, type).
+_SWEEP_SETS = {
+    "fft-size": ("fft_size", int),
+    "window-shape": ("window_shape", float),
+    "subbands": ("num_bands", int),
+    "wiener-exponent": ("wiener_exponent", float),
+    "p-norm": ("p", float),
+}
+#: Sweep parameters that run the two-microphone pipeline whatever the algorithm.
+_SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
+SWEEP_PARAMS = (*_SWEEP_SETS, "level-diff", "delay-mismatch", *_SWEEP_TWO_MIC)
+
+
+def _two_mic(args) -> bool:
+    return args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
+
+
+def _sweep_point(args, overrides: dict, value, scene_index: int):
     """One (value, scene) sweep measurement; returns a MetricsReport."""
-    fs = 44100
-    seed = cfg.seed + scene_index
-    duration = cfg.duration
-    if cfg.solo_path:
-        solo = read_mono(cfg.solo_path)
-        fs = solo.sample_rate
-    else:
-        solo = noise_plus_tones(duration, fs, seed=seed)
-    if cfg.accomp_path:
-        accomp = read_mono(cfg.accomp_path)
-    else:
-        accomp = broadband_accompaniment(duration, fs, seed=seed)
-    n = min(len(solo), len(accomp))
-    solo = AudioBuffer(solo.samples[:n], fs)
-    accomp = AudioBuffer(accomp.samples[:n], fs)
-    ir = make_mic_ir(cfg.rt_ms, cfg.ir_length, seed=seed, sample_rate=fs)
+    seed = args.seed + scene_index
+    level_diff = float(value) if args.param == "level-diff" else args.level_diff_db
+    kappa = int(value) if args.param == "delay-mismatch" else args.kappa
+    overrides = dict(overrides)
+    if args.param in _SWEEP_SETS:
+        key, kind = _SWEEP_SETS[args.param]
+        overrides[key] = kind(value)
+        if args.param == "fft-size":
+            overrides["hop"] = int(value) // 2
 
-    level_diff = cfg.level_diff_db
-    kappa_scene = cfg.kappa
-    param = cfg.param
-    if param == "level-diff":
-        level_diff = float(value)
-    elif param == "delay-mismatch":
-        kappa_scene = int(value)
+    if not _two_mic(args):
+        scene = _scene(args, seed, kappa, level_diff)
+        algo_cfg = build_algorithm_config(args.algorithm, args.preset, overrides)
+        estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, [scene.mixture], scene.reference)
+        return measure(estimate, scene.reference_solo)
 
-    sbw_overrides = dict(cfg.overrides)
-    if param == "fft-size":
-        sbw_overrides["fft_size"] = int(value)
-        sbw_overrides["hop"] = int(value) // 2
-    elif param == "window-shape":
-        sbw_overrides["window_shape"] = float(value)
-    elif param == "subbands":
-        sbw_overrides["num_bands"] = int(value)
-    elif param == "wiener-exponent":
-        sbw_overrides["wiener_exponent"] = float(value)
-    elif param == "p-norm":
-        sbw_overrides["p"] = float(value)
-
-    sido_params = param in ("mic-spacing", "angle-mismatch")
-    if sido_params:
-        spacing = float(value) if param == "mic-spacing" else cfg.spacing
-        f_max = min(8000.0, 343.0 / (2.0 * spacing))
-        layout = SidoLayout(
-            spacing=spacing, solo_angle_deg=cfg.solo_angle,
-            accomp_angle_deg=cfg.accomp_angle, f_max=f_max,
-        )
-        scene_cfg = SceneConfig(
-            solo=solo, accompaniment_reference=accomp, mic_ir=ir,
-            channel_delay=kappa_scene, level_diff_db=level_diff, sido=layout,
-        )
-        scene = synth_sido(scene_cfg)
-        geometry = ArrayGeometry(spacing=spacing, f_max=f_max, sample_rate=fs)
-        sbw_cfg = build_algorithm_config("sbw", cfg.preset, sbw_overrides)
-        if param == "angle-mismatch":
-            kappa_est = delay_from_angle(cfg.solo_angle + float(value), geometry)
-        else:
-            kappa_est = None
-        estimate = sbw_simo_cancel(
-            scene.mixture, scene.mixture2, scene.reference, sbw_cfg, geometry,
-            kappa=kappa_est,
-        )
-    else:
-        scene_cfg = SceneConfig(
-            solo=solo, accompaniment_reference=accomp, mic_ir=ir,
-            channel_delay=kappa_scene, level_diff_db=level_diff,
-        )
-        scene = synth_siso(scene_cfg)
-        algo_cfg = build_algorithm_config(cfg.algorithm, cfg.preset, sbw_overrides)
-        estimate = _run_cancel_algorithm(cfg.algorithm, algo_cfg, [scene.mixture], scene.reference)
-
+    spacing = float(value) if args.param == "mic-spacing" else args.spacing
+    f_max = min(8000.0, 343.0 / (2.0 * spacing))
+    layout = SidoLayout(
+        spacing=spacing, solo_angle_deg=args.solo_angle, accomp_angle_deg=args.accomp_angle,
+        f_max=f_max,
+    )
+    scene = _scene(args, seed, kappa, level_diff, layout=layout)
+    geometry = ArrayGeometry(spacing=spacing, f_max=f_max, sample_rate=scene.reference.sample_rate)
+    sbw_cfg = build_algorithm_config("sbw", args.preset, overrides)
+    kappa_est = None
+    if args.param == "angle-mismatch":
+        kappa_est = delay_from_angle(args.solo_angle + float(value), geometry)
+    estimate = sbw_simo_cancel(
+        scene.mixture, scene.mixture2, scene.reference, sbw_cfg, geometry, kappa=kappa_est
+    )
     return measure(estimate, scene.reference_solo)
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.param not in SWEEP_PARAMS:
-        raise ValueError(f"--param must be one of {', '.join(SWEEP_PARAMS)}")
-    if not cfg.values:
+def _cmd_sweep(args) -> int:
+    overrides = _parse_overrides(args.overrides)
+    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    if not values:
         raise ValueError("--values is required")
-    if cfg.param in ("mic-spacing", "angle-mismatch") and cfg.algorithm not in (
-        "sbw", "sbw-simo",
-    ):
-        raise ValueError(f"{cfg.param} sweeps run the two-microphone pipeline")
+    if args.param in _SWEEP_TWO_MIC and args.algorithm not in ("sbw", "sbw-simo"):
+        raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
     # validate the base configuration (and overrides) up front
-    build_algorithm_config(
-        "sbw" if cfg.param in ("mic-spacing", "angle-mismatch") else cfg.algorithm,
-        cfg.preset,
-        dict(cfg.overrides),
-    )
+    build_algorithm_config("sbw" if _two_mic(args) else args.algorithm, args.preset, overrides)
 
-    points = [
-        (vi, si) for vi in range(len(cfg.values)) for si in range(cfg.num_scenes)
-    ]
+    num_scenes = args.num_scenes
     threads = max(1, int(os.environ.get("SOLOCANCEL_THREADS", "1")))
-    results: dict[tuple[int, int], MetricsReport] = {}
-    if threads == 1:
-        for vi, si in points:
-            results[(vi, si)] = _sweep_point(cfg, cfg.values[vi], si)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                (vi, si): pool.submit(_sweep_point, cfg, cfg.values[vi], si)
-                for vi, si in points
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+    points = [(value, si) for value in values for si in range(num_scenes)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # One worker runs in this thread: a worker thread's malloc arena adds a fifth to peak RSS.
+        mapper = map if threads == 1 else pool.map
+        reports = list(mapper(lambda point: _sweep_point(args, overrides, *point), points))
 
+    label = "sbw-simo" if _two_mic(args) else args.algorithm
     rows = []
-    for vi, value in enumerate(cfg.values):
+    for vi, value in enumerate(values):
         for metric in ("rmsd_db", "snrf_db"):
-            samples = [getattr(results[(vi, si)], metric) for si in range(cfg.num_scenes)]
-            med = float(np.median(samples))
-            q25, q75 = (float(q) for q in np.percentile(samples, [25, 75]))
-            for si in range(cfg.num_scenes):
-                rows.append(
-                    [
-                        cfg.param,
-                        f"{value}",
-                        str(si),
-                        cfg.algorithm if cfg.param not in ("mic-spacing", "angle-mismatch") else "sbw-simo",
-                        metric,
-                        f"{getattr(results[(vi, si)], metric):.6f}",
-                        f"{med:.6f}",
-                        f"{q25:.6f}",
-                        f"{q75:.6f}",
-                    ]
-                )
+            samples = [getattr(r, metric) for r in reports[vi * num_scenes : (vi + 1) * num_scenes]]
+            summary = [np.median(samples), *np.percentile(samples, [25, 75])]
+            for si, sample in enumerate(samples):
+                figures = ",".join(f"{x:.6f}" for x in (sample, *summary))
+                rows.append(f"{args.param},{value},{si},{label},{metric},{figures}\n")
 
-    out_path = cfg.output or "sweep.csv"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    print(f"sweep written to {out_path} ({len(rows)} rows)")
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(rows))
+    print(f"sweep written to {args.output} ({len(rows)} rows)")
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed invocation; returns the process exit status."""
-    try:
-        if cfg.command == "simulate":
-            return _cmd_simulate(cfg)
-        if cfg.command == "cancel":
-            return _cmd_cancel(cfg)
-        if cfg.command == "evaluate":
-            return _cmd_evaluate(cfg)
-        if cfg.command == "sweep":
-            return _cmd_sweep(cfg)
-        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except (OSError, EOFError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SolverError, NoSignalError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+#: Keys a ``simulate --config`` file may set: key -> (argument, type).
+_SCENE_FILE_KEYS = {
+    "level_diff": ("level_diff_db", float), "level_diff_db": ("level_diff_db", float),
+    "gain": ("gain", float), "kappa": ("kappa", int), "ir_length": ("ir_length", int),
+    "rt_ms": ("rt_ms", float), "seed": ("seed", int), "duration": ("duration", float),
+    "spacing": ("spacing", float), "solo_angle": ("solo_angle", float),
+    "accomp_angle": ("accomp_angle", float),
+    "sido": ("sido", lambda v: v.lower() in ("1", "true", "yes")),
+    "solo": ("solo_path", str), "accomp": ("accomp_path", str),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _scene_file(path) -> dict:
+    """The parser defaults a ``simulate --config`` file sets."""
+    out = {}
+    for key, raw in read_kv(path).items():
+        if key not in _SCENE_FILE_KEYS:
+            raise ValueError(f"unknown scene parameter {key!r} in {path}")
+        dest, kind = _SCENE_FILE_KEYS[key]
+        out[dest] = kind(raw)
+    return out
+
+
+def _add_scene_flags(p: argparse.ArgumentParser):
+    """The flags that describe a scene, shared by ``simulate`` and ``sweep``."""
+    p.add_argument("--duration", type=float, default=5.0, help="generated signal length, s")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solo", dest="solo_path", help="solo WAV (generated if omitted)")
+    p.add_argument("--accomp", dest="accomp_path", help="accompaniment WAV (generated if omitted)")
+    p.add_argument("--level-diff", dest="level_diff_db", type=float, default=6.02,
+                   help="recorded accompaniment minus solo RMS, dB (default %(default)s)")
+    p.add_argument("--kappa", type=int, default=32,
+                   help="channel delay, samples (default %(default)s)")
+    p.add_argument("--ir-length", type=int, default=606)
+    p.add_argument("--rt-ms", type=float, default=13.7)
+    p.add_argument("--spacing", type=float, default=0.0214)
+    p.add_argument("--solo-angle", type=float, default=21.3)
+    p.add_argument("--accomp-angle", type=float, default=90.0)
+
+
+def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``scene_defaults`` replace ``simulate``'s defaults."""
     parser = argparse.ArgumentParser(
         prog="solocancel",
         description="Accompaniment cancellation for live solo recordings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bit_depths = ("pcm16", "pcm24", "float32")
 
-    # Scene flags default to None so values from --config survive; RunConfig
-    # carries the actual defaults.
     sim = sub.add_parser("simulate", help="synthesize a test scene")
-    sim.add_argument("--solo", dest="solo_path", help="solo WAV (generated if omitted)")
-    sim.add_argument("--accomp", dest="accomp_path", help="accompaniment WAV (generated if omitted)")
+    _add_scene_flags(sim)
     sim.add_argument("--config", help="key=value file with scene parameters")
-    sim.add_argument("--duration", type=float, help="generated signal length, s")
-    sim.add_argument("--level-diff", dest="level_diff_db", type=float,
-                     help="recorded accompaniment minus solo RMS, dB (default 6.02)")
-    sim.add_argument("--gain", type=float, help="explicit accompaniment gain (overrides --level-diff)")
-    sim.add_argument("--kappa", type=int, help="channel delay, samples (default 32)")
-    sim.add_argument("--ir-length", type=int)
-    sim.add_argument("--rt-ms", type=float)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--sido", action="store_true", default=None, help="two-microphone scene")
-    sim.add_argument("--spacing", type=float)
-    sim.add_argument("--solo-angle", type=float)
-    sim.add_argument("--accomp-angle", type=float)
-    sim.add_argument("--bit-depth", choices=("pcm16", "pcm24", "float32"), default="float32")
+    sim.add_argument("--gain", type=float,
+                     help="explicit accompaniment gain (overrides --level-diff)")
+    sim.add_argument("--sido", action="store_true", help="two-microphone scene")
+    sim.add_argument("--bit-depth", choices=bit_depths, default="float32")
     sim.add_argument("--out-dir", default=".")
+    sim.set_defaults(handler=_cmd_simulate, **(scene_defaults or {}))
 
     can = sub.add_parser("cancel", help="run a canceller on mixture + reference")
     can.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, required=True)
@@ -546,10 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     can.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                      help="algorithm parameter override (repeatable)")
     can.add_argument("--timing-out", help="write elapsed/RTF to this key=value file")
-    can.add_argument("--bit-depth", choices=("pcm16", "pcm24", "float32"), default="float32")
+    can.add_argument("--bit-depth", choices=bit_depths, default="float32")
     can.add_argument("mixture")
     can.add_argument("reference")
     can.add_argument("output")
+    can.set_defaults(handler=_cmd_cancel)
 
     ev = sub.add_parser("evaluate", help="compute RMSD/SNRF for an estimate")
     ev.add_argument("estimate")
@@ -560,6 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fft-size", type=int, default=4096)
     ev.add_argument("--hop", type=int, default=2048)
     ev.add_argument("--bands", type=int, default=39)
+    ev.set_defaults(handler=_cmd_evaluate)
 
     sw = sub.add_parser("sweep", help="sweep one parameter over a value list")
     sw.add_argument("--param", required=True, choices=SWEEP_PARAMS)
@@ -568,79 +464,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--preset", choices=("paper-v", "none"), default="none")
     sw.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     sw.add_argument("--num-scenes", type=int, default=4)
-    sw.add_argument("--duration", type=float, default=5.0)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--solo", dest="solo_path")
-    sw.add_argument("--accomp", dest="accomp_path")
-    sw.add_argument("--level-diff", dest="level_diff_db", type=float, default=6.02)
-    sw.add_argument("--kappa", type=int, default=32)
-    sw.add_argument("--ir-length", type=int, default=606)
-    sw.add_argument("--rt-ms", type=float, default=13.7)
-    sw.add_argument("--spacing", type=float, default=0.0214)
-    sw.add_argument("--solo-angle", type=float, default=21.3)
-    sw.add_argument("--accomp-angle", type=float, default=90.0)
+    _add_scene_flags(sw)
     sw.add_argument("--out", dest="output", default="sweep.csv")
+    sw.set_defaults(handler=_cmd_sweep)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "simulate" and getattr(args, "config", None):
-        file_params = read_kv(args.config)
-        mapping = {
-            "level_diff": ("level_diff_db", float),
-            "level_diff_db": ("level_diff_db", float),
-            "gain": ("gain", float),
-            "kappa": ("kappa", int),
-            "ir_length": ("ir_length", int),
-            "rt_ms": ("rt_ms", float),
-            "seed": ("seed", int),
-            "duration": ("duration", float),
-            "spacing": ("spacing", float),
-            "solo_angle": ("solo_angle", float),
-            "accomp_angle": ("accomp_angle", float),
-            "sido": ("sido", lambda v: v.lower() in ("1", "true", "yes")),
-            "solo": ("solo_path", str),
-            "accomp": ("accomp_path", str),
-        }
-        for key, raw in file_params.items():
-            if key not in mapping:
-                raise ValueError(f"unknown scene parameter {key!r} in {args.config}")
-            attr, conv = mapping[key]
-            setattr(cfg, attr, conv(raw))
-    for name, value in vars(args).items():
-        if name in ("command", "config"):
-            continue
-        if name == "overrides":
-            cfg.overrides = _parse_overrides(value)
-        elif name == "values":
-            cfg.values = [_parse_value(v) for v in str(value).split(",") if v.strip()]
-        elif name in ("mixture", "reference", "estimate", "reference_solo"):
-            cfg.inputs.append(value)
-        elif name == "output" and args.command == "cancel":
-            cfg.inputs.append(value)
-        elif hasattr(cfg, name) and value is not None:
-            setattr(cfg, name, value)
-    if cfg.gain is not None and args.command == "simulate":
-        cfg.level_diff_db = None
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse and run one invocation; returns the process exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if args.command == "simulate" and args.config:
+            # file values become defaults, so explicit flags still win
+            args = _build_parser(_scene_file(args.config)).parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else 0
-    try:
-        cfg = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except OSError as exc:
+    except (OSError, EOFError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return run(cfg)
+    except (SolverError, NoSignalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -49,6 +49,10 @@ class ErbPartition:
     def band_sizes(self) -> np.ndarray:
         return np.diff(self.band_edges)
 
+    def band_mean(self, values: np.ndarray) -> np.ndarray:
+        """Mean of ``values`` over each band's bins, along the last (bin) axis."""
+        return np.add.reduceat(values, self.band_edges[:-1], axis=-1) / self.band_sizes()
+
 
 def make_partition(
     fft_size: int, sample_rate: int, cutoff: float, num_bands: int

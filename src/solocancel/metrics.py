@@ -10,10 +10,15 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, make_window, stft
+from .stft import Window, _default_window, stft
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
+
+
+def _default_partition(fft_size: int, sample_rate: int) -> ErbPartition:
+    """39 bands up to 16 kHz, or up to Nyquist for lower sample rates."""
+    return make_partition(fft_size, sample_rate, min(16000.0, sample_rate / 2.0), 39)
 
 
 def rmsd(
@@ -63,20 +68,17 @@ def snrf(
     """
     require_matched(estimate, ref_solo)
     if window is None:
-        window = make_window("kbd", fft_size, 4.0)
+        window = _default_window(fft_size)
     if partition is None:
-        cutoff = min(16000.0, estimate.sample_rate / 2.0)
-        partition = make_partition(fft_size, estimate.sample_rate, cutoff, 39)
+        partition = _default_partition(fft_size, estimate.sample_rate)
     if partition.fft_size != fft_size:
         raise ValueError("partition fft_size inconsistent with fft_size")
 
     mag_est = np.abs(stft(estimate, window, hop).frames)
     mag_ref = np.abs(stft(ref_solo, window, hop).frames)
 
-    edges = partition.band_edges
-    sizes = partition.band_sizes()
-    psi_signal = np.add.reduceat(mag_ref**2, edges[:-1], axis=1) / sizes
-    psi_noise = np.add.reduceat((mag_est - mag_ref) ** 2, edges[:-1], axis=1) / sizes
+    psi_signal = partition.band_mean(mag_ref**2)
+    psi_noise = partition.band_mean((mag_est - mag_ref) ** 2)
 
     keep = psi_signal > 0.0
     if not np.any(keep):
@@ -166,12 +168,11 @@ def measure(
 ) -> MetricsReport:
     """Evaluate an estimate against the recorded-solo ground truth."""
     rmsd_db, per_block = rmsd(estimate, ref_solo, block_size, return_blocks=True)
+    if partition is None:
+        partition = _default_partition(fft_size, estimate.sample_rate)
     snrf_db, per_segment = snrf(
         estimate, ref_solo, partition, fft_size, hop, window, return_segments=True
     )
-    if partition is None:
-        cutoff = min(16000.0, estimate.sample_rate / 2.0)
-        partition = make_partition(fft_size, estimate.sample_rate, cutoff, 39)
     return MetricsReport(
         rmsd_db=rmsd_db,
         snrf_db=snrf_db,

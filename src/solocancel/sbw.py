@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
-from .stft import Window, istft, make_window, stft
+from .stft import Window, _default_window, istft, stft
 from .wiener import spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
@@ -45,7 +45,7 @@ class SbwConfig:
 
     def resolve_window(self) -> Window:
         if self.window is None:
-            return make_window("kbd", self.fft_size, 4.0)
+            return _default_window(self.fft_size)
         if len(self.window) != self.fft_size:
             raise ValueError("window length must equal fft_size")
         return self.window
@@ -66,13 +66,6 @@ class SbwConfig:
         return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)
 
 
-def _band_means(values: np.ndarray, partition: ErbPartition) -> np.ndarray:
-    """Mean of ``values`` (frames x bins, real) over each band's bins."""
-    edges = partition.band_edges
-    sums = np.add.reduceat(values, edges[:-1], axis=-1)
-    return sums / partition.band_sizes()
-
-
 def subband_gains_frames(
     ref_frames: np.ndarray,
     mix_frames: np.ndarray,
@@ -84,11 +77,12 @@ def subband_gains_frames(
     Gain = band cross-covariance / band auto-covariance of the reference,
     with silent reference bands forced to zero.
     """
-    auto = _band_means(np.abs(ref_frames) ** 2, partition)
+    auto = partition.band_mean(np.abs(ref_frames) ** 2)
     prod = np.conj(ref_frames) * mix_frames
     if cross_cov == "magnitude":
-        cross = _band_means(np.abs(prod), partition)
+        cross = partition.band_mean(np.abs(prod))
     elif cross_cov == "complex":
+        # |band sum| / size, not |band mean|: the two round differently.
         edges = partition.band_edges
         cross = np.abs(np.add.reduceat(prod, edges[:-1], axis=-1)) / partition.band_sizes()
     else:

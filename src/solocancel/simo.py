@@ -121,11 +121,12 @@ def estimate_delay(
     )
 
 
-def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float) -> np.ndarray:
+def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     """Maximal-ratio combination of two cancelled half-spectrum frames.
 
     The second channel is counter-rotated by the per-bin phase of a
-    ``kappa``-sample delay and averaged with the first.
+    ``kappa``-sample delay and averaged with the first. ``kappa`` is a scalar,
+    or one delay per frame for stacked (frames x bins) spectra.
     """
     frame1 = np.asarray(frame1, dtype=np.complex128)
     frame2 = np.asarray(frame2, dtype=np.complex128)
@@ -133,6 +134,8 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float) -> np.ndar
         raise ValueError("frames must have equal length")
     n_bins = frame1.shape[-1]
     fft_size = 2 * (n_bins - 1)
+    if np.ndim(kappa) == 1:
+        kappa = np.asarray(kappa)[:, None]
     rot = np.exp(2j * np.pi * kappa * np.arange(n_bins) / fft_size)
     return 0.5 * (frame1 + rot * frame2)
 
@@ -213,10 +216,5 @@ def sbw_simo_cancel(
         delays = np.full(est1.shape[0], float(kappa))
     else:
         delays = _frame_delays(est1, est2, geometry)
-
-    n_bins = est1.shape[1]
-    fft_size = 2 * (n_bins - 1)
-    rot = np.exp(2j * np.pi * delays[:, None] * np.arange(n_bins)[None, :] / fft_size)
-    combined = 0.5 * (est1 + rot * est2)
-    out = istft(spec1.copy_with(combined))
+    out = istft(spec1.copy_with(mrc_combine(est1, est2, delays)))
     return AudioBuffer(out.samples[: len(mixture1)], mixture1.sample_rate)

@@ -78,6 +78,11 @@ def make_window(kind: str, length: int, shape: float = 4.0) -> Window:
     return Window(coeffs, kind, shape)
 
 
+def _default_window(length: int, shape: float = 4.0) -> Window:
+    """The package's analysis window: KBD, shape 4 unless ``shape`` is given."""
+    return make_window("kbd", length, shape)
+
+
 @dataclass
 class SpectralFrameSeq:
     """A sequence of complex half-spectra plus the framing that produced it.

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import SolverError
-from .stft import Window, istft, make_window, stft
+from .stft import Window, _default_window, istft, stft
 
 
 @dataclass
@@ -100,9 +100,11 @@ def matched_accompaniment(
 ) -> AudioBuffer:
     """The block-Wiener estimate y(k) = w(k) * s0(k) of the accompaniment.
 
-    A new filter is solved every ``hop`` samples on the trailing
-    taps + N - 1 reference window (zero-padded before the signal start and
-    after its end); with ``interpolate`` the taps blend linearly from the
+    A new filter is solved every ``hop`` samples k on the N mixture samples
+    from k onward and the taps + N - 1 reference samples that feed them
+    (zero-padded before the signal start and after its end). The solve thus
+    looks N samples ahead of the samples it filters: a block-length latency
+    in live use. With ``interpolate`` the taps blend linearly from the
     previous block's filter across each hop.
     """
     require_matched(mixture, reference)
@@ -184,7 +186,7 @@ def maw_ss_cancel(
     by weighted overlap-add.
     """
     if window is None:
-        window = make_window("kbd", fft_size, 4.0)
+        window = _default_window(fft_size)
     y = matched_accompaniment(mixture, reference, cfg)
     spec_x = stft(mixture, window, fft_hop)
     spec_y = stft(y, window, fft_hop)

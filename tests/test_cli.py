@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from solocancel import AudioBuffer, write_wav
-from solocancel.cli import EXIT_BAD_ARGS, EXIT_IO, build_algorithm_config, main
+from solocancel import AudioBuffer, read_mono, write_wav
+from solocancel.cli import ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, build_algorithm_config, main
 from solocancel.scenes import read_kv
 
 
@@ -194,6 +194,43 @@ class TestCancelEvaluate:
         assert code == EXIT_BAD_ARGS
 
 
+#: Small settings that keep each canceller fast on a 1.5-s scene.
+SMALL_SETTINGS = {
+    "anc": ["taps=32"],
+    "anc-pw": ["taps=32", "refresh_interval=8192"],
+    "maw": ["taps=63", "block_size=2048", "hop=512"],
+    "maw-ss": ["taps=63", "block_size=2048", "hop=512", "fft_size=1024", "fft_hop=512"],
+    "sbw": ["fft_size=1024"],
+    "sbw-simo": ["fft_size=1024"],
+}
+
+
+@pytest.fixture
+def stereo_scene_dir(tmp_path):
+    out = tmp_path / "stereo"
+    assert run_cli(
+        "simulate", "--duration", "1.5", "--seed", "3", "--sido", "--out-dir", str(out)
+    ) == 0
+    return out
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_cancel_runs_every_algorithm(algorithm, scene_dir, stereo_scene_dir, tmp_path):
+    scene = stereo_scene_dir if algorithm == "sbw-simo" else scene_dir
+    est = tmp_path / "est.wav"
+    overrides = [arg for setting in SMALL_SETTINGS[algorithm] for arg in ("--set", setting)]
+    code = run_cli(
+        "cancel", "--algo", algorithm, *overrides,
+        str(scene / "mixture.wav"), str(scene / "reference.wav"), str(est),
+    )
+    assert code == 0
+    estimate = read_mono(est)
+    reference = read_mono(scene / "reference.wav")
+    assert len(estimate) == len(reference)
+    assert estimate.sample_rate == reference.sample_rate
+    assert np.all(np.isfinite(estimate.samples))
+
+
 class TestSweep:
     def test_subbands_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -232,6 +269,33 @@ class TestSweep:
         monkeypatch.setenv("SOLOCANCEL_THREADS", "4")
         assert run_cli(*args, "--out", str(parallel)) == 0
         assert serial.read_text() == parallel.read_text()
+
+    def test_simo_algorithm_runs_two_mic_pipeline_on_one_mic_params(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--algo", "sbw-simo", "--param", "subbands", "--values", "8,39",
+            "--num-scenes", "1", "--duration", "1.0", "--set", "fft_size=1024",
+            "--out", str(out),
+        )
+        assert code == 0
+        body = out.read_text().strip().split("\n")[1:]
+        assert len(body) == 4
+        assert all(row.split(",")[3] == "sbw-simo" for row in body)
+
+    def test_mismatched_input_rates_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        solo = tmp_path / "solo.wav"
+        accomp = tmp_path / "accomp.wav"
+        write_wav(solo, 0.05 * rng.standard_normal(44100), 44100)
+        write_wav(accomp, 0.05 * rng.standard_normal(22050), 22050)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "subbands", "--values", "8", "--num-scenes", "1",
+            "--solo", str(solo), "--accomp", str(accomp), "--set", "fft_size=1024",
+            "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert not out.exists()
 
     def test_bad_param_rejected(self, tmp_path):
         code = run_cli(
