@@ -3,9 +3,9 @@
 Adaptive filtering, block Wiener filtering with time-domain or spectral
 subtraction, and ERB-band Wiener filtering, each scored with the block RMSD
 and the band-weighted segmental SNR on a 20-second scene. Block Wiener runs
-at a reduced scale so the script finishes in a couple of minutes; the
+at a reduced scale so the script finishes in well under a minute; the
 published-preset settings (1023 taps, 16384-sample blocks, 64-sample hop)
-are hundreds of times slower than real time.
+run about 17 times slower than real time.
 """
 import time
 

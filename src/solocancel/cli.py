@@ -11,6 +11,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -298,6 +299,8 @@ _SWEEP_SETS = {
 }
 #: Sweep parameters that run the two-microphone pipeline whatever the algorithm.
 _SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
+#: Sweep parameters that change the scene; for the others it depends on the scene index alone.
+_SWEEP_SCENE = ("level-diff", "delay-mismatch", "mic-spacing")
 SWEEP_PARAMS = (*_SWEEP_SETS, "level-diff", "delay-mismatch", *_SWEEP_TWO_MIC)
 
 
@@ -305,11 +308,23 @@ def _two_mic(args) -> bool:
     return args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
 
 
-def _sweep_point(args, overrides: dict, value, scene_index: int):
-    """One (value, scene) sweep measurement; returns a MetricsReport."""
+def _sweep_scene(args, value, scene_index: int):
+    """The scene of a sweep point; ``value`` is read only for the ``_SWEEP_SCENE`` parameters."""
     seed = args.seed + scene_index
     level_diff = float(value) if args.param == "level-diff" else args.level_diff_db
     kappa = int(value) if args.param == "delay-mismatch" else args.kappa
+    if not _two_mic(args):
+        return _scene(args, seed, kappa, level_diff)
+    spacing = float(value) if args.param == "mic-spacing" else args.spacing
+    layout = SidoLayout(
+        spacing=spacing, solo_angle_deg=args.solo_angle, accomp_angle_deg=args.accomp_angle,
+        f_max=min(8000.0, 343.0 / (2.0 * spacing)),
+    )
+    return _scene(args, seed, kappa, level_diff, layout=layout)
+
+
+def _sweep_point(args, overrides: dict, value, scene):
+    """One sweep measurement of ``value`` on ``scene``; returns a MetricsReport."""
     overrides = dict(overrides)
     if args.param in _SWEEP_SETS:
         key, kind = _SWEEP_SETS[args.param]
@@ -318,19 +333,14 @@ def _sweep_point(args, overrides: dict, value, scene_index: int):
             overrides["hop"] = int(value) // 2
 
     if not _two_mic(args):
-        scene = _scene(args, seed, kappa, level_diff)
         algo_cfg = build_algorithm_config(args.algorithm, args.preset, overrides)
         estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, [scene.mixture], scene.reference)
         return measure(estimate, scene.reference_solo)
 
-    spacing = float(value) if args.param == "mic-spacing" else args.spacing
-    f_max = min(8000.0, 343.0 / (2.0 * spacing))
-    layout = SidoLayout(
-        spacing=spacing, solo_angle_deg=args.solo_angle, accomp_angle_deg=args.accomp_angle,
-        f_max=f_max,
+    layout = scene.config.sido
+    geometry = ArrayGeometry(
+        spacing=layout.spacing, f_max=layout.f_max, sample_rate=scene.reference.sample_rate
     )
-    scene = _scene(args, seed, kappa, level_diff, layout=layout)
-    geometry = ArrayGeometry(spacing=spacing, f_max=f_max, sample_rate=scene.reference.sample_rate)
     sbw_cfg = build_algorithm_config("sbw", args.preset, overrides)
     kappa_est = None
     if args.param == "angle-mismatch":
@@ -341,29 +351,47 @@ def _sweep_point(args, overrides: dict, value, scene_index: int):
     return measure(estimate, scene.reference_solo)
 
 
+def _sweep_group(args, overrides: dict, values: list, group: list) -> list:
+    """Reports of the (value index, scene index) points of ``group``, which share
+    one scene: the scene of the first point."""
+    first_value, scene_index = group[0]
+    scene = _sweep_scene(args, values[first_value], scene_index)
+    return [_sweep_point(args, overrides, values[vi], scene) for vi, _ in group]
+
+
 def _cmd_sweep(args) -> int:
     overrides = _parse_overrides(args.overrides)
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values is required")
+    if args.num_scenes < 1:
+        raise ValueError("--num-scenes must be >= 1")
     if args.param in _SWEEP_TWO_MIC and args.algorithm not in ("sbw", "sbw-simo"):
         raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
+    if _two_mic(args):
+        spacings = values if args.param == "mic-spacing" else [args.spacing]
+        if min(float(spacing) for spacing in spacings) <= 0:
+            raise ValueError("microphone spacing must be > 0")
     # validate the base configuration (and overrides) up front
     build_algorithm_config("sbw" if _two_mic(args) else args.algorithm, args.preset, overrides)
 
     num_scenes = args.num_scenes
+    if args.param in _SWEEP_SCENE:
+        groups = [[(vi, si)] for vi in range(len(values)) for si in range(num_scenes)]
+    else:
+        groups = [[(vi, si) for vi in range(len(values))] for si in range(num_scenes)]
     threads = max(1, int(os.environ.get("SOLOCANCEL_THREADS", "1")))
-    points = [(value, si) for value in values for si in range(num_scenes)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # One worker runs in this thread: a worker thread's malloc arena adds a fifth to peak RSS.
         mapper = map if threads == 1 else pool.map
-        reports = list(mapper(lambda point: _sweep_point(args, overrides, *point), points))
+        results = list(mapper(lambda group: _sweep_group(args, overrides, values, group), groups))
+    reports = dict(zip(chain(*groups), chain(*results)))
 
     label = "sbw-simo" if _two_mic(args) else args.algorithm
     rows = []
     for vi, value in enumerate(values):
         for metric in ("rmsd_db", "snrf_db"):
-            samples = [getattr(r, metric) for r in reports[vi * num_scenes : (vi + 1) * num_scenes]]
+            samples = [getattr(reports[vi, si], metric) for si in range(num_scenes)]
             summary = [np.median(samples), *np.percentile(samples, [25, 75])]
             for si, sample in enumerate(samples):
                 figures = ",".join(f"{x:.6f}" for x in (sample, *summary))

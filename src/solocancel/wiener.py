@@ -1,9 +1,13 @@
-"""Block Wiener filtering over Toeplitz data matrices, plus spectral subtraction.
+"""Block Wiener filtering by the covariance method, plus spectral subtraction.
 
-Each block solves the sample normal equations (R + loading) w = p, where R
-and p are built from an M x N Toeplitz matrix of reference samples. The
-matched accompaniment w * s0 is subtracted either per sample (maw_cancel) or
-per STFT bin after a magnitude comparison (maw_ss_cancel).
+Each block solves the sample normal equations (R + loading) w = p, where R is
+the M x M covariance-method matrix of the reference over the N block samples
+and p its cross-correlation with the mixture block. The first row of R and p
+come from one FFT cross-correlation; the rest of R follows from a recursion
+along its diagonals (Makhoul 1975), in O(M^2) instead of the O(M^2 N) of
+forming the M x N data matrix. The matched accompaniment w * s0 is subtracted
+either per sample (maw_cancel) or per STFT bin after a magnitude comparison
+(maw_ss_cancel).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .audio import AudioBuffer, FirFilter, require_matched
@@ -50,13 +55,27 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     ``ref_window`` holds the M + N - 1 reference samples ending with the
     block; returns the M optimal taps. A silent reference window yields the
     zero filter (the normal equations vanish identically).
+
+    With s = ``ref_window`` and a = M - 1, R[i, j] = sum_t s[a+t-i] s[a+t-j]
+    over the N block samples t. Row 0 of R and p are correlations of s with
+    the in-block segment s[a:a+N] and with the block; the rest of the upper
+    triangle, the only part Cholesky reads, follows from
+    R[i+1, j+1] = R[i, j] + s[a-i-1] s[a-j-1] - s[a-i+N-1] s[a-j+N-1].
     """
     n = len(block)
-    col = ref_window[taps - 1 :: -1]
-    row = ref_window[taps - 1 :]
-    data = scipy.linalg.toeplitz(col, row)
-    cov = (data @ data.T) / n
-    cross = (data @ block) / n
+    a = taps - 1
+    size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
+    spec = scipy.fft.rfft(ref_window, size)
+    segments = scipy.fft.rfft(np.stack((ref_window[a : a + n], block)), size)
+    first_row, cross = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
+    cov = np.zeros((taps, taps))
+    cov[0] = first_row
+    entering = ref_window[:a][::-1]
+    leaving = ref_window[n : a + n][::-1]
+    for i in range(a):
+        cov[i + 1, i + 1 :] = cov[i, i:a] + entering[i] * entering[i:] - leaving[i] * leaving[i:]
+    cov /= n
+    cross /= n
     trace = float(np.trace(cov))
     if trace <= 0.0:
         return np.zeros(taps)

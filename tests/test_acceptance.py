@@ -20,7 +20,8 @@ SCENE_SEED = 17
 
 # The moving-average Wiener runs at a reduced scale here: the published
 # comparison setting (1023 taps, 16384-sample blocks, 64-sample hop) costs
-# hours of CPU on 20 s of audio (its published real-time factor is ~475).
+# about six minutes of CPU on 20 s of audio (real-time factor ~17; the
+# published figure is ~475).
 # Taps still exceed half the mic response; hop/block ratios stay comparable.
 MAW_ACCEPT = dict(taps=511, block_size=8192, hop=2048, interpolate=False)
 ANC_ACCEPT = dict(taps=1023, mu=0.10, normalized=True)

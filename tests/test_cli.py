@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from solocancel import AudioBuffer, read_mono, write_wav
+from solocancel import cli
 from solocancel.cli import ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, build_algorithm_config, main
 from solocancel.scenes import read_kv
 
@@ -296,6 +297,50 @@ class TestSweep:
         )
         assert code == EXIT_BAD_ARGS
         assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["0", "0.02,-0.01"])
+    def test_nonpositive_mic_spacing_rejected(self, values, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "mic-spacing", "--values", values, "--num-scenes", "1",
+            "--duration", "1.0", "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_scene_count_below_one_rejected(self, count, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "subbands", "--values", "8", "--num-scenes", count,
+            "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values,syntheses", [
+        ("subbands", "8,20,39", 2),
+        ("angle-mismatch", "0,10,20", 2),
+        ("level-diff", "0,6,12", 6),
+    ])
+    def test_scene_synthesised_once_per_index(self, param, values, syntheses, tmp_path,
+                                              monkeypatch):
+        calls = []
+
+        def counted(synth):
+            def wrapper(cfg):
+                calls.append(cfg)
+                return synth(cfg)
+            return wrapper
+
+        for name in ("synth_siso", "synth_sido"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        code = run_cli(
+            "sweep", "--param", param, "--values", values, "--num-scenes", "2",
+            "--duration", "0.5", "--set", "fft_size=1024", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert len(calls) == syntheses
 
     def test_bad_param_rejected(self, tmp_path):
         code = run_cli(

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import solocancel as sc
 from solocancel import (
     AudioBuffer,
     BlockWienerConfig,
@@ -12,7 +15,60 @@ from solocancel import (
     maw_ss_cancel,
     spectral_subtract,
 )
+from solocancel import wiener
 from solocancel.wiener import matched_accompaniment
+
+
+def explicit_normal_equations(ref_window, block, taps, reg):
+    """Oracle: the loaded covariance and cross-correlation of one block, built
+    from the explicit M x N Toeplitz data matrix in O(M^2 N)."""
+    n = len(block)
+    data = scipy.linalg.toeplitz(ref_window[taps - 1 :: -1], ref_window[taps - 1 :])
+    cov = (data @ data.T) / n
+    cross = (data @ block) / n
+    if reg > 0.0:
+        cov[np.diag_indices_from(cov)] += reg * np.trace(cov) / taps
+    return cov, cross
+
+
+def explicit_solve_block(ref_window, block, taps, reg):
+    """Oracle for ``wiener._solve_block``: Cholesky on the explicit build."""
+    cov, cross = explicit_normal_equations(ref_window, block, taps, reg)
+    if np.trace(cov) <= 0.0:
+        return np.zeros(taps)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), cross)
+
+
+@st.composite
+def block_problems(draw):
+    """A (ref_window, block, taps) triple: noise windows of amplitude 1e-3 to 1e3 with
+    leading and trailing zero runs, the block sharing the window's trailing zeros as
+    matched_accompaniment's padding does, and at least one non-zero window sample."""
+    taps = draw(st.integers(1, 64))
+    n = draw(st.integers(taps + 1, 600))
+    length = taps + n - 1
+    lead = draw(st.integers(0, length - 1))
+    trail = draw(st.integers(0, length - 1 - lead))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal(length)
+    window[:lead] = 0.0
+    window[length - trail :] = 0.0
+    h = rng.standard_normal(8)
+    block = np.convolve(window, h)[taps - 1 : taps - 1 + n]
+    block += 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal(n)
+    block[n - min(trail, n) :] = 0.0
+    return window, block, taps
+
+
+def _scene_block(taps, n):
+    """Reference window and mixture block 0.2 s into a 1-s acceptance-style scene."""
+    scene = sc.synth_siso(sc.SceneConfig(
+        solo=sc.noise_plus_tones(1.0, 44100, seed=17),
+        accompaniment_reference=sc.broadband_accompaniment(1.0, 44100, seed=17),
+        mic_ir=sc.make_mic_ir(13.7, 606, seed=17), channel_delay=32, level_diff_db=6.02,
+    ))
+    k = 8820
+    return scene.reference.samples[k - taps + 1 : k + n], scene.mixture.samples[k : k + n]
 
 
 class TestBlockWiener:
@@ -76,6 +132,53 @@ class TestBlockWiener:
                 w[i] * ref_win[taps - 1 + j - i] for i in range(taps)
             )
             assert product[j] == pytest.approx(direct, abs=1e-10)
+
+
+class TestSolveBlockOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(block_problems())
+    def test_matches_explicit_build(self, problem):
+        window, block, taps = problem
+        cov, cross = explicit_normal_equations(window, block, taps, 1e-8)
+        got = wiener._solve_block(window, block, taps, 1e-8)
+        expected = explicit_solve_block(window, block, taps, 1e-8)
+        # Backward error: the taps solve the oracle's system up to the rounding of
+        # an FFT correlation, whose error scales with |window| |block|.
+        scale = np.linalg.norm(cov, 2) * np.linalg.norm(got)
+        scale += np.linalg.norm(window) * np.linalg.norm(block) / len(block)
+        assert np.linalg.norm(cov @ got - cross) <= 1e-12 * scale
+        # Forward error where the system is well conditioned: rounding moves the taps
+        # by up to cond(C) times the backward error, the oracle's too (1e-9 off a
+        # 50-digit solve at cond 1e8).
+        if np.linalg.cond(cov) <= 1e6:
+            assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("taps,n", [(511, 8192), (1023, 16384)])
+    def test_matches_explicit_build_on_scene(self, taps, n):
+        window, block = _scene_block(taps, n)
+        got = wiener._solve_block(window, block, taps, 1e-8)
+        expected = explicit_solve_block(window, block, taps, 1e-8)
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("taps", [1, 8, 64])
+    @pytest.mark.parametrize("reg", [0.0, 1e-8])
+    def test_zero_window_gives_exact_zeros(self, taps, reg):
+        block = np.random.default_rng(16).standard_normal(300)
+        w = wiener._solve_block(np.zeros(taps + 299), block, taps, reg)
+        assert w.shape == (taps,)
+        assert np.all(w == 0.0)
+
+    def test_streamed_estimate_matches_explicit_build(self, monkeypatch):
+        # a short take, so the first and last blocks carry the zero padding
+        rng = np.random.default_rng(17)
+        n = 3000
+        ref = rng.standard_normal(n)
+        mix = np.convolve(ref, rng.standard_normal(12))[:n] + 0.1 * rng.standard_normal(n)
+        cfg = BlockWienerConfig(48, 1024, 100)
+        got = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
+        monkeypatch.setattr(wiener, "_solve_block", explicit_solve_block)
+        expected = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestMawCancel:
