@@ -7,7 +7,7 @@ update (the output error itself is never whitened).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +175,9 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
     m = cfg.taps
     mu = cfg.mu
 
-    pad = max(m - 1, cfg.lp_order if cfg.prewhiten else 0)
+    pw = cfg.prewhiten
+    p = cfg.lp_order if pw else 0
+    pad = max(m - 1, p)
     rp = np.concatenate((np.zeros(pad), ref))
     w = np.zeros(m)  # oldest-first, matching the window slices below
     out = np.empty(n)
@@ -189,43 +191,31 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
     else:
         nsq_floor = 0.0
 
-    if not cfg.prewhiten:
-        for k in range(n):
-            win = rp[pad + k - m + 1 : pad + k + 1]
-            e = x[k] - np.dot(w, win)
-            out[k] = e
-            if mu != 0.0:
-                if cfg.normalized:
-                    nsq = np.dot(win, win)
-                    if nsq > nsq_floor:
-                        w += (mu * e / nsq) * win
-                else:
-                    w += (mu * e) * win
-        return AudioBuffer(out, mixture.sample_rate)
-
-    p = cfg.lp_order
-    a = np.zeros(p)  # identity whitener until the first refit
-    wp = np.zeros(pad + n)  # whitened reference, same padding as rp
-    e_hist = np.zeros(p)  # past raw errors, newest first
+    if pw:
+        a = np.zeros(p)  # identity whitener until the first refit
+        wp = np.zeros(pad + n)  # whitened reference, same padding as rp
+        e_hist = np.zeros(p)  # past raw errors, newest first
     for k in range(n):
-        if k > 0 and k % cfg.refresh_interval == 0:
-            seg = AudioBuffer(
-                ref[k - cfg.refresh_interval : k], reference.sample_rate
-            )
+        if pw and k > 0 and k % cfg.refresh_interval == 0:
+            seg = AudioBuffer(ref[k - cfg.refresh_interval : k], reference.sample_rate)
             a = fit_whitener(seg, p).coeffs
         win = rp[pad + k - m + 1 : pad + k + 1]
         e = x[k] - np.dot(w, win)
         out[k] = e
-        wp[pad + k] = rp[pad + k] - np.dot(a, rp[pad + k - p : pad + k][::-1])
-        if mu != 0.0:
+        # The update's regressor and error: the window and the raw error, or
+        # both passed through the whitener.
+        u, e_u = win, e
+        if pw:
+            wp[pad + k] = rp[pad + k] - np.dot(a, rp[pad + k - p : pad + k][::-1])
             u = wp[pad + k - m + 1 : pad + k + 1]
-            e_w = e - np.dot(a, e_hist)
+            e_u = e - np.dot(a, e_hist)
+            e_hist[1:] = e_hist[:-1]
+            e_hist[0] = e
+        if mu != 0.0:
             if cfg.normalized:
                 nsq = np.dot(u, u)
                 if nsq > nsq_floor:
-                    w += (mu * e_w / nsq) * u
+                    w += (mu * e_u / nsq) * u
             else:
-                w += (mu * e_w) * u
-        e_hist[1:] = e_hist[:-1]
-        e_hist[0] = e
+                w += (mu * e_u) * u
     return AudioBuffer(out, mixture.sample_rate)

@@ -69,10 +69,14 @@ class FirFilter:
 
 
 def require_matched(a: AudioBuffer, b: AudioBuffer, what: str = "buffers"):
-    """Equal length, equal sample rate, or ValueError."""
+    """Equal length and equal sample rate, or ValueError; finite samples, or
+    FloatingPointError. Every canceller and metric calls this first."""
     if len(a) != len(b):
         raise ValueError(f"{what} must have equal length ({len(a)} != {len(b)})")
     if a.sample_rate != b.sample_rate:
         raise ValueError(
             f"{what} must share a sample rate ({a.sample_rate} != {b.sample_rate})"
         )
+    for buf in (a, b):
+        if not np.isfinite(buf.samples).all():
+            raise FloatingPointError(f"{what} hold non-finite samples (NaN or inf)")

@@ -78,8 +78,8 @@ def _sbw_config(p: dict) -> SbwConfig:
     cfg = SbwConfig(
         fft_size=fft_size, hop=int(fft_size // 2 if p["hop"] is None else p["hop"]),
         window=_default_window(fft_size, shape), num_bands=int(p["num_bands"]),
-        cutoff=float(p["cutoff"]), p=float(p["p"]), wiener_exponent=float(p["wiener_exponent"]),
-        cross_cov=str(p["cross_cov"]),
+        cutoff=None if p["cutoff"] is None else float(p["cutoff"]), p=float(p["p"]),
+        wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
     )
     _check_p(cfg.p)
     return cfg
@@ -130,7 +130,7 @@ _BLOCK = {"taps": 255, "block_size": 4096, "hop": 1024, "regularization": 1e-8, 
 _ANC_PAPER = {"taps": 1023}
 _BLOCK_PAPER = {"taps": 1023, "block_size": 16384, "hop": 64}
 _SBW = {
-    "window_shape": 4.0, "fft_size": 4096, "hop": None, "num_bands": 39, "cutoff": 16000.0,
+    "window_shape": 4.0, "fft_size": 4096, "hop": None, "num_bands": 39, "cutoff": None,
     "p": 1.0, "wiener_exponent": 1.0, "cross_cov": "magnitude",
 }
 
@@ -276,8 +276,7 @@ def _cmd_cancel(args) -> int:
 def _cmd_evaluate(args) -> int:
     est = read_mono(args.estimate)
     ref = read_mono(args.reference_solo)
-    cutoff = min(16000.0, est.sample_rate / 2)
-    partition = make_partition(args.fft_size, est.sample_rate, cutoff, args.bands)
+    partition = make_partition(args.fft_size, est.sample_rate, None, args.bands)
     report = measure(
         est, ref, block_size=args.block_size, partition=partition, fft_size=args.fft_size,
         hop=args.hop, elapsed=args.elapsed,

@@ -55,9 +55,11 @@ class ErbPartition:
 
 
 def make_partition(
-    fft_size: int, sample_rate: int, cutoff: float, num_bands: int
+    fft_size: int, sample_rate: int, cutoff: float | None, num_bands: int
 ) -> ErbPartition:
     """Partition the half-spectrum bin axis into ERB-rate-uniform bands.
+
+    ``cutoff=None`` means 16 kHz, or Nyquist for sample rates below 32 kHz.
 
     A bin with center frequency f (<= cutoff) lands in band
     ``min(Z, floor(Z * erbs(f) / erbs(cutoff)) + 1)``; bins above the cutoff
@@ -70,6 +72,8 @@ def make_partition(
     if num_bands < 1:
         raise ValueError("num_bands must be >= 1")
     nyquist = sample_rate / 2.0
+    if cutoff is None:
+        cutoff = min(16000.0, nyquist)
     if not 0.0 < cutoff <= nyquist:
         raise ValueError(f"cutoff must lie in (0, {nyquist}], got {cutoff}")
 

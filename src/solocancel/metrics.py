@@ -18,7 +18,7 @@ SNRF_CLAMP_DB = 100.0
 
 def _default_partition(fft_size: int, sample_rate: int) -> ErbPartition:
     """39 bands up to 16 kHz, or up to Nyquist for lower sample rates."""
-    return make_partition(fft_size, sample_rate, min(16000.0, sample_rate / 2.0), 39)
+    return make_partition(fft_size, sample_rate, None, 39)
 
 
 def rmsd(

@@ -38,7 +38,7 @@ class SbwConfig:
     hop: int = 2048
     window: Window | None = None
     num_bands: int = 39
-    cutoff: float = 16000.0
+    cutoff: float | None = None  # None: 16 kHz, or Nyquist below 32 kHz
     p: float = 1.0
     wiener_exponent: float = 1.0
     cross_cov: str = "magnitude"
@@ -50,7 +50,7 @@ class SbwConfig:
             raise ValueError("window length must equal fft_size")
         return self.window
 
-    def validate(self, sample_rate: int):
+    def validate(self):
         if self.hop <= 0 or self.hop > self.fft_size:
             raise ValueError("hop must satisfy 0 < hop <= fft_size")
         if self.p <= 0:
@@ -59,8 +59,6 @@ class SbwConfig:
             raise ValueError("wiener_exponent must be >= 0")
         if self.cross_cov not in ("magnitude", "complex"):
             raise ValueError("cross_cov must be 'magnitude' or 'complex'")
-        if not 0 < self.cutoff <= sample_rate / 2:
-            raise ValueError("cutoff must lie in (0, Nyquist]")
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
         return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)
@@ -133,7 +131,7 @@ def sbw_cancel(
     if cfg is None:
         cfg = SbwConfig()
     require_matched(mixture, reference)
-    cfg.validate(mixture.sample_rate)
+    cfg.validate()
     window = cfg.resolve_window()
     partition = cfg.partition_for(mixture.sample_rate)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition
@@ -169,14 +170,11 @@ def _frame_delays(
         nearest,
         prev,
     )
-    filled = raw[pick]
-    half = median_window // 2
-    smoothed = np.empty(num_frames)
-    for t in range(num_frames):
-        lo = max(0, t - half)
-        hi = min(num_frames, t + half + 1)
-        smoothed[t] = np.median(filled[lo:hi])
-    return smoothed
+    # Median over a window truncated at both ends of the track: the NaN
+    # padding drops out of nanmedian.
+    edge = np.full(median_window // 2, np.nan)
+    padded = np.concatenate((edge, raw[pick], edge))
+    return np.nanmedian(sliding_window_view(padded, 2 * edge.size + 1), axis=1)
 
 
 def sbw_simo_cancel(
@@ -197,7 +195,7 @@ def sbw_simo_cancel(
         cfg = SbwConfig()
     require_matched(mixture1, mixture2, "channels")
     require_matched(mixture1, reference)
-    cfg.validate(mixture1.sample_rate)
+    cfg.validate()
     if geometry is None:
         geometry = ArrayGeometry(
             spacing=half_wavelength_spacing(8000.0),

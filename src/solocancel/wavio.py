@@ -69,13 +69,19 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file into float64 in [-1, 1]; returns (data, sample_rate).
 
     Mono files come back as (n,), multichannel as (n, channels). Accepts
-    8/16/24/32-bit PCM and 32/64-bit float data.
+    8/16/24/32-bit PCM and 32/64-bit float data, also as WAVE_FORMAT_EXTENSIBLE.
+    A file cut short (header, ``fmt `` chunk or mid-frame data) raises
+    EOFError; data that ends on a whole frame before its declared size reads,
+    since streaming writers leave the size unset.
     """
     with open(path, "rb") as fh:
-        riff, _, wave = struct.unpack("<4sI4s", fh.read(12))
+        head = fh.read(12)
+        if len(head) < 12:
+            raise EOFError(f"{path}: truncated RIFF header")
+        riff, _, wave = struct.unpack("<4sI4s", head)
         if riff != b"RIFF" or wave != b"WAVE":
             raise ValueError(f"{path} is not a RIFF/WAVE file")
-        fmt_info = None
+        fmt = None
         payload = None
         while True:
             head = fh.read(8)
@@ -86,13 +92,21 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             if size % 2:
                 fh.read(1)
             if chunk_id == b"fmt ":
-                fmt_info = struct.unpack("<HHIIHH", body[:16])
+                fmt = body
             elif chunk_id == b"data":
                 payload = body
-        if fmt_info is None or payload is None:
+        if fmt is None or payload is None:
             raise ValueError(f"{path}: missing fmt or data chunk")
 
-    audio_format, channels, sample_rate, _, _, bits = fmt_info
+    extensible = fmt[:2] == struct.pack("<H", 0xFFFE)  # WAVE_FORMAT_EXTENSIBLE
+    if len(fmt) < (26 if extensible else 16):
+        raise EOFError(f"{path}: truncated fmt chunk")
+    audio_format, channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if extensible:  # the real format code opens the SubFormat GUID
+        (audio_format,) = struct.unpack("<H", fmt[24:26])
+    frame_bytes = channels * (bits // 8)
+    if frame_bytes and len(payload) % frame_bytes:
+        raise EOFError(f"{path}: data chunk ends mid-frame")
     if audio_format == 1:
         if bits == 8:
             raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The comparison scene
 few minutes; everything is deterministic.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -328,10 +329,13 @@ def test_criterion_12_determinism(tmp_path):
             ["evaluate", str(est), str(scene_dir / "reference_solo.wav"),
              "--csv", str(csv), "--fft-size", "1024", "--hop", "512"],
         ]
+        # the child interpreter imports the package under test, installed or not
+        package_root = os.path.dirname(os.path.dirname(sc.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         for command in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "solocancel", *command],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
             )
             assert proc.returncode == 0, proc.stderr
         artifacts.append(

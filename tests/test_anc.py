@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solocancel import AncConfig, AudioBuffer, LmsState, anc_cancel, fit_whitener, lms_step
 
@@ -157,23 +159,44 @@ class TestAncCancel:
         assert np.all(np.isfinite(out.samples))
         assert np.sqrt(np.mean(out.samples[-10_000:] ** 2)) < 10 * sigma
 
-    def test_prewhitened_matches_plain_when_identity(self):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+        taps=st.integers(1, 64),
+        mu=st.sampled_from([0.0, 0.005, 0.2]),
+        normalized=st.booleans(),
+        lp_order=st.integers(1, 20),
+        silence=st.floats(0.0, 1.0),
+    )
+    @example(n=3000, seed=None, taps=4, mu=0.2, normalized=True, lp_order=2, silence=0.0)
+    def test_prewhitened_matches_plain_when_identity(
+        self, n, seed, taps, mu, normalized, lp_order, silence
+    ):
         # refresh_interval exceeds the signal length, so the whitener stays
         # at its identity initialization and both paths must agree exactly
-        rng = np.random.default_rng(10)
-        n = 3000
-        ref = rng.standard_normal(n)
-        mix = np.convolve(ref, [0.3, 0.1])[:n]
+        if seed is None:  # the original fixed case
+            rng = np.random.default_rng(10)
+            ref = rng.standard_normal(n)
+            mix = np.convolve(ref, [0.3, 0.1])[:n]
+        else:
+            rng = np.random.default_rng(seed)
+            ref = rng.standard_normal(n)
+            ref[: int(silence * n)] = 0.0  # leading silence trips the NLMS guard
+            mix = np.convolve(ref, rng.standard_normal(3))[:n] + 0.1 * rng.standard_normal(n)
+        if not normalized:
+            mu /= taps  # LMS stays stable on unit-power input
         plain = anc_cancel(
             AudioBuffer(mix), AudioBuffer(ref),
-            AncConfig(taps=4, mu=0.2, normalized=True, prewhiten=False),
+            AncConfig(taps=taps, mu=mu, normalized=normalized, prewhiten=False),
         )
         whitened = anc_cancel(
             AudioBuffer(mix), AudioBuffer(ref),
-            AncConfig(taps=4, mu=0.2, normalized=True, prewhiten=True,
-                      lp_order=2, refresh_interval=10_000),
+            AncConfig(taps=taps, mu=mu, normalized=normalized, prewhiten=True,
+                      lp_order=lp_order, refresh_interval=max(n + 1, 10 * lp_order + 1)),
         )
         assert np.array_equal(plain.samples, whitened.samples)
+        assert plain.samples.tobytes() == whitened.samples.tobytes()
 
     def test_prewhitening_speeds_convergence_on_colored_reference(self):
         rng = np.random.default_rng(11)
@@ -201,14 +224,19 @@ class TestAncCancel:
         )
 
     def test_matches_lms_step_recursion(self):
-        rng = np.random.default_rng(12)
         n = 400
-        ref = rng.standard_normal(n)
-        mix = rng.standard_normal(n)
-        cfg = AncConfig(taps=6, mu=0.05, normalized=False)
-        batch = anc_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
-        state = LmsState.create(6, 0.05)
-        stepped = np.empty(n)
-        for k in range(n):
-            state, stepped[k] = lms_step(state, mix[k], ref[k])
-        assert np.allclose(batch.samples, stepped, rtol=1e-9, atol=1e-12)
+        # (seed, taps, mu, normalized); the first is the original LMS case
+        for seed, taps, mu, normalized in [
+            (12, 6, 0.05, False), (13, 1, 0.05, False), (14, 32, 0.01, False),
+            (15, 6, 0.5, True), (16, 1, 0.5, True), (17, 32, 0.2, True), (18, 6, 0.0, True),
+        ]:
+            rng = np.random.default_rng(seed)
+            ref = rng.standard_normal(n)
+            mix = rng.standard_normal(n)
+            cfg = AncConfig(taps=taps, mu=mu, normalized=normalized)
+            batch = anc_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
+            state = LmsState.create(taps, mu, normalized)
+            stepped = np.empty(n)
+            for k in range(n):
+                state, stepped[k] = lms_step(state, mix[k], ref[k])
+            assert np.allclose(batch.samples, stepped, rtol=1e-9, atol=1e-12)

@@ -3,7 +3,9 @@ import pytest
 
 from solocancel import AudioBuffer, read_mono, write_wav
 from solocancel import cli
-from solocancel.cli import ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, build_algorithm_config, main
+from solocancel.cli import (
+    ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, EXIT_NUMERIC, build_algorithm_config, main,
+)
 from solocancel.scenes import read_kv
 
 
@@ -147,6 +149,39 @@ class TestCancelEvaluate:
             str(tmp_path / "no2.wav"), str(tmp_path / "out.wav"),
         )
         assert code == EXIT_IO
+
+    def test_truncated_input_is_io_error(self, scene_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(b"RIF")
+        code = run_cli(
+            "cancel", "--algo", "sbw", str(cut), str(scene_dir / "reference.wav"),
+            str(tmp_path / "out.wav"),
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.count("\n") == 1
+
+    def test_non_finite_input_is_numeric_failure(self, scene_dir, tmp_path, capsys):
+        mixture = read_mono(scene_dir / "mixture.wav").samples
+        mixture[100] = np.nan
+        bad = tmp_path / "nan.wav"
+        write_wav(bad, mixture, 44100, "float32")
+        code = run_cli(
+            "cancel", "--algo", "sbw", str(bad), str(scene_dir / "reference.wav"),
+            str(tmp_path / "out.wav"),
+        )
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_cancel_at_22050_hz(self, tmp_path):
+        rng = np.random.default_rng(4)
+        mix, ref = tmp_path / "mix.wav", tmp_path / "ref.wav"
+        write_wav(mix, 0.1 * rng.standard_normal(22050), 22050)
+        write_wav(ref, 0.1 * rng.standard_normal(22050), 22050)
+        code = run_cli("cancel", "--algo", "sbw", str(mix), str(ref), str(tmp_path / "out.wav"))
+        assert code == 0
+        assert read_mono(tmp_path / "out.wav").sample_rate == 22050
 
     def test_bad_override_is_usage_error(self, scene_dir, tmp_path):
         code = run_cli(

@@ -127,6 +127,16 @@ class TestSbwCancel:
         est = cancel_frames(mix, ref, part, cfg)
         assert np.array_equal(est, spectral_subtract(mix, ref, cfg.p))
 
+    @pytest.mark.parametrize("fs", [22050, 16000])
+    def test_low_sample_rates_run(self, fs):
+        # the default cutoff falls to Nyquist below 32 kHz
+        rng = np.random.default_rng(13)
+        mix = AudioBuffer(0.1 * rng.standard_normal(fs), fs)
+        ref = AudioBuffer(0.1 * rng.standard_normal(fs), fs)
+        out = sbw_cancel(mix, ref)
+        assert len(out) == fs and out.sample_rate == fs
+        assert np.all(np.isfinite(out.samples))
+
     def test_config_validation(self):
         fs = 44100
         buf = AudioBuffer(np.zeros(8192), fs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solocancel import (
     ArrayGeometry,
@@ -16,6 +18,7 @@ from solocancel import (
     sbw_simo_cancel,
     stft,
 )
+from solocancel.simo import _frame_delays
 
 
 def geometry(spacing=None, f_max=8000.0):
@@ -28,6 +31,51 @@ def rotate(frame, kappa):
     n_bins = len(frame)
     n = 2 * (n_bins - 1)
     return frame * np.exp(-2j * np.pi * kappa * np.arange(n_bins) / n)
+
+
+def loop_frame_delays(
+    est1: np.ndarray,
+    est2: np.ndarray,
+    geometry: ArrayGeometry,
+    median_window: int = 5,
+) -> np.ndarray:
+    """Oracle: the per-frame loop that ``_frame_delays`` replaced."""
+    num_frames = est1.shape[0]
+    energy = np.sum(np.abs(est1) ** 2, axis=1)
+    floor = 1e-6 * np.max(energy) if np.max(energy) > 0 else 0.0
+    raw = np.full(num_frames, np.nan)
+    for t in range(num_frames):
+        if energy[t] <= floor:
+            continue
+        try:
+            raw[t] = estimate_delay(est1[t], est2[t], geometry).kappa
+        except NoSignalError:
+            continue
+    valid = np.flatnonzero(~np.isnan(raw))
+    if valid.size == 0:
+        return np.zeros(num_frames)
+    # Frames without an estimate inherit the nearest valid one.
+    nearest = valid[np.searchsorted(valid, np.arange(num_frames)).clip(max=valid.size - 1)]
+    prev = valid[(np.searchsorted(valid, np.arange(num_frames), side="right") - 1).clip(min=0)]
+    pick = np.where(
+        np.abs(nearest - np.arange(num_frames)) < np.abs(np.arange(num_frames) - prev),
+        nearest,
+        prev,
+    )
+    filled = raw[pick]
+    half = median_window // 2
+    smoothed = np.empty(num_frames)
+    for t in range(num_frames):
+        lo = max(0, t - half)
+        hi = min(num_frames, t + half + 1)
+        smoothed[t] = np.median(filled[lo:hi])
+    return smoothed
+
+
+#: Frame kinds for the delay-track property test: an unrelated pair, a silent
+#: frame, one below the energy floor, one whose energy lies above the alias-free
+#: bins (estimate_delay raises NoSignalError), and identical channels.
+FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical")
 
 
 class TestGeometry:
@@ -161,6 +209,14 @@ class TestSbwSimoCancel:
         assert len(out) == fs
         assert np.all(np.isfinite(out.samples))
 
+    @pytest.mark.parametrize("fs", [22050, 16000])
+    def test_low_sample_rates_run(self, fs):
+        rng = np.random.default_rng(10)
+        x1, x2, ref = (AudioBuffer(0.1 * rng.standard_normal(fs), fs) for _ in range(3))
+        out = sbw_simo_cancel(x1, x2, ref)
+        assert len(out) == fs and out.sample_rate == fs
+        assert np.all(np.isfinite(out.samples))
+
     def test_channel_length_mismatch_rejected(self):
         fs = 44100
         with pytest.raises(ValueError):
@@ -169,3 +225,30 @@ class TestSbwSimoCancel:
                 AudioBuffer(np.zeros(fs - 1), fs),
                 AudioBuffer(np.zeros(fs), fs),
             )
+
+
+class TestFrameDelays:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_frame_loop(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        n_bins = 65  # fft 128: bins 1..19 lie below the alias cap of the default geometry
+        est1 = np.zeros((len(kinds), n_bins), dtype=complex)
+        est2 = np.zeros_like(est1)
+        for t, kind in enumerate(kinds):
+            a = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            b = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            if kind == "random":
+                est1[t], est2[t] = a, b
+            elif kind == "faint":
+                est1[t], est2[t] = 1e-5 * a, b
+            elif kind == "high_only":
+                est1[t, 30:], est2[t, 30:] = a[30:], b[30:]
+            elif kind == "identical":
+                est1[t], est2[t] = a, a
+        geo = geometry()
+        got = _frame_delays(est1, est2, geo)
+        assert got.tobytes() == loop_frame_delays(est1, est2, geo).tobytes()
