@@ -29,7 +29,7 @@ scene = sc.synth_sido(
 
 # Delay estimation on the raw channels, frame by frame.
 window = sc.make_window("kbd", 4096, 4.0)
-geometry = sc.ArrayGeometry(spacing=layout.spacing, f_max=8000.0, sample_rate=fs)
+geometry = layout.geometry(fs)
 frames1 = sc.stft(scene.mixture, window, 2048).frames
 frames2 = sc.stft(scene.mixture2, window, 2048).frames
 estimates = []

@@ -162,11 +162,14 @@ def _peak_window_energy(ref: np.ndarray, m: int) -> float:
     return float(np.max(csum[m:] - csum[:-m]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises below instead
 def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> AudioBuffer:
     """Run the full adaptive recursion over a recording.
 
     Returns the error sequence e(k) = x(k) - w(k) . n0(k), which is the solo
     estimate. The filter is causal on the reference; no latency is added.
+    Raises FloatingPointError when the recursion diverges to a non-finite
+    estimate.
     """
     require_matched(mixture, reference)
     x = mixture.samples
@@ -218,4 +221,6 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
                     w += (mu * e_u / nsq) * u
             else:
                 w += (mu * e_u) * u
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("adaptive filter diverged: the estimate is not finite")
     return AudioBuffer(out, mixture.sample_rate)

@@ -27,7 +27,7 @@ from .scenes import (
     SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
     synth_sido, synth_siso, write_kv,
 )
-from .simo import ArrayGeometry, delay_from_angle, sbw_simo_cancel
+from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
 from .stft import _default_window
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, maw_cancel, maw_ss_cancel
@@ -39,11 +39,6 @@ EXIT_NUMERIC = 4
 SWEEP_CSV_COLUMNS = (
     "param", "value", "scene", "algorithm", "metric", "measurement", "median", "q25", "q75",
 )
-
-
-def _check_p(p: float):
-    if p <= 0:
-        raise ValueError("p must be > 0")
 
 
 def _anc_config(p: dict) -> AncConfig:
@@ -65,10 +60,11 @@ def _maw_ss_config(p: dict):
     """Block settings plus the STFT subtraction settings, as a (cfg, extra) pair."""
     cfg = _block_config(p)
     extra = {
-        "fft_size": int(p["fft_size"]), "fft_hop": int(p["fft_hop"]),
-        "p": float(p["p"]), "window_shape": float(p["window_shape"]),
+        "fft_size": int(p["fft_size"]), "fft_hop": int(p["fft_hop"]), "p": float(p["p"]),
+        "window": _default_window(int(p["fft_size"]), float(p["window_shape"])),
     }
-    _check_p(extra["p"])
+    if extra["p"] <= 0:
+        raise ValueError("p must be > 0")
     return cfg, extra
 
 
@@ -81,7 +77,7 @@ def _sbw_config(p: dict) -> SbwConfig:
         cutoff=None if p["cutoff"] is None else float(p["cutoff"]), p=float(p["p"]),
         wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
     )
-    _check_p(cfg.p)
+    cfg.validate()
     return cfg
 
 
@@ -98,11 +94,7 @@ def _run_anc(cfg, channels, reference):
 
 def _run_maw_ss(cfg, channels, reference):
     block_cfg, extra = cfg
-    return maw_ss_cancel(
-        channels[0], reference, block_cfg,
-        fft_size=extra["fft_size"], fft_hop=extra["fft_hop"],
-        window=_default_window(extra["fft_size"], extra["window_shape"]), p=extra["p"],
-    )
+    return maw_ss_cancel(channels[0], reference, block_cfg, **extra)
 
 
 def _run_sbw_simo(cfg, channels, reference):
@@ -317,7 +309,7 @@ def _sweep_scene(args, value, scene_index: int):
     spacing = float(value) if args.param == "mic-spacing" else args.spacing
     layout = SidoLayout(
         spacing=spacing, solo_angle_deg=args.solo_angle, accomp_angle_deg=args.accomp_angle,
-        f_max=min(8000.0, 343.0 / (2.0 * spacing)),
+        f_max=min(8000.0, SPEED_OF_SOUND / (2.0 * spacing)),
     )
     return _scene(args, seed, kappa, level_diff, layout=layout)
 
@@ -331,22 +323,16 @@ def _sweep_point(args, overrides: dict, value, scene):
         if args.param == "fft-size":
             overrides["hop"] = int(value) // 2
 
-    if not _two_mic(args):
-        algo_cfg = build_algorithm_config(args.algorithm, args.preset, overrides)
-        estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, [scene.mixture], scene.reference)
-        return measure(estimate, scene.reference_solo)
-
-    layout = scene.config.sido
-    geometry = ArrayGeometry(
-        spacing=layout.spacing, f_max=layout.f_max, sample_rate=scene.reference.sample_rate
-    )
-    sbw_cfg = build_algorithm_config("sbw", args.preset, overrides)
-    kappa_est = None
-    if args.param == "angle-mismatch":
-        kappa_est = delay_from_angle(args.solo_angle + float(value), geometry)
-    estimate = sbw_simo_cancel(
-        scene.mixture, scene.mixture2, scene.reference, sbw_cfg, geometry, kappa=kappa_est
-    )
+    algorithm, channels = args.algorithm, [scene.mixture]
+    if _two_mic(args):
+        layout = scene.config.sido  # the canceller's array is the scene's
+        algorithm, channels = "sbw-simo", [scene.mixture, scene.mixture2]
+        overrides.update(spacing=layout.spacing, f_max=layout.f_max)
+        if args.param == "angle-mismatch":
+            geometry = layout.geometry(scene.reference.sample_rate)
+            overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + float(value), geometry)
+    algo_cfg = build_algorithm_config(algorithm, args.preset, overrides)
+    estimate = ALGORITHMS[algorithm].cancel(algo_cfg, channels, scene.reference)
     return measure(estimate, scene.reference_solo)
 
 

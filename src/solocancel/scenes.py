@@ -17,7 +17,7 @@ import scipy.signal
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import NoSignalError
-from .simo import half_wavelength_spacing
+from .simo import ArrayGeometry, delay_from_angle
 
 
 def make_mic_ir(
@@ -84,29 +84,19 @@ def fractional_delay(x: np.ndarray, delay: float, num_taps: int = 31) -> np.ndar
 
 @dataclass
 class SidoLayout:
-    """Two-microphone scene geometry: spacing and the source angles."""
+    """Two-microphone scene geometry: the array's spacing and the source angles."""
 
     spacing: float
     solo_angle_deg: float
     accomp_angle_deg: float = 90.0
     f_max: float = 8000.0
-    speed_of_sound: float = 343.0
 
-    def validate(self):
-        limit = half_wavelength_spacing(self.f_max, self.speed_of_sound)
-        if not 0 < self.spacing <= limit * (1.0 + 1e-6):
-            raise ValueError(
-                f"spacing {self.spacing:.4f} m violates the half-wavelength "
-                f"limit {limit:.4f} m at f_max = {self.f_max:.0f} Hz"
-            )
+    def geometry(self, sample_rate: int) -> ArrayGeometry:
+        """The array at ``sample_rate``; ValueError past the half-wavelength limit."""
+        return ArrayGeometry(self.spacing, self.f_max, sample_rate)
 
     def solo_delay_samples(self, sample_rate: int) -> float:
-        return (
-            self.spacing
-            * math.sin(math.radians(self.solo_angle_deg))
-            * sample_rate
-            / self.speed_of_sound
-        )
+        return delay_from_angle(self.solo_angle_deg, self.geometry(sample_rate))
 
 
 @dataclass
@@ -194,17 +184,16 @@ def synth_siso(cfg: SceneConfig) -> Scene:
 def synth_sido(cfg: SceneConfig) -> Scene:
     """Two-microphone scene.
 
-    Channel 2 sees the solo delayed by spacing * sin(solo angle) * fs / c
-    (fractional, windowed-sinc); the recorded accompaniment is identical on
-    both channels.
+    Channel 2 sees the solo delayed by the layout's
+    :meth:`~SidoLayout.solo_delay_samples` (fractional, windowed-sinc); the
+    recorded accompaniment is identical on both channels.
     """
     if cfg.sido is None:
         raise ValueError("SceneConfig.sido geometry is required")
-    cfg.sido.validate()
+    kappa_d = cfg.sido.solo_delay_samples(cfg.solo.sample_rate)
     recorded_solo, accomp_unit, gain = _recorded_parts(cfg)
     accomp = gain * accomp_unit.samples
 
-    kappa_d = cfg.sido.solo_delay_samples(cfg.solo.sample_rate)
     if kappa_d == 0.0:
         solo2 = recorded_solo.samples
     else:

@@ -7,6 +7,7 @@ channel is counter-rotated and averaged with the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,31 +20,37 @@ from .sbw import SbwConfig, cancel_frames
 from .stft import istft, stft
 
 
-def half_wavelength_spacing(f_max: float, speed_of_sound: float = 343.0) -> float:
+#: Speed of sound in air, m/s.
+SPEED_OF_SOUND = 343.0
+
+
+def half_wavelength_spacing(f_max: float, speed_of_sound: float = SPEED_OF_SOUND) -> float:
     """Largest alias-free element spacing for content up to ``f_max`` Hz."""
     return speed_of_sound / (2.0 * f_max)
 
 
 @dataclass
 class ArrayGeometry:
-    """Two-element microphone array geometry.
+    """Two-element microphone array sampled at ``sample_rate``.
 
-    Spacing must not exceed half the wavelength at ``f_max`` (spatial
-    sampling theorem); violating it makes the per-bin delay ambiguous.
+    A source at angle theta from broadside reaches the second element
+    ``spacing * sin(theta) * sample_rate / SPEED_OF_SOUND`` samples after the
+    first (:func:`delay_from_angle`). The spacing must be positive and must
+    not exceed half the wavelength at ``f_max`` (spatial sampling theorem);
+    past that the per-bin delay of content up to ``f_max`` is ambiguous.
+    ``f_max`` enters nothing else, so one above Nyquist only tightens the
+    bound.
     """
 
     spacing: float
     f_max: float = 8000.0
-    speed_of_sound: float = 343.0
     sample_rate: int = 44100
 
     def __post_init__(self):
-        if self.spacing <= 0 or self.f_max <= 0:
+        if not (self.spacing > 0 and self.f_max > 0):
             raise ValueError("spacing and f_max must be positive")
-        if self.f_max > self.sample_rate / 2:
-            raise ValueError("f_max must not exceed Nyquist")
-        limit = half_wavelength_spacing(self.f_max, self.speed_of_sound)
-        if self.spacing > limit * (1.0 + 1e-6):
+        limit = half_wavelength_spacing(self.f_max)
+        if not self.spacing <= limit * (1.0 + 1e-6):
             raise ValueError(
                 f"spacing {self.spacing:.4f} m exceeds the half-wavelength "
                 f"limit {limit:.4f} m for f_max = {self.f_max:.0f} Hz"
@@ -51,8 +58,8 @@ class ArrayGeometry:
 
     @property
     def max_delay_samples(self) -> float:
-        """Physical bound on the inter-element delay, in samples."""
-        return self.spacing * self.sample_rate / self.speed_of_sound
+        """Physical bound on the inter-element delay, in samples (the delay at 90 degrees)."""
+        return self.spacing * self.sample_rate / SPEED_OF_SOUND
 
 
 @dataclass
@@ -60,21 +67,25 @@ class DelayEstimate:
     """Inter-channel delay in fractional samples with its angle of arrival."""
 
     kappa: float
+    #: Angle of arrival in degrees from broadside, ``angle_from_delay(kappa)``:
+    #: arcsin of kappa over the array's ``max_delay_samples``.
     theta_deg: float
     confidence: float  # fraction of usable bins that passed the threshold
 
 
-def angle_from_delay(kappa: float, geometry: ArrayGeometry) -> float:
-    """Angle of arrival (degrees) for an inter-element delay in samples."""
-    s = np.clip(kappa * geometry.f_max / (geometry.sample_rate / 2.0), -1.0, 1.0)
-    return float(np.degrees(np.arcsin(s)))
-
-
 def delay_from_angle(theta_deg: float, geometry: ArrayGeometry) -> float:
-    """Inverse of :func:`angle_from_delay`."""
-    return float(
-        np.sin(np.radians(theta_deg)) * (geometry.sample_rate / 2.0) / geometry.f_max
-    )
+    """Delay in samples of the second element for a source at ``theta_deg``:
+    spacing * sin(theta) * sample_rate / SPEED_OF_SOUND, the delay
+    :func:`~solocancel.scenes.synth_sido` gives channel 2."""
+    sin_theta = math.sin(math.radians(theta_deg))
+    return geometry.spacing * sin_theta * geometry.sample_rate / SPEED_OF_SOUND
+
+
+def angle_from_delay(kappa: float, geometry: ArrayGeometry) -> float:
+    """Inverse of :func:`delay_from_angle`, degrees; delays past the physical
+    bound read as +-90."""
+    s = np.clip(kappa / geometry.max_delay_samples, -1.0, 1.0)
+    return float(np.degrees(np.arcsin(s)))
 
 
 def estimate_delay(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 
@@ -143,9 +144,8 @@ def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     x = np.zeros(padded_len)
     x[:n] = signal.samples
 
-    offsets = np.arange(num_frames) * hop
-    idx = offsets[:, None] + np.arange(n_fft)[None, :]
-    frames = np.fft.rfft(x[idx] * window.coefficients[None, :], axis=1)
+    segments = sliding_window_view(x, n_fft)[::hop]
+    frames = np.fft.rfft(segments * window.coefficients[None, :], axis=1)
     return SpectralFrameSeq(frames, n_fft, hop, signal.sample_rate, window)
 
 

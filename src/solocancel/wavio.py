@@ -104,6 +104,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     audio_format, channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if extensible:  # the real format code opens the SubFormat GUID
         (audio_format,) = struct.unpack("<H", fmt[24:26])
+    if channels == 0:
+        raise ValueError(f"{path}: fmt chunk declares 0 channels")
     frame_bytes = channels * (bits // 8)
     if frame_bytes and len(payload) % frame_bytes:
         raise EOFError(f"{path}: data chunk ends mid-frame")
@@ -124,8 +126,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         else:
             raise ValueError(f"unsupported PCM bit depth {bits}")
     elif audio_format == 3:
-        dtype = "<f4" if bits == 32 else "<f8"
-        data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+        if bits not in (32, 64):
+            raise ValueError(f"unsupported float bit depth {bits}")
+        data = np.frombuffer(payload, dtype=f"<f{bits // 8}").astype(np.float64)
     else:
         raise ValueError(f"unsupported WAV format code {audio_format}")
 

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solocancel import AncConfig, AudioBuffer, LmsState, anc_cancel, fit_whitener, lms_step
+from solocancel import (
+    AncConfig, AudioBuffer, LmsState, anc_cancel, broadband_accompaniment, fit_whitener, lms_step,
+    noise_plus_tones,
+)
 
 
 def planted_system(n, taps=4, seed=0, sigma=1.0):
@@ -116,6 +119,16 @@ class TestAncCancel:
         ref = AudioBuffer(np.zeros(2000))
         out = anc_cancel(mix, ref, AncConfig(taps=8, mu=0.5, normalized=True))
         assert np.array_equal(out.samples, mix.samples)
+
+    def test_divergence_raises(self):
+        # NLMS on a whitened one-tap regressor: the guard floor comes from the
+        # raw reference, the step divides by the far smaller whitened energy
+        fs = 44100
+        ref = broadband_accompaniment(0.1, fs, seed=17)
+        mix = AudioBuffer(noise_plus_tones(0.1, fs, seed=17).samples + ref.samples, fs)
+        cfg = AncConfig(taps=1, mu=0.05, prewhiten=True, lp_order=4, refresh_interval=441)
+        with pytest.raises(FloatingPointError):
+            anc_cancel(mix, ref, cfg)
 
     def test_planted_scene_residual(self):
         fs = 44100

@@ -6,7 +6,8 @@ from solocancel import cli
 from solocancel.cli import (
     ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, EXIT_NUMERIC, build_algorithm_config, main,
 )
-from solocancel.scenes import read_kv
+from solocancel.scenes import SidoLayout, read_kv
+from solocancel.simo import sbw_simo_cancel
 
 
 def run_cli(*argv):
@@ -56,6 +57,25 @@ class TestBuildAlgorithmConfig:
             build_algorithm_config("maw", "none", {"taps": 4096, "block_size": 1024})
         with pytest.raises(ValueError):
             build_algorithm_config("sbw", "none", {"p": 0.0})
+
+    @pytest.mark.parametrize("algorithm,overrides", [
+        ("sbw", {"cross_cov": "bogus"}),
+        ("sbw", {"wiener_exponent": -1.0}),
+        ("sbw", {"hop": 99999}),
+        ("sbw-simo", {"cross_cov": "bogus"}),
+        ("maw-ss", {"fft_size": 1023}),
+        ("maw-ss", {"window_shape": -1.0}),
+    ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
+            "maw-ss-fft_size", "maw-ss-window_shape"])
+    def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path):
+        with pytest.raises(ValueError):
+            build_algorithm_config(algorithm, "none", overrides)
+        (key, value), = overrides.items()
+        code = run_cli(
+            "cancel", "--algo", algorithm, "--set", f"{key}={value}",
+            str(tmp_path / "no.wav"), str(tmp_path / "no2.wav"), str(tmp_path / "out.wav"),
+        )
+        assert code == EXIT_BAD_ARGS
 
 
 class TestSimulate:
@@ -172,6 +192,17 @@ class TestCancelEvaluate:
         )
         assert code == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_diverging_filter_is_numeric_failure(self, scene_dir, tmp_path, capsys):
+        code = run_cli(
+            "cancel", "--algo", "anc-pw", "--set", "taps=1", "--set", "mu=0.05",
+            "--set", "lp_order=4", "--set", "refresh_interval=441",
+            str(scene_dir / "mixture.wav"), str(scene_dir / "reference.wav"),
+            str(tmp_path / "out.wav"),
+        )
+        assert code == EXIT_NUMERIC
+        assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "out.wav").exists()
 
     def test_cancel_at_22050_hz(self, tmp_path):
@@ -291,6 +322,24 @@ class TestSweep:
         assert code == 0
         body = out.read_text().strip().split("\n")[1:]
         assert all(row.split(",")[3] == "sbw-simo" for row in body)
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.0214])
+    def test_angle_mismatch_zero_uses_true_delay(self, spacing, tmp_path, monkeypatch):
+        kappas = []
+
+        def recording(*args, kappa=None, **kwargs):
+            kappas.append(kappa)
+            return sbw_simo_cancel(*args, kappa=kappa, **kwargs)
+
+        monkeypatch.setattr(cli, "sbw_simo_cancel", recording)
+        code = run_cli(
+            "sweep", "--param", "angle-mismatch", "--values", "0", "--num-scenes", "1",
+            "--duration", "0.5", "--spacing", str(spacing), "--set", "fft_size=1024",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        true_delay = SidoLayout(spacing, 21.3, 90.0).solo_delay_samples(44100)
+        assert kappas == [true_delay]
 
     def test_thread_count_env_keeps_order(self, tmp_path, monkeypatch):
         serial = tmp_path / "serial.csv"

@@ -8,6 +8,7 @@ from solocancel import (
     AudioBuffer,
     NoSignalError,
     SbwConfig,
+    SidoLayout,
     angle_from_delay,
     delay_from_angle,
     estimate_delay,
@@ -92,6 +93,25 @@ class TestGeometry:
         for kappa in np.linspace(-bound, bound, 11):
             theta = angle_from_delay(kappa, geo)
             assert delay_from_angle(theta, geo) == pytest.approx(kappa, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sample_rate=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000, 96000]),
+        f_max=st.floats(500.0, 48000.0),
+        fraction=st.floats(1e-3, 1.0),
+        theta=st.floats(-90.0, 90.0),
+    )
+    def test_one_delay_law(self, sample_rate, f_max, fraction, theta):
+        f_max = min(f_max, sample_rate / 2)
+        spacing = fraction * half_wavelength_spacing(f_max)
+        geo = ArrayGeometry(spacing=spacing, f_max=f_max, sample_rate=sample_rate)
+        layout = SidoLayout(spacing, theta, 90.0, f_max)
+        kappa = delay_from_angle(theta, geo)
+        assert kappa == layout.solo_delay_samples(sample_rate)  # bitwise: the scene's delay
+        assert angle_from_delay(kappa, geo) == pytest.approx(theta, abs=1e-5)
+        assert delay_from_angle(angle_from_delay(kappa, geo), geo) == pytest.approx(
+            kappa, abs=1e-12 * geo.max_delay_samples
+        )
 
     def test_reference_scene_angle(self):
         geo = geometry(spacing=0.0214)
@@ -209,7 +229,7 @@ class TestSbwSimoCancel:
         assert len(out) == fs
         assert np.all(np.isfinite(out.samples))
 
-    @pytest.mark.parametrize("fs", [22050, 16000])
+    @pytest.mark.parametrize("fs", [22050, 16000, 8000])
     def test_low_sample_rates_run(self, fs):
         rng = np.random.default_rng(10)
         x1, x2, ref = (AudioBuffer(0.1 * rng.standard_normal(fs), fs) for _ in range(3))

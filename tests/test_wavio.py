@@ -148,6 +148,21 @@ class TestDamagedAndExtensible:
         with pytest.raises(EOFError):
             read_wav(path)
 
+    @pytest.mark.parametrize("content", [
+        # a declared 16-bit float holding two float32 samples, not one float64
+        riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 44100, 88200, 2, 16)),
+             (b"data", struct.pack("<2f", 0.25, -0.5))),
+        riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 44100, 132300, 3, 24)),
+             (b"data", b"\x00" * 24)),
+        riff((b"fmt ", struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
+             (b"data", b"\x00" * 4)),
+    ], ids=["float16", "float24", "no-channels"])
+    def test_impossible_format_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError):
+            read_wav(path)
+
     def test_data_short_of_declared_size_reads_whole_frames(self, tmp_path):
         # a streaming writer leaves 0xFFFFFFFF in the size fields
         path = tmp_path / "stream.wav"
