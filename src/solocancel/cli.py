@@ -69,16 +69,13 @@ def _maw_ss_config(p: dict):
 
 
 def _sbw_config(p: dict) -> SbwConfig:
-    shape = float(p["window_shape"])
     fft_size = int(p["fft_size"])
-    cfg = SbwConfig(
+    return SbwConfig(
         fft_size=fft_size, hop=int(fft_size // 2 if p["hop"] is None else p["hop"]),
-        window=_default_window(fft_size, shape), num_bands=int(p["num_bands"]),
+        window=_default_window(fft_size, float(p["window_shape"])), num_bands=int(p["num_bands"]),
         cutoff=None if p["cutoff"] is None else float(p["cutoff"]), p=float(p["p"]),
         wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
     )
-    cfg.validate()
-    return cfg
 
 
 def _simo_config(p: dict):
@@ -293,6 +290,12 @@ _SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
 #: Sweep parameters that change the scene; for the others it depends on the scene index alone.
 _SWEEP_SCENE = ("level-diff", "delay-mismatch", "mic-spacing")
 SWEEP_PARAMS = (*_SWEEP_SETS, "level-diff", "delay-mismatch", *_SWEEP_TWO_MIC)
+#: ``sbw-simo`` parameters that ``--set`` cannot give a two-microphone sweep, and why.
+_SWEEP_FIXED = {
+    "spacing": "the array comes from --spacing",
+    "f_max": "the array comes from --spacing",
+    "kappa": "κ is swept with --param angle-mismatch",
+}
 
 
 def _two_mic(args) -> bool:
@@ -353,12 +356,16 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--num-scenes must be >= 1")
     if args.param in _SWEEP_TWO_MIC and args.algorithm not in ("sbw", "sbw-simo"):
         raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
+    label = "sbw-simo" if _two_mic(args) else args.algorithm
     if _two_mic(args):
         spacings = values if args.param == "mic-spacing" else [args.spacing]
         if min(float(spacing) for spacing in spacings) <= 0:
             raise ValueError("microphone spacing must be > 0")
+        fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
+        if fixed:
+            raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
     # validate the base configuration (and overrides) up front
-    build_algorithm_config("sbw" if _two_mic(args) else args.algorithm, args.preset, overrides)
+    build_algorithm_config(label, args.preset, overrides)
 
     num_scenes = args.num_scenes
     if args.param in _SWEEP_SCENE:
@@ -372,7 +379,6 @@ def _cmd_sweep(args) -> int:
         results = list(mapper(lambda group: _sweep_group(args, overrides, values, group), groups))
     reports = dict(zip(chain(*groups), chain(*results)))
 
-    label = "sbw-simo" if _two_mic(args) else args.algorithm
     rows = []
     for vi, value in enumerate(values):
         for metric in ("rmsd_db", "snrf_db"):

@@ -10,7 +10,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, _default_window, stft
+from .stft import Window, _resolve_window, stft
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -67,8 +67,7 @@ def snrf(
     signal power are skipped, and the kept cells are averaged.
     """
     require_matched(estimate, ref_solo)
-    if window is None:
-        window = _default_window(fft_size)
+    window = _resolve_window(window, fft_size)
     if partition is None:
         partition = _default_partition(fft_size, estimate.sample_rate)
     if partition.fft_size != fft_size:

@@ -2,19 +2,20 @@
 
 Per STFT frame, one real gain per auditory band matches the reference
 spectrum to the mixture; the scaled reference is then removed by magnitude
-spectral subtraction (1-norm by default) and the estimate is resynthesized
-by weighted overlap-add.
+spectral subtraction (1-norm by default). Both cancellers run that frame map,
+``cancel_frames``, in the one weighted overlap-add pipeline, ``stft._wola``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
-from .stft import Window, _default_window, istft, stft
+from .stft import Window, _resolve_window, _wola
 from .wiener import spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
@@ -32,6 +33,9 @@ class SbwConfig:
     how the band cross-covariance is pooled: ``"magnitude"`` averages
     per-bin magnitudes |S0* X|, ``"complex"`` takes the magnitude of the
     complex band mean.
+
+    Checked at construction (``ValueError``), the cutoff excepted: it needs the
+    sample rate. ``window`` None becomes the KBD(4) window of length ``fft_size``.
     """
 
     fft_size: int = 4096
@@ -43,14 +47,7 @@ class SbwConfig:
     wiener_exponent: float = 1.0
     cross_cov: str = "magnitude"
 
-    def resolve_window(self) -> Window:
-        if self.window is None:
-            return _default_window(self.fft_size)
-        if len(self.window) != self.fft_size:
-            raise ValueError("window length must equal fft_size")
-        return self.window
-
-    def validate(self):
+    def __post_init__(self):
         if self.hop <= 0 or self.hop > self.fft_size:
             raise ValueError("hop must satisfy 0 < hop <= fft_size")
         if self.p <= 0:
@@ -59,6 +56,7 @@ class SbwConfig:
             raise ValueError("wiener_exponent must be >= 0")
         if self.cross_cov not in ("magnitude", "complex"):
             raise ValueError("cross_cov must be 'magnitude' or 'complex'")
+        self.window = _resolve_window(self.window, self.fft_size)
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
         return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)
@@ -131,12 +129,5 @@ def sbw_cancel(
     if cfg is None:
         cfg = SbwConfig()
     require_matched(mixture, reference)
-    cfg.validate()
-    window = cfg.resolve_window()
-    partition = cfg.partition_for(mixture.sample_rate)
-
-    spec_x = stft(mixture, window, cfg.hop)
-    spec_ref = stft(reference, window, cfg.hop)
-    est = cancel_frames(spec_x.frames, spec_ref.frames, partition, cfg)
-    out = istft(spec_x.copy_with(est))
-    return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
+    cancel = partial(cancel_frames, partition=cfg.partition_for(mixture.sample_rate), cfg=cfg)
+    return _wola(cancel, (mixture, reference), cfg.window, cfg.hop)

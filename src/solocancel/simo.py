@@ -14,10 +14,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, require_matched
-from .erb import ErbPartition
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
-from .stft import istft, stft
+from .stft import _wola
 
 
 #: Speed of sound in air, m/s.
@@ -206,24 +205,14 @@ def sbw_simo_cancel(
         cfg = SbwConfig()
     require_matched(mixture1, mixture2, "channels")
     require_matched(mixture1, reference)
-    cfg.validate()
     if geometry is None:
-        geometry = ArrayGeometry(
-            spacing=half_wavelength_spacing(8000.0),
-            sample_rate=mixture1.sample_rate,
-        )
-    window = cfg.resolve_window()
-    partition: ErbPartition = cfg.partition_for(mixture1.sample_rate)
+        geometry = ArrayGeometry(half_wavelength_spacing(8000.0), sample_rate=mixture1.sample_rate)
+    partition = cfg.partition_for(mixture1.sample_rate)
 
-    spec1 = stft(mixture1, window, cfg.hop)
-    spec2 = stft(mixture2, window, cfg.hop)
-    spec_ref = stft(reference, window, cfg.hop)
-    est1 = cancel_frames(spec1.frames, spec_ref.frames, partition, cfg)
-    est2 = cancel_frames(spec2.frames, spec_ref.frames, partition, cfg)
+    def combine(mix1, mix2, ref):
+        est1 = cancel_frames(mix1, ref, partition, cfg)
+        est2 = cancel_frames(mix2, ref, partition, cfg)
+        delays = float(kappa) if kappa is not None else _frame_delays(est1, est2, geometry)
+        return mrc_combine(est1, est2, delays)
 
-    if kappa is not None:
-        delays = np.full(est1.shape[0], float(kappa))
-    else:
-        delays = _frame_delays(est1, est2, geometry)
-    out = istft(spec1.copy_with(mrc_combine(est1, est2, delays)))
-    return AudioBuffer(out.samples[: len(mixture1)], mixture1.sample_rate)
+    return _wola(combine, (mixture1, mixture2, reference), cfg.window, cfg.hop)

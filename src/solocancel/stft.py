@@ -4,6 +4,10 @@ Half-spectra only (real signals); the same window is applied at analysis and
 synthesis and the overlap-added result is divided by the accumulated squared
 window, which gives perfect reconstruction wherever that envelope is nonzero
 and well-behaved resynthesis of modified spectra.
+
+The spectral cancellers share one weighted overlap-add pipeline, ``_wola``
+(Crochiere 1980, IEEE TASSP 28(1)): analysis of each input, one frame map,
+resynthesis, and a cut back to the input length.
 """
 
 from __future__ import annotations
@@ -84,6 +88,13 @@ def _default_window(length: int, shape: float = 4.0) -> Window:
     return make_window("kbd", length, shape)
 
 
+def _resolve_window(window: Window | None, fft_size: int) -> Window:
+    """``window``, checked to be ``fft_size`` long, or the default window when it is None."""
+    if window is not None and len(window) != fft_size:
+        raise ValueError("window length must equal fft_size")
+    return _default_window(fft_size) if window is None else window
+
+
 @dataclass
 class SpectralFrameSeq:
     """A sequence of complex half-spectra plus the framing that produced it.
@@ -116,12 +127,6 @@ class SpectralFrameSeq:
     @property
     def num_bins(self) -> int:
         return self.frames.shape[1]
-
-    def copy_with(self, frames: np.ndarray) -> "SpectralFrameSeq":
-        """Same framing metadata, different spectra."""
-        return SpectralFrameSeq(
-            frames, self.fft_size, self.hop, self.sample_rate, self.window
-        )
 
 
 def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
@@ -174,3 +179,13 @@ def istft(seq: SpectralFrameSeq) -> AudioBuffer:
     out[live] /= envelope[live]
     out[~live] = 0.0
     return AudioBuffer(out, seq.sample_rate)
+
+
+def _wola(process, signals, window: Window, hop: int) -> AudioBuffer:
+    """Run ``process`` over the frame stacks of the equal-length ``signals`` and return
+    the weighted overlap-add resynthesis of its result, cut to the input length."""
+    n, fs = len(signals[0]), signals[0].sample_rate
+    # Only ``process`` holds the input stacks, so they are freed before resynthesis.
+    frames = process(*(stft(s, window, hop).frames for s in signals))
+    out = istft(SpectralFrameSeq(frames, len(window), hop, fs, window))
+    return AudioBuffer(out.samples[:n], fs)

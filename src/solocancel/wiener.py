@@ -7,12 +7,14 @@ come from one FFT cross-correlation; the rest of R follows from a recursion
 along its diagonals (Makhoul 1975), in O(M^2) instead of the O(M^2 N) of
 forming the M x N data matrix. The matched accompaniment w * s0 is subtracted
 either per sample (maw_cancel) or per STFT bin after a magnitude comparison
-(maw_ss_cancel).
+(maw_ss_cancel), whose frame map is ``spectral_subtract`` inside the package's
+one weighted overlap-add pipeline (``stft._wola``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -20,7 +22,7 @@ import scipy.linalg
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import SolverError
-from .stft import Window, _default_window, istft, stft
+from .stft import Window, _resolve_window, _wola
 
 
 @dataclass
@@ -202,13 +204,9 @@ def maw_ss_cancel(
 
     The matched accompaniment is computed exactly as in :func:`maw_cancel`,
     then removed per frame with :func:`spectral_subtract` and resynthesized
-    by weighted overlap-add.
+    by weighted overlap-add. ``window`` None is the default window; a given
+    window must be ``fft_size`` long.
     """
-    if window is None:
-        window = _default_window(fft_size)
+    window = _resolve_window(window, fft_size)
     y = matched_accompaniment(mixture, reference, cfg)
-    spec_x = stft(mixture, window, fft_hop)
-    spec_y = stft(y, window, fft_hop)
-    est = spectral_subtract(spec_x.frames, spec_y.frames, p)
-    out = istft(spec_x.copy_with(est))
-    return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
+    return _wola(partial(spectral_subtract, p=p), (mixture, y), window, fft_hop)

@@ -367,6 +367,23 @@ class TestSweep:
         assert len(body) == 4
         assert all(row.split(",")[3] == "sbw-simo" for row in body)
 
+    @pytest.mark.parametrize("param,key,value,hint", [
+        ("subbands", "spacing", "0.01", "the array comes from --spacing"),
+        ("subbands", "f_max", "5000", "the array comes from --spacing"),
+        ("subbands", "kappa", "0.5", "swept with --param angle-mismatch"),
+        ("angle-mismatch", "taps", "3", "taps"),
+    ], ids=["spacing", "f_max", "kappa", "other"])
+    def test_two_mic_sweep_names_sbw_simo(self, param, key, value, hint, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--algo", "sbw-simo", "--param", param, "--values", "8", "--num-scenes", "1",
+            "--duration", "0.5", "--set", f"{key}={value}", "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "for sbw-simo" in err and key in err and hint in err
+        assert not out.exists()
+
     def test_mismatched_input_rates_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         solo = tmp_path / "solo.wav"

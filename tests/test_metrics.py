@@ -66,6 +66,15 @@ class TestRmsd:
 
 
 class TestSnrf:
+    @pytest.mark.parametrize("fft_size", [4096, 1024])
+    def test_window_length_must_match_fft_size(self, fft_size):
+        est, ref = noise_pair()
+        window = make_window("kbd", 2048, 4.0)
+        with pytest.raises(ValueError):
+            snrf(est, ref, fft_size=fft_size, window=window)
+        with pytest.raises(ValueError):
+            measure(est, ref, fft_size=fft_size, window=window)
+
     def test_perfect_estimate_clamps_high(self):
         _, ref = noise_pair()
         assert snrf(ref.copy(), ref, fft_size=512, hop=256) == 100.0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from solocancel import AudioBuffer, SbwConfig, make_partition, sbw_cancel, subband_wiener_gains
+from solocancel import (
+    AudioBuffer, SbwConfig, make_partition, make_window, sbw_cancel, subband_wiener_gains,
+)
 from solocancel.sbw import cancel_frames
 
 
@@ -148,6 +150,22 @@ class TestSbwCancel:
             sbw_cancel(buf, buf, SbwConfig(cutoff=30000.0))
         with pytest.raises(ValueError):
             sbw_cancel(buf, buf, SbwConfig(cross_cov="median"))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fft_size": 1024, "hop": 2048},
+        {"hop": 0},
+        {"p": 0.0},
+        {"wiener_exponent": -1.0},
+        {"cross_cov": "median"},
+        {"fft_size": 1024, "hop": 512, "window": make_window("kbd", 2048)},
+    ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent", "cross_cov", "window-length"])
+    def test_config_checked_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            SbwConfig(**kwargs)
+
+    def test_config_default_window(self):
+        default = make_window("kbd", 1024, 4.0).coefficients
+        assert SbwConfig(fft_size=1024, hop=512).window.coefficients.tobytes() == default.tobytes()
 
     def test_runtime_budget(self):
         import time

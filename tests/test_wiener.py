@@ -324,6 +324,17 @@ class TestMawSsCancel:
         )
         assert np.all(np.isfinite(out.samples))
 
+    def test_window_length_must_match_fft_size(self):
+        rng = np.random.default_rng(14)
+        n = 6000
+        ref = rng.standard_normal(n)
+        mix = np.convolve(ref, [0.5])[:n]
+        with pytest.raises(ValueError):
+            maw_ss_cancel(
+                AudioBuffer(mix), AudioBuffer(ref), BlockWienerConfig(8, 1024, 512),
+                fft_size=1024, fft_hop=256, window=make_window("hann", 512),
+            )
+
 
 class TestSpectralVsTimeDomain:
     def test_spectral_variant_wins_on_tonal_scene(self):
