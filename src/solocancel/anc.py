@@ -17,13 +17,13 @@ from .audio import AudioBuffer, require_matched
 @dataclass
 class LmsState:
     """Adaptive filter state: weights, reference delay line (newest first),
-    step size, and the running sample index."""
+    step size, and whether the update is normalized (NLMS). :func:`lms_step`
+    advances it in place."""
 
     weights: np.ndarray
     delay_line: np.ndarray
     mu: float
     normalized: bool = False
-    k: int = 0
 
     @classmethod
     def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
@@ -60,21 +60,23 @@ def lms_step(state: LmsState, x_k: float, n0_k: float) -> tuple[LmsState, float]
                 state.weights += (state.mu * e / nsq) * dl
         else:
             state.weights += (state.mu * e) * dl
-    state.k += 1
     return state, e
 
 
 @dataclass
 class Whitener:
-    """Linear-prediction inverse filter v = [1, -a_1, ..., -a_P]."""
+    """Linear-prediction inverse filter v = [1, -a_1, ..., -a_P].
 
-    order: int
-    coeffs: np.ndarray  # predictor coefficients a_p, length order
+    ``coeffs`` holds the predictor coefficients a_1..a_P as a 1-D vector; the
+    prediction order P is its length.
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape != (self.order,):
-            raise ValueError("coeffs must have length == order")
+        if self.coeffs.ndim != 1:
+            raise ValueError("coeffs must be a 1-D vector")
 
     @property
     def inverse_filter(self) -> np.ndarray:
@@ -121,8 +123,8 @@ def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
         )
     r = np.correlate(x, x, mode="full")[len(x) - 1 : len(x) + order] / len(x)
     if r[0] <= 0.0:
-        return Whitener(order, np.zeros(order))
-    return Whitener(order, _levinson(r, order))
+        return Whitener(np.zeros(order))
+    return Whitener(_levinson(r, order))
 
 
 @dataclass

@@ -58,10 +58,6 @@ class FirFilter:
     def __len__(self) -> int:
         return self.taps.shape[0]
 
-    @property
-    def order(self) -> int:
-        return len(self) - 1
-
     def apply(self, buf: AudioBuffer) -> AudioBuffer:
         """Causal convolution, output truncated to the input length."""
         out = np.convolve(buf.samples, self.taps)[: len(buf)]

@@ -65,6 +65,8 @@ def _maw_ss_config(p: dict):
     }
     if extra["p"] <= 0:
         raise ValueError("p must be > 0")
+    if not 0 < extra["fft_hop"] <= extra["fft_size"]:
+        raise ValueError("fft_hop must satisfy 0 < fft_hop <= fft_size")
     return cfg, extra
 
 
@@ -82,6 +84,7 @@ def _simo_config(p: dict):
     """ERB-band settings, array geometry and fixed delay: a (cfg, geometry_kw, kappa) triple."""
     cfg = _sbw_config(p)
     geometry_kw = {"spacing": float(p["spacing"]), "f_max": float(p["f_max"])}
+    ArrayGeometry(**geometry_kw)  # its check does not depend on the sample rate
     return cfg, geometry_kw, None if p["kappa"] is None else float(p["kappa"])
 
 
@@ -323,8 +326,8 @@ def _sweep_point(args, overrides: dict, value, scene):
     if args.param in _SWEEP_SETS:
         key, kind = _SWEEP_SETS[args.param]
         overrides[key] = kind(value)
-        if args.param == "fft-size":
-            overrides["hop"] = int(value) // 2
+        if args.param == "fft-size":  # the canceller's own STFT hop: half the frame
+            overrides["fft_hop" if args.algorithm == "maw-ss" else "hop"] = int(value) // 2
 
     algorithm, channels = args.algorithm, [scene.mixture]
     if _two_mic(args):

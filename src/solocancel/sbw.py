@@ -34,8 +34,10 @@ class SbwConfig:
     per-bin magnitudes |S0* X|, ``"complex"`` takes the magnitude of the
     complex band mean.
 
-    Checked at construction (``ValueError``), the cutoff excepted: it needs the
-    sample rate. ``window`` None becomes the KBD(4) window of length ``fft_size``.
+    Checked at construction (``ValueError``), the cutoff's sign included; its
+    Nyquist bound needs the sample rate and is checked by
+    :func:`~solocancel.erb.make_partition`. ``window`` None becomes the KBD(4)
+    window of length ``fft_size``.
     """
 
     fft_size: int = 4096
@@ -56,6 +58,8 @@ class SbwConfig:
             raise ValueError("wiener_exponent must be >= 0")
         if self.cross_cov not in ("magnitude", "complex"):
             raise ValueError("cross_cov must be 'magnitude' or 'complex'")
+        if self.cutoff is not None and not self.cutoff > 0:
+            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
         self.window = _resolve_window(self.window, self.fft_size)
 
     def partition_for(self, sample_rate: int) -> ErbPartition:

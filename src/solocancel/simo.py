@@ -23,9 +23,9 @@ from .stft import _wola
 SPEED_OF_SOUND = 343.0
 
 
-def half_wavelength_spacing(f_max: float, speed_of_sound: float = SPEED_OF_SOUND) -> float:
+def half_wavelength_spacing(f_max: float) -> float:
     """Largest alias-free element spacing for content up to ``f_max`` Hz."""
-    return speed_of_sound / (2.0 * f_max)
+    return SPEED_OF_SOUND / (2.0 * f_max)
 
 
 @dataclass
@@ -151,16 +151,12 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     return 0.5 * (frame1 + rot * frame2)
 
 
-def _frame_delays(
-    est1: np.ndarray,
-    est2: np.ndarray,
-    geometry: ArrayGeometry,
-    median_window: int = 5,
-) -> np.ndarray:
-    """Per-frame delay track, estimated on solo-dominant frames and smoothed."""
+def _frame_delays(est1: np.ndarray, est2: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """Per-frame delay track, estimated on solo-dominant frames and smoothed
+    by a five-frame median."""
     num_frames = est1.shape[0]
     energy = np.sum(np.abs(est1) ** 2, axis=1)
-    floor = 1e-6 * np.max(energy) if np.max(energy) > 0 else 0.0
+    floor = 1e-6 * np.max(energy)
     raw = np.full(num_frames, np.nan)
     for t in range(num_frames):
         if energy[t] <= floor:
@@ -182,7 +178,7 @@ def _frame_delays(
     )
     # Median over a window truncated at both ends of the track: the NaN
     # padding drops out of nanmedian.
-    edge = np.full(median_window // 2, np.nan)
+    edge = np.full(2, np.nan)
     padded = np.concatenate((edge, raw[pick], edge))
     return np.nanmedian(sliding_window_view(padded, 2 * edge.size + 1), axis=1)
 
@@ -199,7 +195,8 @@ def sbw_simo_cancel(
 
     When ``kappa`` is given it is used for every frame; otherwise the delay
     is estimated per frame from the cancelled spectra. The output is aligned
-    with channel 1.
+    with channel 1. ``geometry`` None is the half-wavelength array for 8 kHz
+    at the mixture's sample rate; a given geometry must share that rate.
     """
     if cfg is None:
         cfg = SbwConfig()
@@ -207,6 +204,11 @@ def sbw_simo_cancel(
     require_matched(mixture1, reference)
     if geometry is None:
         geometry = ArrayGeometry(half_wavelength_spacing(8000.0), sample_rate=mixture1.sample_rate)
+    elif geometry.sample_rate != mixture1.sample_rate:
+        raise ValueError(
+            f"geometry sample rate {geometry.sample_rate} differs from the mixture's "
+            f"{mixture1.sample_rate}"
+        )
     partition = cfg.partition_for(mixture1.sample_rate)
 
     def combine(mix1, mix2, ref):

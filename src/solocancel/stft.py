@@ -25,15 +25,10 @@ _ENVELOPE_FLOOR = 1e-12
 
 @dataclass
 class Window:
-    """Analysis/synthesis window of even length.
-
-    ``kind`` is one of ``"kbd"``, ``"hann"``, ``"rect"``; ``shape`` is the
-    free parameter of the KBD construction and is ignored otherwise.
-    """
+    """Analysis/synthesis window coefficients, of even length; :func:`make_window`
+    builds them."""
 
     coefficients: np.ndarray
-    kind: str
-    shape: float = 0.0
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -80,7 +75,7 @@ def make_window(kind: str, length: int, shape: float = 4.0) -> Window:
         coeffs = _kbd(length, shape)
     else:
         raise ValueError(f"unknown window kind {kind!r}")
-    return Window(coeffs, kind, shape)
+    return Window(coeffs)
 
 
 def _default_window(length: int, shape: float = 4.0) -> Window:

@@ -205,8 +205,13 @@ def maw_ss_cancel(
     The matched accompaniment is computed exactly as in :func:`maw_cancel`,
     then removed per frame with :func:`spectral_subtract` and resynthesized
     by weighted overlap-add. ``window`` None is the default window; a given
-    window must be ``fft_size`` long.
+    window must be ``fft_size`` long. The STFT settings are checked before the
+    block-Wiener match runs.
     """
     window = _resolve_window(window, fft_size)
+    if not 0 < fft_hop <= fft_size:
+        raise ValueError("fft_hop must satisfy 0 < fft_hop <= fft_size")
+    if p <= 0:
+        raise ValueError("p must be > 0")
     y = matched_accompaniment(mixture, reference, cfg)
     return _wola(partial(spectral_subtract, p=p), (mixture, y), window, fft_hop)

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solocancel import (
-    AncConfig, AudioBuffer, LmsState, anc_cancel, broadband_accompaniment, fit_whitener, lms_step,
-    noise_plus_tones,
+    AncConfig, AudioBuffer, LmsState, Whitener, anc_cancel, broadband_accompaniment, fit_whitener,
+    lms_step, noise_plus_tones,
 )
 
 
@@ -73,6 +73,11 @@ class TestFitWhitener:
         wh = fit_whitener(AudioBuffer(np.zeros(500)), 10)
         assert np.all(wh.coeffs == 0.0)
         assert wh.inverse_filter[0] == 1.0
+
+    def test_coefficients_must_be_a_vector(self):
+        with pytest.raises(ValueError):
+            Whitener(np.zeros((2, 2)))
+        assert Whitener([0.5]).inverse_filter.tolist() == [1.0, -0.5]
 
     def test_inverse_filter_layout(self):
         wh = fit_whitener(AudioBuffer(np.random.default_rng(4).standard_normal(500)), 6)

@@ -8,6 +8,7 @@ from solocancel.cli import (
 )
 from solocancel.scenes import SidoLayout, read_kv
 from solocancel.simo import sbw_simo_cancel
+from solocancel.wiener import maw_ss_cancel
 
 
 def run_cli(*argv):
@@ -65,8 +66,13 @@ class TestBuildAlgorithmConfig:
         ("sbw-simo", {"cross_cov": "bogus"}),
         ("maw-ss", {"fft_size": 1023}),
         ("maw-ss", {"window_shape": -1.0}),
+        ("sbw", {"cutoff": -1.0}),
+        ("sbw-simo", {"spacing": -1.0}),
+        ("sbw-simo", {"f_max": 0.0}),
+        ("maw-ss", {"fft_hop": 0}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
-            "maw-ss-fft_size", "maw-ss-window_shape"])
+            "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
+            "sbw-simo-f_max", "maw-ss-fft_hop"])
     def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)
@@ -340,6 +346,22 @@ class TestSweep:
         assert code == 0
         true_delay = SidoLayout(spacing, 21.3, 90.0).solo_delay_samples(44100)
         assert kappas == [true_delay]
+
+    def test_maw_ss_fft_size_sweep_sets_the_stft_hop(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(mixture, reference, cfg, **kwargs):
+            calls.append((cfg.hop, kwargs["fft_size"], kwargs["fft_hop"]))
+            return maw_ss_cancel(mixture, reference, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "maw_ss_cancel", recording)
+        code = run_cli(
+            "sweep", "--param", "fft-size", "--values", "1024,2048", "--algo", "maw-ss",
+            "--num-scenes", "1", "--duration", "0.5", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        # the block-Wiener hop keeps its default; the STFT hop is half the swept frame
+        assert calls == [(1024, 1024, 512), (1024, 2048, 1024)]
 
     def test_thread_count_env_keeps_order(self, tmp_path, monkeypatch):
         serial = tmp_path / "serial.csv"

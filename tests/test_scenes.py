@@ -174,10 +174,6 @@ class TestFractionalDelay:
         inner = slice(64, 4096 - 64)
         assert np.allclose(y[inner], expected[inner], atol=1e-3)
 
-    def test_even_tap_count_rejected(self):
-        with pytest.raises(ValueError):
-            fractional_delay(np.zeros(10), 0.5, num_taps=10)
-
 
 class TestCalibrateLatency:
     def test_zero_lag_for_identical(self):

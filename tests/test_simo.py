@@ -81,7 +81,7 @@ FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical")
 
 class TestGeometry:
     def test_half_wavelength_reference_value(self):
-        assert half_wavelength_spacing(8000.0, 343.0) == pytest.approx(0.0214, abs=5e-5)
+        assert half_wavelength_spacing(8000.0) == pytest.approx(0.0214, abs=5e-5)
 
     def test_spacing_limit_enforced(self):
         with pytest.raises(ValueError):
@@ -236,6 +236,14 @@ class TestSbwSimoCancel:
         out = sbw_simo_cancel(x1, x2, ref)
         assert len(out) == fs and out.sample_rate == fs
         assert np.all(np.isfinite(out.samples))
+
+    def test_geometry_at_another_sample_rate_rejected(self):
+        # ArrayGeometry defaults to 44.1 kHz: its delay law is wrong for this take.
+        fs = 22050
+        rng = np.random.default_rng(11)
+        x1, x2, ref = (AudioBuffer(0.1 * rng.standard_normal(fs // 4), fs) for _ in range(3))
+        with pytest.raises(ValueError, match="sample rate"):
+            sbw_simo_cancel(x1, x2, ref, SbwConfig(fft_size=1024, hop=512), ArrayGeometry(0.0214))
 
     def test_channel_length_mismatch_rejected(self):
         fs = 44100

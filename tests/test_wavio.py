@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from solocancel import read_channels, read_mono, read_wav, write_wav
 
@@ -58,6 +61,42 @@ class TestRoundTrips:
         write_wav(a, data, 44100, "float32")
         write_wav(b, data, 44100, "float32")
         assert a.read_bytes() == b.read_bytes()
+
+
+#: Sample values for PCM: in-range, past the clip limits, and the infinities.
+PCM_SAMPLES = st.floats(-4.0, 4.0) | st.sampled_from([-1.0, 1.0, -np.inf, np.inf])
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fmt=st.sampled_from(["pcm16", "pcm24", "float32"]),
+        shape=st.tuples(st.integers(0, 301), st.integers(1, 8)),
+        sample_rate=st.sampled_from([8000, 22050, 44100, 96000]),
+        draw=st.data(),
+    )
+    def test_write_then_read(self, tmp_path_factory, fmt, shape, sample_rate, draw):
+        """float32 comes back exactly after a float32 cast. PCM at b bits comes back within
+        half an LSB (2^-b) of the input clipped to [-1, 1 - 2^(1-b)], the largest code's
+        value: exactly that value at or past the limits."""
+        samples = st.floats(-1e38, 1e38) if fmt == "float32" else PCM_SAMPLES
+        data = draw.draw(arrays(np.float64, shape, elements=samples))
+        path = tmp_path_factory.mktemp("roundtrip") / "x.wav"
+        write_wav(path, data, sample_rate, fmt)
+        back, sr = read_wav(path)
+        frames, channels = shape
+        assert sr == sample_rate
+        assert back.shape == ((frames,) if channels == 1 else shape)
+        back = back.reshape(shape)
+        if fmt == "float32":
+            assert back.tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+            return
+        scale = 2.0 ** (15 if fmt == "pcm16" else 23)
+        top = (scale - 1.0) / scale
+        want = np.clip(data, -1.0, top)
+        assert np.all(np.abs(back * scale - want * scale) <= 0.5)
+        outside = (data < -1.0) | (data >= top)
+        assert np.array_equal(back[outside], want[outside])
 
 
 class TestHelpers:

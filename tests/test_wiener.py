@@ -335,6 +335,20 @@ class TestMawSsCancel:
                 fft_size=1024, fft_hop=256, window=make_window("hann", 512),
             )
 
+    @pytest.mark.parametrize("stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}],
+                             ids=["p", "hop-zero", "hop-past-frame"])
+    def test_stft_settings_checked_before_the_match(self, stft_kw, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the block-Wiener match ran before the settings were checked")
+
+        monkeypatch.setattr(wiener, "matched_accompaniment", unexpected)
+        n = 6000
+        with pytest.raises(ValueError):
+            maw_ss_cancel(
+                AudioBuffer(np.zeros(n)), AudioBuffer(np.ones(n)), BlockWienerConfig(8, 1024, 512),
+                fft_size=1024, **{"fft_hop": 512, **stft_kw},
+            )
+
 
 class TestSpectralVsTimeDomain:
     def test_spectral_variant_wins_on_tonal_scene(self):
