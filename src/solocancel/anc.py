@@ -29,7 +29,7 @@ class LmsState:
     def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
         if taps < 1:
             raise ValueError("taps must be >= 1")
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError("mu must be >= 0")
         return cls(np.zeros(taps), np.zeros(taps), float(mu), normalized)
 
@@ -147,7 +147,7 @@ class AncConfig:
     def __post_init__(self):
         if self.taps < 1:
             raise ValueError("taps must be >= 1")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be >= 0")
         if self.prewhiten:
             if self.lp_order < 1:

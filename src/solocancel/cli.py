@@ -28,7 +28,7 @@ from .scenes import (
     synth_sido, synth_siso, write_kv,
 )
 from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
-from .stft import _default_window
+from .stft import _framing, make_window
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, maw_cancel, maw_ss_cancel
 
@@ -59,24 +59,24 @@ def _block_config(p: dict) -> BlockWienerConfig:
 def _maw_ss_config(p: dict):
     """Block settings plus the STFT subtraction settings, as a (cfg, extra) pair."""
     cfg = _block_config(p)
-    extra = {
-        "fft_size": int(p["fft_size"]), "fft_hop": int(p["fft_hop"]), "p": float(p["p"]),
-        "window": _default_window(int(p["fft_size"]), float(p["window_shape"])),
-    }
-    if extra["p"] <= 0:
+    fft_size = int(p["fft_size"])
+    window, fft_hop = _framing(
+        fft_size, None if p["fft_hop"] is None else int(p["fft_hop"]),
+        make_window("kbd", fft_size, float(p["window_shape"])),
+    )
+    extra = {"fft_size": fft_size, "fft_hop": fft_hop, "p": float(p["p"]), "window": window}
+    if not extra["p"] > 0:
         raise ValueError("p must be > 0")
-    if not 0 < extra["fft_hop"] <= extra["fft_size"]:
-        raise ValueError("fft_hop must satisfy 0 < fft_hop <= fft_size")
     return cfg, extra
 
 
 def _sbw_config(p: dict) -> SbwConfig:
     fft_size = int(p["fft_size"])
     return SbwConfig(
-        fft_size=fft_size, hop=int(fft_size // 2 if p["hop"] is None else p["hop"]),
-        window=_default_window(fft_size, float(p["window_shape"])), num_bands=int(p["num_bands"]),
-        cutoff=None if p["cutoff"] is None else float(p["cutoff"]), p=float(p["p"]),
-        wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
+        fft_size=fft_size, hop=None if p["hop"] is None else int(p["hop"]),
+        window=make_window("kbd", fft_size, float(p["window_shape"])),
+        num_bands=int(p["num_bands"]), cutoff=None if p["cutoff"] is None else float(p["cutoff"]),
+        p=float(p["p"]), wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
     )
 
 
@@ -135,7 +135,7 @@ ALGORITHMS = {
         _BLOCK, _BLOCK_PAPER, _block_config, lambda cfg, ch, ref: maw_cancel(ch[0], ref, cfg)
     ),
     "maw-ss": _Algorithm(
-        {**_BLOCK, "fft_size": 4096, "fft_hop": 2048, "p": 2.0, "window_shape": 4.0},
+        {**_BLOCK, "fft_size": 4096, "fft_hop": None, "p": 2.0, "window_shape": 4.0},
         _BLOCK_PAPER, _maw_ss_config, _run_maw_ss,
     ),
     "sbw": _Algorithm(_SBW, {}, _sbw_config, lambda cfg, ch, ref: sbw_cancel(ch[0], ref, cfg)),
@@ -326,8 +326,6 @@ def _sweep_point(args, overrides: dict, value, scene):
     if args.param in _SWEEP_SETS:
         key, kind = _SWEEP_SETS[args.param]
         overrides[key] = kind(value)
-        if args.param == "fft-size":  # the canceller's own STFT hop: half the frame
-            overrides["fft_hop" if args.algorithm == "maw-ss" else "hop"] = int(value) // 2
 
     algorithm, channels = args.algorithm, [scene.mixture]
     if _two_mic(args):
@@ -475,7 +473,7 @@ def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser
     ev.add_argument("--elapsed", type=float, help="processing time for the RTF column, s")
     ev.add_argument("--block-size", type=int, default=1024)
     ev.add_argument("--fft-size", type=int, default=4096)
-    ev.add_argument("--hop", type=int, default=2048)
+    ev.add_argument("--hop", type=int, help="STFT hop (default: half of --fft-size)")
     ev.add_argument("--bands", type=int, default=39)
     ev.set_defaults(handler=_cmd_evaluate)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, _resolve_window, stft
+from .stft import Window, _framing, stft
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -55,7 +55,7 @@ def snrf(
     ref_solo: AudioBuffer,
     partition: ErbPartition | None = None,
     fft_size: int = 4096,
-    hop: int = 2048,
+    hop: int | None = None,
     window: Window | None = None,
     return_segments: bool = False,
 ):
@@ -64,10 +64,11 @@ def snrf(
     Per STFT segment and band: signal power is the band mean of the reference
     magnitude squared, noise power the band mean of the squared magnitude
     difference. Each cell's ratio is clamped to +-100 dB, cells with zero
-    signal power are skipped, and the kept cells are averaged.
+    signal power are skipped, and the kept cells are averaged. ``hop`` None is
+    half of ``fft_size`` and ``window`` None the default window.
     """
     require_matched(estimate, ref_solo)
-    window = _resolve_window(window, fft_size)
+    window, hop = _framing(fft_size, hop, window)
     if partition is None:
         partition = _default_partition(fft_size, estimate.sample_rate)
     if partition.fft_size != fft_size:
@@ -161,11 +162,12 @@ def measure(
     block_size: int = 1024,
     partition: ErbPartition | None = None,
     fft_size: int = 4096,
-    hop: int = 2048,
+    hop: int | None = None,
     window: Window | None = None,
     elapsed: float | None = None,
 ) -> MetricsReport:
-    """Evaluate an estimate against the recorded-solo ground truth."""
+    """Evaluate an estimate against the recorded-solo ground truth; the SNRF is
+    framed as in :func:`snrf`, so ``hop`` None is half of ``fft_size``."""
     rmsd_db, per_block = rmsd(estimate, ref_solo, block_size, return_blocks=True)
     if partition is None:
         partition = _default_partition(fft_size, estimate.sample_rate)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
-from .stft import Window, _resolve_window, _wola
+from .stft import Window, _framing, _wola
 from .wiener import spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
@@ -36,12 +36,12 @@ class SbwConfig:
 
     Checked at construction (``ValueError``), the cutoff's sign included; its
     Nyquist bound needs the sample rate and is checked by
-    :func:`~solocancel.erb.make_partition`. ``window`` None becomes the KBD(4)
-    window of length ``fft_size``.
+    :func:`~solocancel.erb.make_partition`. ``hop`` None becomes half of
+    ``fft_size`` and ``window`` None the KBD(4) window of length ``fft_size``.
     """
 
     fft_size: int = 4096
-    hop: int = 2048
+    hop: int | None = None
     window: Window | None = None
     num_bands: int = 39
     cutoff: float | None = None  # None: 16 kHz, or Nyquist below 32 kHz
@@ -50,17 +50,15 @@ class SbwConfig:
     cross_cov: str = "magnitude"
 
     def __post_init__(self):
-        if self.hop <= 0 or self.hop > self.fft_size:
-            raise ValueError("hop must satisfy 0 < hop <= fft_size")
-        if self.p <= 0:
+        self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
+        if not self.p > 0:
             raise ValueError("p must be > 0")
-        if self.wiener_exponent < 0:
+        if not self.wiener_exponent >= 0:
             raise ValueError("wiener_exponent must be >= 0")
         if self.cross_cov not in ("magnitude", "complex"):
             raise ValueError("cross_cov must be 'magnitude' or 'complex'")
         if self.cutoff is not None and not self.cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
-        self.window = _resolve_window(self.window, self.fft_size)
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
         return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)

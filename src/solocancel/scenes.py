@@ -287,9 +287,10 @@ def broadband_accompaniment(
     """An accompaniment-like test signal: comping chords and bass over the
     shared progression, hat/kick percussion, a noise bed, and tremolo.
 
-    A hat every 0.25 s and a kick every 0.5 s; a 5-Hz tremolo of depth 0.6
-    over the mix, then an AR(1) noise bed; scaled to RMS 0.05. Only ``seed``
-    varies the material.
+    A hat every 0.25 s, high-passed at 6 kHz or, below 16 kHz, at 0.75 x
+    Nyquist, and a kick every 0.5 s; a 5-Hz tremolo of depth 0.6 over the mix,
+    then an AR(1) noise bed; scaled to RMS 0.05. Only ``seed`` varies the
+    material.
     """
     rng = np.random.default_rng(seed + 2)
     prog = _progression(duration, seed)
@@ -322,7 +323,7 @@ def broadband_accompaniment(
         )
     hat_len = int(0.02 * sample_rate)
     hat_env = np.exp(-np.arange(hat_len) / (0.003 * sample_rate))
-    b, a = scipy.signal.butter(2, 6000 / (sample_rate / 2), "high")
+    b, a = scipy.signal.butter(2, min(6000 / (sample_rate / 2), 0.75), "high")
     for start in range(0, n - hat_len, int(0.25 * sample_rate)):
         out[start : start + hat_len] += hat_env * scipy.signal.lfilter(
             b, a, rng.standard_normal(hat_len)

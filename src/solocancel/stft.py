@@ -70,7 +70,7 @@ def make_window(kind: str, length: int, shape: float = 4.0) -> Window:
     elif kind == "hann":
         coeffs = np.hanning(length)
     elif kind == "kbd":
-        if shape < 0:
+        if not shape >= 0:
             raise ValueError(f"KBD shape must be >= 0, got {shape}")
         coeffs = _kbd(length, shape)
     else:
@@ -78,16 +78,19 @@ def make_window(kind: str, length: int, shape: float = 4.0) -> Window:
     return Window(coeffs)
 
 
-def _default_window(length: int, shape: float = 4.0) -> Window:
-    """The package's analysis window: KBD, shape 4 unless ``shape`` is given."""
-    return make_window("kbd", length, shape)
-
-
-def _resolve_window(window: Window | None, fft_size: int) -> Window:
-    """``window``, checked to be ``fft_size`` long, or the default window when it is None."""
-    if window is not None and len(window) != fft_size:
+def _framing(fft_size: int, hop: int | None, window: Window | None) -> tuple[Window, int]:
+    """The package's one framing rule: ``window``, checked to be ``fft_size`` long, or
+    KBD(4); ``hop``, checked to satisfy 0 < hop <= fft_size, or half the frame, the
+    50 % overlap at which the KBD window's WOLA envelope is flat."""
+    if window is None:
+        window = make_window("kbd", fft_size)
+    elif len(window) != fft_size:
         raise ValueError("window length must equal fft_size")
-    return _default_window(fft_size) if window is None else window
+    if hop is None:
+        hop = fft_size // 2
+    elif not 0 < hop <= fft_size:
+        raise ValueError("hop must satisfy 0 < hop <= fft_size")
+    return window, hop
 
 
 @dataclass
@@ -110,10 +113,7 @@ class SpectralFrameSeq:
             raise ValueError("frames must be a 2-D (num_frames, bins) array")
         if self.frames.shape[1] != self.fft_size // 2 + 1:
             raise ValueError("frame length inconsistent with fft_size")
-        if not 0 < self.hop <= self.fft_size:
-            raise ValueError("hop must satisfy 0 < hop <= fft_size")
-        if len(self.window) != self.fft_size:
-            raise ValueError("window length must equal fft_size")
+        self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
 
     @property
     def num_frames(self) -> int:
@@ -127,14 +127,12 @@ class SpectralFrameSeq:
 def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     """Short-time Fourier transform with tail zero-padding.
 
-    The signal must be at least one window long; the final frame is completed
-    with zeros so no input sample is dropped.
+    The hop must satisfy 0 < hop <= len(window). The signal must be at least one
+    window long; the final frame is completed with zeros so no input sample is
+    dropped.
     """
-    if hop <= 0:
-        raise ValueError("hop must be positive")
     n_fft = len(window)
-    if hop > n_fft:
-        raise ValueError("hop must not exceed the window length")
+    window, hop = _framing(n_fft, hop, window)
     n = len(signal)
     if n < n_fft:
         raise ValueError(f"signal length {n} shorter than window length {n_fft}")

@@ -17,7 +17,8 @@ _FORMATS = {"pcm16": (1, 2), "pcm24": (1, 3), "float32": (3, 4)}
 
 
 def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
-    """Write mono (n,) or multichannel (n, ch) float data as a WAV file."""
+    """Write mono (n,) or multichannel (n, ch) float data as a WAV file. A non-finite
+    sample raises ``FloatingPointError`` before the file is opened."""
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be one of {sorted(_FORMATS)}, got {fmt!r}")
     data = np.asarray(data, dtype=np.float64)
@@ -25,6 +26,8 @@ def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
         data = data[:, None]
     if data.ndim != 2:
         raise ValueError("data must be (n,) or (n, channels)")
+    if not np.all(np.isfinite(data)):
+        raise FloatingPointError("cannot write non-finite samples")
     n, channels = data.shape
     audio_format, sample_bytes = _FORMATS[fmt]
 

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import SolverError
-from .stft import Window, _resolve_window, _wola
+from .stft import Window, _framing, _wola
 
 
 @dataclass
@@ -47,7 +47,7 @@ class BlockWienerConfig:
             raise ValueError("taps must be smaller than block_size")
         if not 0 < self.hop <= self.block_size:
             raise ValueError("hop must satisfy 0 < hop <= block_size")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise ValueError("regularization must be >= 0")
 
 
@@ -172,7 +172,7 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
     |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of
     X is kept. Works on single frames or stacks of frames.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be > 0")
     spec_x = np.asarray(spec_x, dtype=np.complex128)
     spec_y = np.asarray(spec_y, dtype=np.complex128)
@@ -196,7 +196,7 @@ def maw_ss_cancel(
     reference: AudioBuffer,
     cfg: BlockWienerConfig,
     fft_size: int = 4096,
-    fft_hop: int = 2048,
+    fft_hop: int | None = None,
     window: Window | None = None,
     p: float = 2.0,
 ) -> AudioBuffer:
@@ -204,14 +204,12 @@ def maw_ss_cancel(
 
     The matched accompaniment is computed exactly as in :func:`maw_cancel`,
     then removed per frame with :func:`spectral_subtract` and resynthesized
-    by weighted overlap-add. ``window`` None is the default window; a given
-    window must be ``fft_size`` long. The STFT settings are checked before the
-    block-Wiener match runs.
+    by weighted overlap-add. ``fft_hop`` None is half of ``fft_size`` and ``window``
+    None the default window. The STFT settings are checked (``ValueError``) before
+    the block-Wiener match runs.
     """
-    window = _resolve_window(window, fft_size)
-    if not 0 < fft_hop <= fft_size:
-        raise ValueError("fft_hop must satisfy 0 < fft_hop <= fft_size")
-    if p <= 0:
+    window, fft_hop = _framing(fft_size, fft_hop, window)
+    if not p > 0:
         raise ValueError("p must be > 0")
     y = matched_accompaniment(mixture, reference, cfg)
     return _wola(partial(spectral_subtract, p=p), (mixture, y), window, fft_hop)

@@ -51,6 +51,13 @@ class TestLmsStep:
         with pytest.raises(ValueError):
             lms_step(state, 0.0, np.inf)
 
+    @pytest.mark.parametrize("mu", [-0.1, np.nan])
+    def test_invalid_step_size_rejected(self, mu):
+        with pytest.raises(ValueError):
+            LmsState.create(4, mu)
+        with pytest.raises(ValueError):
+            AncConfig(taps=4, mu=mu)
+
 
 class TestFitWhitener:
     def test_white_noise_near_identity(self):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from solocancel import AudioBuffer, read_mono, write_wav
 from solocancel import cli
 from solocancel.cli import (
     ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, EXIT_NUMERIC, build_algorithm_config, main,
 )
+from solocancel.sbw import sbw_cancel
 from solocancel.scenes import SidoLayout, read_kv
 from solocancel.simo import sbw_simo_cancel
 from solocancel.wiener import maw_ss_cancel
@@ -70,9 +72,16 @@ class TestBuildAlgorithmConfig:
         ("sbw-simo", {"spacing": -1.0}),
         ("sbw-simo", {"f_max": 0.0}),
         ("maw-ss", {"fft_hop": 0}),
+        ("sbw", {"p": np.nan}),
+        ("sbw", {"wiener_exponent": np.nan}),
+        ("sbw", {"window_shape": np.nan}),
+        ("maw-ss", {"p": np.nan}),
+        ("maw", {"regularization": np.nan}),
+        ("anc", {"mu": np.nan}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
             "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
-            "sbw-simo-f_max", "maw-ss-fft_hop"])
+            "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
+            "sbw-window_shape-nan", "maw-ss-p-nan", "maw-regularization-nan", "anc-mu-nan"])
     def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)
@@ -163,6 +172,25 @@ class TestCancelEvaluate:
         assert lines[0].startswith("rmsd_db,snrf_db,rtf")
         assert len(lines) == 2
 
+    def test_evaluate_hop_defaults_to_half_the_frame(self, scene_dir, tmp_path):
+        ref = str(scene_dir / "reference_solo.wav")
+        est = str(scene_dir / "mixture.wav")
+        default, half = tmp_path / "default.csv", tmp_path / "half.csv"
+        assert run_cli("evaluate", est, ref, "--csv", str(default), "--fft-size", "1024") == 0
+        assert run_cli(
+            "evaluate", est, ref, "--csv", str(half), "--fft-size", "1024", "--hop", "512"
+        ) == 0
+        assert default.read_bytes() == half.read_bytes()
+
+    def test_maw_ss_stft_hop_defaults_to_half_the_frame(self, scene_dir, tmp_path):
+        default, half = tmp_path / "default.wav", tmp_path / "half.wav"
+        inputs = (str(scene_dir / "mixture.wav"), str(scene_dir / "reference.wav"))
+        assert run_cli("cancel", "--algo", "maw-ss", "--set", "fft_size=1024",
+                       *inputs, str(default)) == 0
+        assert run_cli("cancel", "--algo", "maw-ss", "--set", "fft_size=1024",
+                       "--set", "fft_hop=512", *inputs, str(half)) == 0
+        assert default.read_bytes() == half.read_bytes()
+
     def test_identical_files_hit_floors(self, scene_dir, capsys):
         ref = scene_dir / "reference_solo.wav"
         assert run_cli("evaluate", str(ref), str(ref)) == 0
@@ -188,10 +216,10 @@ class TestCancelEvaluate:
         assert err.startswith("i/o error:") and err.count("\n") == 1
 
     def test_non_finite_input_is_numeric_failure(self, scene_dir, tmp_path, capsys):
-        mixture = read_mono(scene_dir / "mixture.wav").samples
+        mixture = read_mono(scene_dir / "mixture.wav").samples.astype(np.float32)
         mixture[100] = np.nan
         bad = tmp_path / "nan.wav"
-        write_wav(bad, mixture, 44100, "float32")
+        scipy.io.wavfile.write(bad, 44100, mixture)  # write_wav refuses non-finite samples
         code = run_cli(
             "cancel", "--algo", "sbw", str(bad), str(scene_dir / "reference.wav"),
             str(tmp_path / "out.wav"),
@@ -362,6 +390,21 @@ class TestSweep:
         assert code == 0
         # the block-Wiener hop keeps its default; the STFT hop is half the swept frame
         assert calls == [(1024, 1024, 512), (1024, 2048, 1024)]
+
+    def test_fft_size_sweep_keeps_an_explicit_hop(self, tmp_path, monkeypatch):
+        hops = []
+
+        def recording(mixture, reference, cfg):
+            hops.append((cfg.fft_size, cfg.hop))
+            return sbw_cancel(mixture, reference, cfg)
+
+        monkeypatch.setattr(cli, "sbw_cancel", recording)
+        code = run_cli(
+            "sweep", "--param", "fft-size", "--values", "1024,2048", "--set", "hop=256",
+            "--num-scenes", "1", "--duration", "0.5", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert hops == [(1024, 256), (2048, 256)]
 
     def test_thread_count_env_keeps_order(self, tmp_path, monkeypatch):
         serial = tmp_path / "serial.csv"

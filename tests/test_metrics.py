@@ -75,6 +75,10 @@ class TestSnrf:
         with pytest.raises(ValueError):
             measure(est, ref, fft_size=fft_size, window=window)
 
+    def test_hop_defaults_to_half_the_frame(self):
+        est, ref = noise_pair(seed=9)
+        assert snrf(est, ref, fft_size=1024) == snrf(est, ref, fft_size=1024, hop=512)
+
     def test_perfect_estimate_clamps_high(self):
         _, ref = noise_pair()
         assert snrf(ref.copy(), ref, fft_size=512, hop=256) == 100.0
@@ -158,6 +162,13 @@ class TestMeasure:
         assert header.split(",") == list(rep.CSV_COLUMNS)
         assert len(row.split(",")) == len(rep.CSV_COLUMNS)
         assert "RMSD" in rep.summary() and "SNRF" in rep.summary()
+
+    def test_hop_defaults_to_half_the_frame(self):
+        est, ref = noise_pair(seed=9)
+        default = measure(est, ref, fft_size=1024)
+        half = measure(est, ref, fft_size=1024, hop=512)
+        assert default.to_csv() == half.to_csv()
+        assert default.per_segment.tobytes() == half.per_segment.tobytes()
 
     def test_rtf_omitted_without_timing(self):
         est, ref = noise_pair(seed=8)

@@ -158,10 +158,16 @@ class TestSbwCancel:
         {"wiener_exponent": -1.0},
         {"cross_cov": "median"},
         {"fft_size": 1024, "hop": 512, "window": make_window("kbd", 2048)},
-    ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent", "cross_cov", "window-length"])
+        {"p": np.nan},
+        {"wiener_exponent": np.nan},
+    ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent", "cross_cov", "window-length",
+            "p-nan", "wiener_exponent-nan"])
     def test_config_checked_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             SbwConfig(**kwargs)
+
+    def test_config_default_hop_is_half_the_frame(self):
+        assert SbwConfig(fft_size=1024).hop == 512
 
     def test_config_default_window(self):
         default = make_window("kbd", 1024, 4.0).coefficients

@@ -219,6 +219,13 @@ class TestGenerators:
         b = broadband_accompaniment(2.0, seed=5)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("fs", [8000, 11025])
+    def test_accompaniment_below_16_khz(self, fs):
+        # the 6-kHz hat high-pass is capped below Nyquist
+        a = broadband_accompaniment(1.0, fs, seed=17)
+        assert np.all(np.isfinite(a.samples))
+        assert a.rms() == pytest.approx(0.05, rel=1e-6)
+
     def test_generators_differ_across_seeds(self):
         assert not np.array_equal(
             noise_plus_tones(1.0, seed=1).samples, noise_plus_tones(1.0, seed=2).samples

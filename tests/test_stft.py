@@ -61,6 +61,8 @@ class TestMakeWindow:
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
             make_window("kbd", 64, -1.0)
+        with pytest.raises(ValueError):
+            make_window("kbd", 64, np.nan)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,8 @@ class TestMawCancel:
             BlockWienerConfig(taps=16, block_size=1024, hop=0)
         with pytest.raises(ValueError):
             BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=-1.0)
+        with pytest.raises(ValueError):
+            BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=np.nan)
 
 
 class TestSpectralSubtract:
@@ -281,6 +283,8 @@ class TestSpectralSubtract:
             spectral_subtract(x, x, 0.0)
         with pytest.raises(ValueError):
             spectral_subtract(x, x, -1.0)
+        with pytest.raises(ValueError):
+            spectral_subtract(x, x, np.nan)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -312,6 +316,16 @@ class TestMawSsCancel:
         )
         assert len(out) == n
 
+    def test_stft_hop_defaults_to_half_the_frame(self):
+        rng = np.random.default_rng(15)
+        n = 6000
+        ref = AudioBuffer(rng.standard_normal(n))
+        mix = AudioBuffer(np.convolve(ref.samples, [0.5])[:n] + 0.1 * rng.standard_normal(n))
+        cfg = BlockWienerConfig(8, 1024, 512)
+        default = maw_ss_cancel(mix, ref, cfg, fft_size=1024)
+        half = maw_ss_cancel(mix, ref, cfg, fft_size=1024, fft_hop=512)
+        assert default.samples.tobytes() == half.samples.tobytes()
+
     def test_window_override(self):
         rng = np.random.default_rng(14)
         n = 6000
@@ -335,8 +349,10 @@ class TestMawSsCancel:
                 fft_size=1024, fft_hop=256, window=make_window("hann", 512),
             )
 
-    @pytest.mark.parametrize("stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}],
-                             ids=["p", "hop-zero", "hop-past-frame"])
+    @pytest.mark.parametrize(
+        "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}],
+        ids=["p", "hop-zero", "hop-past-frame", "p-nan"],
+    )
     def test_stft_settings_checked_before_the_match(self, stft_kw, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("the block-Wiener match ran before the settings were checked")

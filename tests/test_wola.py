@@ -24,7 +24,7 @@ from solocancel import (
 )
 from solocancel.sbw import cancel_frames
 from solocancel.simo import _frame_delays, half_wavelength_spacing, mrc_combine
-from solocancel.stft import SpectralFrameSeq, _default_window, istft, stft
+from solocancel.stft import SpectralFrameSeq, istft, stft
 from solocancel.wiener import matched_accompaniment
 
 FS = 44100
@@ -35,26 +35,30 @@ def resynthesize(spec: SpectralFrameSeq, frames: np.ndarray) -> AudioBuffer:
     return istft(SpectralFrameSeq(frames, spec.fft_size, spec.hop, spec.sample_rate, spec.window))
 
 
-def hand_built_sbw_cancel(mixture, reference, cfg):
-    """Oracle: ``sbw_cancel`` before the shared pipeline."""
+def hand_built_sbw_cancel(mixture, reference, cfg, hop):
+    """Oracle: ``sbw_cancel`` before the shared pipeline, framed with ``hop`` or, when
+    it is None, half the frame."""
     window = cfg.window
+    hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture.sample_rate)
 
-    spec_x = stft(mixture, window, cfg.hop)
-    spec_ref = stft(reference, window, cfg.hop)
+    spec_x = stft(mixture, window, hop)
+    spec_ref = stft(reference, window, hop)
     est = cancel_frames(spec_x.frames, spec_ref.frames, partition, cfg)
     out = resynthesize(spec_x, est)
     return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
 
 
-def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, geometry, kappa):
-    """Oracle: ``sbw_simo_cancel`` before the shared pipeline."""
+def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry, kappa):
+    """Oracle: ``sbw_simo_cancel`` before the shared pipeline, framed with ``hop`` or,
+    when it is None, half the frame."""
     window = cfg.window
+    hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture1.sample_rate)
 
-    spec1 = stft(mixture1, window, cfg.hop)
-    spec2 = stft(mixture2, window, cfg.hop)
-    spec_ref = stft(reference, window, cfg.hop)
+    spec1 = stft(mixture1, window, hop)
+    spec2 = stft(mixture2, window, hop)
+    spec_ref = stft(reference, window, hop)
     est1 = cancel_frames(spec1.frames, spec_ref.frames, partition, cfg)
     est2 = cancel_frames(spec2.frames, spec_ref.frames, partition, cfg)
 
@@ -69,7 +73,9 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, geometry, kap
 def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window, p):
     """Oracle: ``maw_ss_cancel`` before the shared pipeline."""
     if window is None:
-        window = _default_window(fft_size)
+        window = make_window("kbd", fft_size)
+    if fft_hop is None:
+        fft_hop = fft_size // 2
     y = matched_accompaniment(mixture, reference, cfg)
     spec_x = stft(mixture, window, fft_hop)
     spec_y = stft(y, window, fft_hop)
@@ -80,11 +86,11 @@ def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window,
 
 @st.composite
 def framings(draw):
-    """(fft_size, hop, length, window): an even FFT size from 64 to 2048, a hop of at
-    least an eighth of it (most do not divide it), a length from one window to four,
-    odd or even, and the default window or a Hann window."""
+    """(fft_size, hop, length, window): an even FFT size from 64 to 2048, the default
+    hop (None) or a hop of at least an eighth of it (most do not divide it), a length
+    from one window to four, odd or even, and the default window or a Hann window."""
     fft_size = 2 * draw(st.integers(32, 1024))
-    hop = draw(st.integers(max(1, fft_size // 8), fft_size))
+    hop = draw(st.none() | st.integers(max(1, fft_size // 8), fft_size))
     n = draw(st.integers(fft_size, 4 * fft_size + 1))
     window = draw(st.sampled_from([None, make_window("hann", fft_size)]))
     return fft_size, hop, n, window
@@ -127,7 +133,7 @@ class TestSbwCancel:
         fft_size, hop, n, window = framing
         cfg = data.draw(sbw_configs(fft_size, hop, window))
         mix, _, ref = two_mic_take(seed, n)
-        assert same_bytes(sbw_cancel(mix, ref, cfg), hand_built_sbw_cancel(mix, ref, cfg))
+        assert same_bytes(sbw_cancel(mix, ref, cfg), hand_built_sbw_cancel(mix, ref, cfg, hop))
 
 
 class TestSbwSimoCancel:
@@ -144,7 +150,7 @@ class TestSbwSimoCancel:
         geometry = ArrayGeometry(spacing=half_wavelength_spacing(8000.0), sample_rate=FS)
         mix1, mix2, ref = two_mic_take(seed, n)
         got = sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa=kappa)
-        want = hand_built_sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa)
+        want = hand_built_sbw_simo_cancel(mix1, mix2, ref, cfg, hop, geometry, kappa)
         assert same_bytes(got, want)
 
 
