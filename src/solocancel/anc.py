@@ -99,11 +99,8 @@ def _levinson(r: np.ndarray, order: int) -> np.ndarray:
             break
         acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
         k_i = acc / err
-        a_new = a.copy()
-        a_new[i - 1] = k_i
-        if i > 1:
-            a_new[: i - 1] = a[: i - 1] - k_i * a[i - 2 :: -1]
-        a = a_new
+        a[: i - 1] = a[: i - 1] - k_i * a[: i - 1][::-1]
+        a[i - 1] = k_i
         err *= 1.0 - k_i * k_i
     return a
 
@@ -122,8 +119,6 @@ def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
             f"frame length {len(x)} too short for order {order} (need > {10 * order})"
         )
     r = np.correlate(x, x, mode="full")[len(x) - 1 : len(x) + order] / len(x)
-    if r[0] <= 0.0:
-        return Whitener(np.zeros(order))
     return Whitener(_levinson(r, order))
 
 
@@ -216,13 +211,12 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
             e_u = e - np.dot(a, e_hist)
             e_hist[1:] = e_hist[:-1]
             e_hist[0] = e
-        if mu != 0.0:
-            if cfg.normalized:
-                nsq = np.dot(u, u)
-                if nsq > nsq_floor:
-                    w += (mu * e_u / nsq) * u
-            else:
-                w += (mu * e_u) * u
+        if cfg.normalized:
+            nsq = np.dot(u, u)
+            if nsq > nsq_floor:
+                w += (mu * e_u / nsq) * u
+        else:
+            w += (mu * e_u) * u
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("adaptive filter diverged: the estimate is not finite")
     return AudioBuffer(out, mixture.sample_rate)

@@ -6,12 +6,9 @@ Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -213,8 +210,17 @@ def _scene(args, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
     return synth_siso(scene_cfg) if layout is None else synth_sido(scene_cfg)
 
 
+def _sido_layout(args, spacing: float) -> SidoLayout:
+    """The two-microphone layout at ``spacing`` > 0; ``f_max`` is lowered to the array's
+    half-wavelength frequency when that is below 8 kHz, so a wider array is accepted."""
+    if not spacing > 0:
+        raise ValueError("microphone spacing must be > 0")
+    f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * spacing))
+    return SidoLayout(spacing, args.solo_angle, args.accomp_angle, f_max)
+
+
 def _cmd_simulate(args) -> int:
-    layout = SidoLayout(args.spacing, args.solo_angle, args.accomp_angle) if args.sido else None
+    layout = _sido_layout(args, args.spacing) if args.sido else None
     level_diff = None if args.gain is not None else args.level_diff_db
     scene = _scene(args, args.seed, args.kappa, level_diff, args.gain, layout)
     fs = scene.reference.sample_rate
@@ -313,11 +319,7 @@ def _sweep_scene(args, value, scene_index: int):
     if not _two_mic(args):
         return _scene(args, seed, kappa, level_diff)
     spacing = float(value) if args.param == "mic-spacing" else args.spacing
-    layout = SidoLayout(
-        spacing=spacing, solo_angle_deg=args.solo_angle, accomp_angle_deg=args.accomp_angle,
-        f_max=min(8000.0, SPEED_OF_SOUND / (2.0 * spacing)),
-    )
-    return _scene(args, seed, kappa, level_diff, layout=layout)
+    return _scene(args, seed, kappa, level_diff, layout=_sido_layout(args, spacing))
 
 
 def _sweep_point(args, overrides: dict, value, scene):
@@ -340,14 +342,6 @@ def _sweep_point(args, overrides: dict, value, scene):
     return measure(estimate, scene.reference_solo)
 
 
-def _sweep_group(args, overrides: dict, values: list, group: list) -> list:
-    """Reports of the (value index, scene index) points of ``group``, which share
-    one scene: the scene of the first point."""
-    first_value, scene_index = group[0]
-    scene = _sweep_scene(args, values[first_value], scene_index)
-    return [_sweep_point(args, overrides, values[vi], scene) for vi, _ in group]
-
-
 def _cmd_sweep(args) -> int:
     overrides = _parse_overrides(args.overrides)
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
@@ -359,31 +353,25 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
     label = "sbw-simo" if _two_mic(args) else args.algorithm
     if _two_mic(args):
-        spacings = values if args.param == "mic-spacing" else [args.spacing]
-        if min(float(spacing) for spacing in spacings) <= 0:
-            raise ValueError("microphone spacing must be > 0")
+        for spacing in values if args.param == "mic-spacing" else [args.spacing]:
+            _sido_layout(args, float(spacing))
         fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
         if fixed:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
     # validate the base configuration (and overrides) up front
     build_algorithm_config(label, args.preset, overrides)
 
-    num_scenes = args.num_scenes
-    if args.param in _SWEEP_SCENE:
-        groups = [[(vi, si)] for vi in range(len(values)) for si in range(num_scenes)]
-    else:
-        groups = [[(vi, si) for vi in range(len(values))] for si in range(num_scenes)]
-    threads = max(1, int(os.environ.get("SOLOCANCEL_THREADS", "1")))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # One worker runs in this thread: a worker thread's malloc arena adds a fifth to peak RSS.
-        mapper = map if threads == 1 else pool.map
-        results = list(mapper(lambda group: _sweep_group(args, overrides, values, group), groups))
-    reports = dict(zip(chain(*groups), chain(*results)))
+    reports = {}
+    for si in range(args.num_scenes):
+        for vi, value in enumerate(values):
+            if vi == 0 or args.param in _SWEEP_SCENE:
+                scene = _sweep_scene(args, value, si)
+            reports[vi, si] = _sweep_point(args, overrides, value, scene)
 
     rows = []
     for vi, value in enumerate(values):
         for metric in ("rmsd_db", "snrf_db"):
-            samples = [getattr(reports[vi, si], metric) for si in range(num_scenes)]
+            samples = [getattr(reports[vi, si], metric) for si in range(args.num_scenes)]
             summary = [np.median(samples), *np.percentile(samples, [25, 75])]
             for si, sample in enumerate(samples):
                 figures = ",".join(f"{x:.6f}" for x in (sample, *summary))

@@ -91,8 +91,5 @@ def make_partition(
     band_of_bin = np.searchsorted(realized, raw) + 1
     z = realized.shape[0]
 
-    edges = np.zeros(z + 1, dtype=int)
-    edges[z] = n_bins
-    for band in range(2, z + 1):
-        edges[band - 1] = int(np.searchsorted(band_of_bin, band))
+    edges = np.searchsorted(band_of_bin, np.arange(1, z + 2))
     return ErbPartition(z, band_of_bin, edges, sample_rate, float(cutoff), fft_size)

@@ -102,10 +102,10 @@ def snrf(
 
 def rtf(elapsed: float, duration: float) -> float:
     """Real-time factor: processing time divided by signal duration."""
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("duration must be positive")
-    if elapsed < 0:
-        raise ValueError("elapsed must be >= 0")
+    if not 0 <= elapsed < np.inf:
+        raise ValueError("elapsed must be finite and >= 0")
     return elapsed / duration
 
 

@@ -117,9 +117,7 @@ def cancel_frames(
 ) -> np.ndarray:
     """Cancelled spectra for stacked frames; shared by the 1- and 2-mic paths."""
     gains = subband_gains_frames(ref_frames, mix_frames, partition, cfg.cross_cov)
-    if cfg.wiener_exponent != 1.0:
-        gains = gains**cfg.wiener_exponent
-    per_bin = gains[..., partition.band_of_bin - 1]
+    per_bin = (gains**cfg.wiener_exponent)[..., partition.band_of_bin - 1]
     matched = per_bin * ref_frames
     return spectral_subtract(mix_frames, matched, cfg.p)
 

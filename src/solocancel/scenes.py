@@ -106,7 +106,8 @@ class SceneConfig:
 
     The accompaniment gain is either derived from ``level_diff_db`` (recorded
     accompaniment RMS minus recorded solo RMS, in dB) or taken verbatim from
-    ``accompaniment_gain`` when ``level_diff_db`` is None (0 mutes it).
+    ``accompaniment_gain`` when ``level_diff_db`` is None (0 mutes it). Either,
+    when given, must be finite and the gain >= 0 (``ValueError``).
     """
 
     solo: AudioBuffer
@@ -120,11 +121,12 @@ class SceneConfig:
     def __post_init__(self):
         if self.channel_delay < 0:
             raise ValueError("channel_delay must be >= 0")
-        if self.level_diff_db is None:
-            if self.accompaniment_gain is None:
-                raise ValueError("need level_diff_db or accompaniment_gain")
-            if self.accompaniment_gain < 0:
-                raise ValueError("accompaniment_gain must be >= 0")
+        if self.level_diff_db is None and self.accompaniment_gain is None:
+            raise ValueError("need level_diff_db or accompaniment_gain")
+        if self.level_diff_db is not None and not np.isfinite(self.level_diff_db):
+            raise ValueError("level_diff_db must be finite")
+        if self.accompaniment_gain is not None and not 0 <= self.accompaniment_gain < np.inf:
+            raise ValueError("accompaniment_gain must be finite and >= 0")
         require_matched(self.solo, self.accompaniment_reference, "solo/accompaniment")
         if self.channel_delay >= len(self.solo):
             raise ValueError("buffers too short to absorb the channel delay")

@@ -1,8 +1,11 @@
-"""Minimal RIFF/WAVE I/O: 16/24-bit PCM and 32-bit float, mono or stereo.
+"""Minimal RIFF/WAVE I/O, any channel count: writes 16/24-bit PCM and 32-bit float,
+reads 8/16/24/32-bit PCM and 32/64-bit float.
 
 Hand-rolled because 24-bit PCM writing is outside scipy.io.wavfile's remit.
 Samples are exchanged as float64 in [-1, 1]; integer formats scale by
-2^(bits-1) on read and clip on write.
+2^(bits-1) on read and clip on write. A b-byte PCM sample (b >= 2) is the top
+b bytes of a little-endian int32, so one widening reads every such width and
+one shift writes it; 8-bit PCM is unsigned with its zero at 128.
 """
 
 from __future__ import annotations
@@ -36,12 +39,8 @@ def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
     else:
         scale = float(1 << (8 * sample_bytes - 1))
         ints = np.clip(np.rint(data * scale), -scale, scale - 1).astype(np.int64)
-        if fmt == "pcm16":
-            payload = ints.astype("<i2").tobytes()
-        else:
-            le32 = ints.astype("<i4").tobytes()
-            as_bytes = np.frombuffer(le32, dtype=np.uint8).reshape(-1, 4)
-            payload = as_bytes[:, :3].tobytes()  # low three bytes, little-endian
+        le32 = (ints << (32 - 8 * sample_bytes)).astype("<i4")
+        payload = le32.view(np.uint8).reshape(-1, 4)[:, 4 - sample_bytes :].tobytes()
 
     byte_rate = sample_rate * channels * sample_bytes
     block_align = channels * sample_bytes
@@ -116,16 +115,11 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         if bits == 8:
             raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
             data = (raw - 128.0) / 128.0
-        elif bits == 16:
-            data = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-        elif bits == 24:
-            as_bytes = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-            padded = np.zeros((as_bytes.shape[0], 4), dtype=np.uint8)
-            padded[:, 1:] = as_bytes
-            ints = padded.view("<i4")[:, 0] >> 8
-            data = ints.astype(np.float64) / 8388608.0
-        elif bits == 32:
-            data = np.frombuffer(payload, dtype="<i4").astype(np.float64) / 2147483648.0
+        elif bits in (16, 24, 32):
+            width = bits // 8
+            padded = np.zeros((len(payload) // width, 4), dtype=np.uint8)
+            padded[:, 4 - width :] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
+            data = padded.view("<i4")[:, 0].astype(np.float64) / 2147483648.0
         else:
             raise ValueError(f"unsupported PCM bit depth {bits}")
     elif audio_format == 3:

@@ -184,10 +184,9 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
     passthrough = ay == 0.0
     out[passthrough] = spec_x[passthrough]
     active = (ax > ay) & ~passthrough
-    if np.any(active):
-        mag = (ax[active] ** p - ay[active] ** p) ** (1.0 / p)
-        np.minimum(mag, ax[active], out=mag)  # guard rounding above |X|
-        out[active] = mag * (spec_x[active] / ax[active])
+    mag = (ax[active] ** p - ay[active] ** p) ** (1.0 / p)
+    np.minimum(mag, ax[active], out=mag)  # guard rounding above |X|
+    out[active] = mag * (spec_x[active] / ax[active])
     return out
 
 

@@ -112,6 +112,33 @@ class TestSimulate:
         data, _ = read_wav(out / "mixture.wav")
         assert data.ndim == 2 and data.shape[1] == 2
 
+    def test_sido_spacing_past_8_khz_limit_lowers_f_max(self, tmp_path):
+        out = tmp_path / "wide"
+        assert run_cli(
+            "simulate", "--duration", "0.5", "--sido", "--spacing", "0.03",
+            "--out-dir", str(out),
+        ) == 0
+        from solocancel import read_wav
+
+        data, _ = read_wav(out / "mixture.wav")
+        assert data.ndim == 2 and data.shape[1] == 2
+
+    def test_sido_zero_spacing_rejected(self, tmp_path):
+        out = tmp_path / "flat"
+        assert run_cli(
+            "simulate", "--duration", "0.5", "--sido", "--spacing", "0", "--out-dir", str(out),
+        ) == EXIT_BAD_ARGS
+        assert not (out / "mixture.wav").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gain", "nan"), ("--gain", "inf"), ("--level-diff", "nan"), ("--level-diff", "inf"),
+    ])
+    def test_non_finite_gain_rejected(self, flag, value, tmp_path):
+        out = tmp_path / "scene"
+        code = run_cli("simulate", "--duration", "0.5", f"{flag}={value}", "--out-dir", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert not (out / "mixture.wav").exists()
+
     def test_config_file_supplies_parameters(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("kappa=7\nlevel_diff=3.0\nduration=1.0\nseed=9\n")
@@ -196,6 +223,12 @@ class TestCancelEvaluate:
         assert run_cli("evaluate", str(ref), str(ref)) == 0
         out = capsys.readouterr().out
         assert "-120.00" in out and "100.00" in out
+
+    @pytest.mark.parametrize("elapsed", ["nan", "inf"])
+    def test_non_finite_elapsed_rejected(self, elapsed, scene_dir):
+        ref = str(scene_dir / "reference_solo.wav")
+        code = run_cli("evaluate", ref, ref, "--elapsed", elapsed)
+        assert code == EXIT_BAD_ARGS
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = run_cli(
@@ -343,8 +376,12 @@ class TestSweep:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "param,value,scene,algorithm,metric,measurement,median,q25,q75"
-        # 2 values x 2 scenes x 2 metrics
-        assert len(lines) == 1 + 8
+        # 2 values x 2 scenes x 2 metrics: by value, then metric, then scene
+        order = [tuple(row.split(",")[i] for i in (1, 2, 4)) for row in lines[1:]]
+        assert order == [
+            (value, scene, metric)
+            for value in ("8", "39") for metric in ("rmsd_db", "snrf_db") for scene in ("0", "1")
+        ]
 
     def test_angle_mismatch_runs_simo(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -405,20 +442,6 @@ class TestSweep:
         )
         assert code == 0
         assert hops == [(1024, 256), (2048, 256)]
-
-    def test_thread_count_env_keeps_order(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        args = [
-            "sweep", "--param", "p-norm", "--values", "1,2",
-            "--num-scenes", "2", "--duration", "1.0",
-            "--set", "fft_size=1024",
-        ]
-        monkeypatch.setenv("SOLOCANCEL_THREADS", "1")
-        assert run_cli(*args, "--out", str(serial)) == 0
-        monkeypatch.setenv("SOLOCANCEL_THREADS", "4")
-        assert run_cli(*args, "--out", str(parallel)) == 0
-        assert serial.read_text() == parallel.read_text()
 
     def test_simo_algorithm_runs_two_mic_pipeline_on_one_mic_params(self, tmp_path):
         out = tmp_path / "sweep.csv"

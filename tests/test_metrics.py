@@ -150,6 +150,15 @@ class TestRtf:
         with pytest.raises(ValueError):
             rtf(-1.0, 10.0)
 
+    @pytest.mark.parametrize("elapsed", [float("nan"), float("inf")])
+    def test_non_finite_elapsed(self, elapsed):
+        with pytest.raises(ValueError):
+            rtf(elapsed, 1.0)
+
+    def test_nan_duration(self):
+        with pytest.raises(ValueError):
+            rtf(1.0, float("nan"))
+
 
 class TestMeasure:
     def test_report_fields_and_csv(self):

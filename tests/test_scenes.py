@@ -92,6 +92,16 @@ class TestSynthSiso:
         scene = synth_siso(cfg)
         assert np.array_equal(scene.mixture.samples, scene.reference_solo.samples)
 
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0])
+    def test_bad_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="accompaniment_gain"):
+            basic_config(level_diff_db=None, accompaniment_gain=gain)
+
+    @pytest.mark.parametrize("level_diff", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_diff_rejected(self, level_diff):
+        with pytest.raises(ValueError, match="level_diff_db"):
+            basic_config(level_diff_db=level_diff)
+
     def test_silent_solo_with_level_diff_rejected(self):
         cfg = basic_config()
         cfg.solo = AudioBuffer(np.zeros(len(cfg.solo)), cfg.solo.sample_rate)

@@ -221,3 +221,21 @@ class TestDamagedAndExtensible:
         back, _ = read_wav(path)
         assert back.shape == (99, 2)
         assert np.allclose(back, data[:99], atol=1.0 / 8388608)
+
+
+class TestExactPcmRead:
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32])
+    def test_codes_read_as_code_over_full_scale(self, tmp_path, bits):
+        full = 1 << (bits - 1)
+        codes = [-full, -1, 0, 1, full - 1]
+        width = bits // 8
+        # 8-bit PCM is unsigned with its zero at 128; wider PCM is signed
+        stored = [c + 128 if bits == 8 else c for c in codes]
+        payload = b"".join(s.to_bytes(width, "little", signed=bits > 8) for s in stored)
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000 * width, width, bits)
+        path = tmp_path / f"pcm{bits}.wav"
+        path.write_bytes(riff((b"fmt ", fmt), (b"data", payload)))
+        data, sr = read_wav(path)
+        assert sr == 8000
+        assert data.dtype == np.float64
+        assert data.tolist() == [c / full for c in codes]
