@@ -10,7 +10,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, _framing, stft
+from .stft import Window, _framing, _map_blocks
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -74,11 +74,13 @@ def snrf(
     if partition.fft_size != fft_size:
         raise ValueError("partition fft_size inconsistent with fft_size")
 
-    mag_est = np.abs(stft(estimate, window, hop).frames)
-    mag_ref = np.abs(stft(ref_solo, window, hop).frames)
+    def band_powers(est, ref):
+        mag_est, mag_ref = np.abs(est), np.abs(ref)
+        return partition.band_mean(mag_ref**2), partition.band_mean((mag_est - mag_ref) ** 2)
 
-    psi_signal = partition.band_mean(mag_ref**2)
-    psi_noise = partition.band_mean((mag_est - mag_ref) ** 2)
+    blocks = list(_map_blocks(band_powers, (estimate, ref_solo), window, hop))
+    psi_signal = np.concatenate([signal for signal, _ in blocks])
+    psi_noise = np.concatenate([noise for _, noise in blocks])
 
     keep = psi_signal > 0.0
     if not np.any(keep):

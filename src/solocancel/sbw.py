@@ -75,7 +75,8 @@ def subband_gains_frames(
     Gain = band cross-covariance / band auto-covariance of the reference,
     with silent reference bands forced to zero.
     """
-    auto = partition.band_mean(np.abs(ref_frames) ** 2)
+    power = np.abs(ref_frames) ** 2
+    auto = partition.band_mean(power)
     prod = np.conj(ref_frames) * mix_frames
     if cross_cov == "magnitude":
         cross = partition.band_mean(np.abs(prod))
@@ -86,7 +87,7 @@ def subband_gains_frames(
     else:
         raise ValueError("cross_cov must be 'magnitude' or 'complex'")
 
-    frame_power = np.mean(np.abs(ref_frames) ** 2, axis=-1, keepdims=True)
+    frame_power = np.mean(power, axis=-1, keepdims=True)
     guard = auto <= ZERO_REFERENCE_GUARD * frame_power
     gains = np.zeros_like(auto)
     np.divide(cross, auto, out=gains, where=~guard)

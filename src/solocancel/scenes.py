@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import NoSignalError
@@ -107,7 +106,7 @@ class SceneConfig:
     The accompaniment gain is either derived from ``level_diff_db`` (recorded
     accompaniment RMS minus recorded solo RMS, in dB) or taken verbatim from
     ``accompaniment_gain`` when ``level_diff_db`` is None (0 mutes it). Either,
-    when given, must be finite and the gain >= 0 (``ValueError``).
+    when given, must be finite, and the gain finite and >= 0 (``ValueError``).
     """
 
     solo: AudioBuffer
@@ -123,8 +122,15 @@ class SceneConfig:
             raise ValueError("channel_delay must be >= 0")
         if self.level_diff_db is None and self.accompaniment_gain is None:
             raise ValueError("need level_diff_db or accompaniment_gain")
-        if self.level_diff_db is not None and not np.isfinite(self.level_diff_db):
-            raise ValueError("level_diff_db must be finite")
+        if self.level_diff_db is not None:
+            if not np.isfinite(self.level_diff_db):
+                raise ValueError("level_diff_db must be finite")
+            try:
+                math.pow(10.0, self.level_diff_db / 20.0)
+            except OverflowError:
+                raise ValueError(
+                    f"level_diff_db {self.level_diff_db} dB overflows the linear gain"
+                ) from None
         if self.accompaniment_gain is not None and not 0 <= self.accompaniment_gain < np.inf:
             raise ValueError("accompaniment_gain must be finite and >= 0")
         require_matched(self.solo, self.accompaniment_reference, "solo/accompaniment")
@@ -218,6 +224,8 @@ def calibrate_latency(recorded: AudioBuffer, reference: AudioBuffer, max_lag: in
         raise ValueError("max_lag must satisfy 0 <= max_lag < min length")
     if not np.any(recorded.samples) or not np.any(reference.samples):
         raise NoSignalError("cannot calibrate on silent audio")
+    import scipy.signal  # here, not at the top: importing it dominates package start-up
+
     corr = scipy.signal.correlate(recorded.samples, reference.samples, mode="full")
     zero = len(reference) - 1
     window = corr[zero : zero + max_lag + 1]
@@ -294,6 +302,8 @@ def broadband_accompaniment(
     then an AR(1) noise bed; scaled to RMS 0.05. Only ``seed`` varies the
     material.
     """
+    import scipy.signal  # here, not at the top: importing it dominates package start-up
+
     rng = np.random.default_rng(seed + 2)
     prog = _progression(duration, seed)
     n = int(round(duration * sample_rate))

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import AudioBuffer, require_matched
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
-from .stft import _wola
+from .stft import _blocks, _map_blocks, _num_frames, _overlap_add
 
 
 #: Speed of sound in air, m/s.
@@ -211,10 +211,22 @@ def sbw_simo_cancel(
         )
     partition = cfg.partition_for(mixture1.sample_rate)
 
-    def combine(mix1, mix2, ref):
-        est1 = cancel_frames(mix1, ref, partition, cfg)
-        est2 = cancel_frames(mix2, ref, partition, cfg)
-        delays = float(kappa) if kappa is not None else _frame_delays(est1, est2, geometry)
-        return mrc_combine(est1, est2, delays)
+    def cancel_both(mix1, mix2, ref):
+        return cancel_frames(mix1, ref, partition, cfg), cancel_frames(mix2, ref, partition, cfg)
 
-    return _wola(combine, (mixture1, mixture2, reference), cfg.window, cfg.hop)
+    # Two passes: the delay track needs the whole take (frames without an estimate
+    # take the nearest valid one, under a take-wide energy floor), so both cancelled
+    # stacks are kept, and only the combination runs block by block.
+    num_frames = _num_frames(len(mixture1), cfg.fft_size, cfg.hop)
+    est1 = np.empty((num_frames, cfg.fft_size // 2 + 1), dtype=np.complex128)
+    est2 = np.empty_like(est1)
+    blocks = _map_blocks(cancel_both, (mixture1, mixture2, reference), cfg.window, cfg.hop)
+    for frames, (block1, block2) in zip(_blocks(num_frames), blocks):
+        est1[frames], est2[frames] = block1, block2
+    if kappa is None:
+        delays = _frame_delays(est1, est2, geometry)
+    else:
+        delays = np.full(num_frames, float(kappa))
+    combined = (mrc_combine(est1[f], est2[f], delays[f]) for f in _blocks(num_frames))
+    out = _overlap_add(combined, cfg.window, cfg.hop, len(mixture1))
+    return AudioBuffer(out, mixture1.sample_rate)

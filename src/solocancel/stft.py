@@ -5,9 +5,17 @@ synthesis and the overlap-added result is divided by the accumulated squared
 window, which gives perfect reconstruction wherever that envelope is nonzero
 and well-behaved resynthesis of modified spectra.
 
-The spectral cancellers share one weighted overlap-add pipeline, ``_wola``
-(Crochiere 1980, IEEE TASSP 28(1)): analysis of each input, one frame map,
-resynthesis, and a cut back to the input length.
+The spectral cancellers and the SNRF share one frame-block engine
+(weighted overlap-add, Crochiere 1980, IEEE TASSP 28(1)). It runs the frames
+in blocks of ``_BLOCK_FRAMES``: each block is analysed by ``stft`` of the
+zero-padded segment it covers, mapped, and overlap-added into the output,
+whose samples are divided by the envelope as soon as no later frame reaches
+them; ``fft_size - hop`` samples of output and envelope (rounded up to whole
+hops) carry over to the next block. Every stage is frame-local and the
+overlap-add sums each sample in frame order, so the bytes do not depend on
+the block size. Beyond its output and inputs, a run holds one block of
+frames, whatever the input length. ``istft`` is the one-block case of the
+same overlap-add.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .audio import AudioBuffer
 
 #: Overlap-add envelope below this is treated as silence, not divided by.
 _ENVELOPE_FLOOR = 1e-12
+
+#: Frames per block of the weighted overlap-add engine.
+_BLOCK_FRAMES = 64
 
 
 @dataclass
@@ -124,6 +135,14 @@ class SpectralFrameSeq:
         return self.frames.shape[1]
 
 
+def _num_frames(n: int, n_fft: int, hop: int) -> int:
+    """Frames covering ``n`` samples, the last one completed with zeros; ValueError
+    when the signal is shorter than one window."""
+    if n < n_fft:
+        raise ValueError(f"signal length {n} shorter than window length {n_fft}")
+    return 1 + -(-(n - n_fft) // hop)
+
+
 def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     """Short-time Fourier transform with tail zero-padding.
 
@@ -134,10 +153,7 @@ def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     n_fft = len(window)
     window, hop = _framing(n_fft, hop, window)
     n = len(signal)
-    if n < n_fft:
-        raise ValueError(f"signal length {n} shorter than window length {n_fft}")
-
-    num_frames = 1 + int(np.ceil((n - n_fft) / hop)) if n > n_fft else 1
+    num_frames = _num_frames(n, n_fft, hop)
     padded_len = (num_frames - 1) * hop + n_fft
     x = np.zeros(padded_len)
     x[:n] = signal.samples
@@ -147,6 +163,56 @@ def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     return SpectralFrameSeq(frames, n_fft, hop, signal.sample_rate, window)
 
 
+def _overlap_add(blocks, window: Window, hop: int, length: int) -> np.ndarray:
+    """The first ``length`` samples of the weighted overlap-add of the consecutive frame
+    stacks in ``blocks``, each divided by its envelope as soon as no later frame can
+    reach it.
+
+    Each frame's windowed irfft is zero-padded to ``chunks`` whole hops, so sample
+    chunk k sums frame k - r's chunk r over r = chunks-1 .. 0. That is frame order,
+    the order of a frame-by-frame loop, so the bytes do not depend on how the frames
+    are blocked; the padding adds +0.0, which changes no sum. The last
+    ``chunks - 1`` chunks of output and envelope carry over to the next block.
+    """
+    n_fft = len(window)
+    chunks = -(-n_fft // hop)
+    w = window.coefficients
+    wsq = np.zeros(chunks * hop)
+    wsq[:n_fft] = w * w
+    wsq = wsq.reshape(chunks, hop)
+    out = np.empty(length)
+    done = 0
+    carry = np.zeros((2, chunks - 1, hop))  # output and envelope
+    for frames in blocks:
+        count = frames.shape[0]
+        pieces = np.zeros((count, chunks * hop))
+        np.multiply(np.fft.irfft(frames, n=n_fft, axis=1), w, out=pieces[:, :n_fft])
+        pieces = pieces.reshape(count, chunks, hop)
+        acc = np.zeros((2, count + chunks - 1, hop))
+        acc[:, : chunks - 1] = carry
+        for r in range(chunks - 1, -1, -1):
+            acc[0, r : r + count] += pieces[:, r]
+            acc[1, r : r + count] += wsq[r]
+        done = _emit(out, done, acc[:, :count])
+        carry = acc[:, count:].copy()
+        del frames, pieces, acc  # none is needed while the next block is computed
+    _emit(out, done, carry)
+    return out
+
+
+def _emit(out: np.ndarray, done: int, acc: np.ndarray) -> int:
+    """Divide the final samples ``acc[0]`` by their envelope ``acc[1]`` (silence where
+    it is not above the floor), copy them into ``out`` from ``done`` on as far as it
+    reaches, and return the new count of samples done."""
+    samples, envelope = acc[0].ravel(), acc[1].ravel()
+    live = envelope > _ENVELOPE_FLOOR
+    np.divide(samples, envelope, out=samples, where=live)
+    samples[~live] = 0.0
+    take = min(samples.size, out.size - done)
+    out[done : done + take] = samples[:take]
+    return done + take
+
+
 def istft(seq: SpectralFrameSeq) -> AudioBuffer:
     """Weighted overlap-add resynthesis.
 
@@ -154,31 +220,41 @@ def istft(seq: SpectralFrameSeq) -> AudioBuffer:
     squared-window envelope. Output length is
     ``(num_frames - 1) * hop + fft_size``.
     """
-    n_fft = seq.fft_size
-    hop = seq.hop
-    w = seq.window.coefficients
-    out_len = (seq.num_frames - 1) * hop + n_fft
+    out_len = (seq.num_frames - 1) * seq.hop + seq.fft_size
+    return AudioBuffer(_overlap_add([seq.frames], seq.window, seq.hop, out_len), seq.sample_rate)
 
-    pieces = np.fft.irfft(seq.frames, n=n_fft, axis=1) * w[None, :]
-    out = np.zeros(out_len)
-    envelope = np.zeros(out_len)
-    wsq = w * w
-    for t in range(seq.num_frames):
-        start = t * hop
-        out[start : start + n_fft] += pieces[t]
-        envelope[start : start + n_fft] += wsq
 
-    live = envelope > _ENVELOPE_FLOOR
-    out[live] /= envelope[live]
-    out[~live] = 0.0
-    return AudioBuffer(out, seq.sample_rate)
+def _blocks(num_frames: int):
+    """Frame slices of at most ``_BLOCK_FRAMES`` frames, in order."""
+    for first in range(0, num_frames, _BLOCK_FRAMES):
+        yield slice(first, min(first + _BLOCK_FRAMES, num_frames))
+
+
+def _segment(signal: AudioBuffer, start: int, length: int) -> AudioBuffer:
+    """``length`` samples of ``signal`` from ``start``, zero-padded past its end."""
+    part = signal.samples[start : start + length]
+    if part.size < length:
+        part = np.concatenate((part, np.zeros(length - part.size)))
+    return AudioBuffer(part, signal.sample_rate)
+
+
+def _map_blocks(process, signals, window: Window, hop: int):
+    """Yield ``process`` of the frame stacks of the equal-length ``signals``, one block
+    of frames at a time.
+
+    A block's stacks are the ``stft`` of the segment its frames cover, so they equal
+    those rows of the whole-signal ``stft``; no reference to them outlives ``process``.
+    """
+    n_fft = len(window)
+    for frames in _blocks(_num_frames(len(signals[0]), n_fft, hop)):
+        start = frames.start * hop
+        length = (frames.stop - frames.start - 1) * hop + n_fft
+        yield process(*(stft(_segment(s, start, length), window, hop).frames for s in signals))
 
 
 def _wola(process, signals, window: Window, hop: int) -> AudioBuffer:
-    """Run ``process`` over the frame stacks of the equal-length ``signals`` and return
-    the weighted overlap-add resynthesis of its result, cut to the input length."""
-    n, fs = len(signals[0]), signals[0].sample_rate
-    # Only ``process`` holds the input stacks, so they are freed before resynthesis.
-    frames = process(*(stft(s, window, hop).frames for s in signals))
-    out = istft(SpectralFrameSeq(frames, len(window), hop, fs, window))
-    return AudioBuffer(out.samples[:n], fs)
+    """Run ``process`` over the frame stacks of the equal-length ``signals``, one block
+    of frames at a time, and return the weighted overlap-add resynthesis of its
+    result, cut to the input length."""
+    out = _overlap_add(_map_blocks(process, signals, window, hop), window, hop, len(signals[0]))
+    return AudioBuffer(out, signals[0].sample_rate)

@@ -21,7 +21,8 @@ _FORMATS = {"pcm16": (1, 2), "pcm24": (1, 3), "float32": (3, 4)}
 
 def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
     """Write mono (n,) or multichannel (n, ch) float data as a WAV file. A non-finite
-    sample raises ``FloatingPointError`` before the file is opened."""
+    sample, or for ``float32`` one beyond its range, raises ``FloatingPointError``
+    before the file is opened."""
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be one of {sorted(_FORMATS)}, got {fmt!r}")
     data = np.asarray(data, dtype=np.float64)
@@ -35,7 +36,11 @@ def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
     audio_format, sample_bytes = _FORMATS[fmt]
 
     if fmt == "float32":
-        payload = data.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            samples = data.astype("<f4")
+        if not np.isfinite(samples).all():
+            raise FloatingPointError("cannot write samples beyond the float32 range")
+        payload = samples.tobytes()
     else:
         scale = float(1 << (8 * sample_bytes - 1))
         ints = np.clip(np.rint(data * scale), -scale, scale - 1).astype(np.int64)

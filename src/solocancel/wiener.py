@@ -180,14 +180,13 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
         raise ValueError("spectra must have identical shapes")
     ax = np.abs(spec_x)
     ay = np.abs(spec_y)
-    out = np.zeros_like(spec_x)
-    passthrough = ay == 0.0
-    out[passthrough] = spec_x[passthrough]
-    active = (ax > ay) & ~passthrough
-    mag = (ax[active] ** p - ay[active] ** p) ** (1.0 / p)
-    np.minimum(mag, ax[active], out=mag)  # guard rounding above |X|
-    out[active] = mag * (spec_x[active] / ax[active])
-    return out
+    # Computed on every bin, then selected: the bins where |X| <= |Y| may give NaN
+    # or negative magnitudes here, and none of them is selected.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = (ax**p - ay**p) ** (1.0 / p)
+        np.minimum(mag, ax, out=mag)  # guard rounding above |X|
+        subtracted = mag * (spec_x / ax)
+    return np.where(ay == 0.0, spec_x, np.where(ax > ay, subtracted, 0.0))
 
 
 def maw_ss_cancel(

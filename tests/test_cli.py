@@ -139,6 +139,12 @@ class TestSimulate:
         assert code == EXIT_BAD_ARGS
         assert not (out / "mixture.wav").exists()
 
+    def test_overflowing_level_diff_rejected(self, tmp_path):
+        out = tmp_path / "scene"
+        code = run_cli("simulate", "--duration", "0.3", "--level-diff", "1e5", "--out-dir", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert not (out / "mixture.wav").exists()
+
     def test_config_file_supplies_parameters(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("kappa=7\nlevel_diff=3.0\nduration=1.0\nseed=9\n")

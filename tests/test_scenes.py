@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import solocancel
 
 from solocancel import (
     AudioBuffer,
@@ -99,6 +105,11 @@ class TestSynthSiso:
 
     @pytest.mark.parametrize("level_diff", [np.nan, np.inf, -np.inf])
     def test_non_finite_level_diff_rejected(self, level_diff):
+        with pytest.raises(ValueError, match="level_diff_db"):
+            basic_config(level_diff_db=level_diff)
+
+    @pytest.mark.parametrize("level_diff", [1e5, 6200.0])
+    def test_overflowing_level_diff_rejected(self, level_diff):
         with pytest.raises(ValueError, match="level_diff_db"):
             basic_config(level_diff_db=level_diff)
 
@@ -259,3 +270,17 @@ class TestKvFiles:
         path.write_text("not a pair\n")
         with pytest.raises(ValueError):
             read_kv(path)
+
+
+class TestStartUp:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        """Only the generators and calibrate_latency need scipy.signal, which dominates
+        the package's import time; a fresh interpreter must not load it on import."""
+        package_root = os.path.dirname(os.path.dirname(solocancel.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, solocancel; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -122,6 +122,12 @@ class TestHelpers:
             write_wav(path, np.array([[0.5, 0.0], [bad, -0.5]]), 44100, fmt)
         assert not path.exists()
 
+    def test_float32_overflow_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with pytest.raises(FloatingPointError):
+            write_wav(path, [0.5, 1e300, -1e40], 8000, "float32")
+        assert not path.exists()
+
     def test_bad_format_rejected(self, mono):
         tmp, data = mono
         with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
-"""The three spectral cancellers against the hand-built pipelines they replaced.
+"""The spectral cancellers and the SNRF against the whole-file pipelines they replaced.
 
 ``sbw_cancel``, ``sbw_simo_cancel`` and ``maw_ss_cancel`` run their frame maps
 through ``stft._wola``. The oracles below are the pipelines each canceller
 wrote out by hand before that: ``stft`` of each input, the frame map,
 ``istft`` of a frame sequence with the first input's framing, and a cut to
-the input length. The outputs must agree bit for bit.
+the input length. The outputs must agree bit for bit, also when the engine
+runs its frames in blocks of any size; ``istft`` itself must agree bit for
+bit with a frame-by-frame overlap-add loop.
 """
 
+import importlib
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +22,21 @@ from solocancel import (
     AudioBuffer,
     BlockWienerConfig,
     SbwConfig,
+    make_partition,
     make_window,
     maw_ss_cancel,
     sbw_cancel,
     sbw_simo_cancel,
+    snrf,
     spectral_subtract,
 )
 from solocancel.sbw import cancel_frames
 from solocancel.simo import _frame_delays, half_wavelength_spacing, mrc_combine
 from solocancel.stft import SpectralFrameSeq, istft, stft
 from solocancel.wiener import matched_accompaniment
+
+# The module, which the package's ``stft`` function shadows as an attribute.
+stft_module = importlib.import_module("solocancel.stft")
 
 FS = 44100
 
@@ -82,6 +93,46 @@ def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window,
     est = spectral_subtract(spec_x.frames, spec_y.frames, p)
     out = resynthesize(spec_x, est)
     return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
+
+
+def frame_by_frame_istft(seq: SpectralFrameSeq) -> AudioBuffer:
+    """Oracle: ``istft`` as a loop that adds one windowed frame at a time."""
+    n_fft = seq.fft_size
+    hop = seq.hop
+    w = seq.window.coefficients
+    out_len = (seq.num_frames - 1) * hop + n_fft
+
+    pieces = np.fft.irfft(seq.frames, n=n_fft, axis=1) * w[None, :]
+    out = np.zeros(out_len)
+    envelope = np.zeros(out_len)
+    wsq = w * w
+    for t in range(seq.num_frames):
+        start = t * hop
+        out[start : start + n_fft] += pieces[t]
+        envelope[start : start + n_fft] += wsq
+
+    live = envelope > 1e-12
+    out[live] /= envelope[live]
+    out[~live] = 0.0
+    return AudioBuffer(out, seq.sample_rate)
+
+
+def whole_file_snrf(estimate, ref_solo, fft_size, hop, window):
+    """Oracle: ``snrf`` with ``return_segments``, from the ``stft`` of whole files."""
+    partition = make_partition(fft_size, estimate.sample_rate, None, 39)
+    mag_est = np.abs(stft(estimate, window, hop).frames)
+    mag_ref = np.abs(stft(ref_solo, window, hop).frames)
+    psi_signal = partition.band_mean(mag_ref**2)
+    psi_noise = partition.band_mean((mag_est - mag_ref) ** 2)
+    keep = psi_signal > 0.0
+    ratio_db = np.full(psi_signal.shape, 100.0)
+    measurable = keep & (psi_noise > 0.0)
+    ratio_db[measurable] = 10.0 * np.log10(psi_signal[measurable] / psi_noise[measurable])
+    np.clip(ratio_db, -100.0, 100.0, out=ratio_db)
+    seg_means = np.array(
+        [np.mean(row[k]) if np.any(k) else np.nan for row, k in zip(ratio_db, keep)]
+    )
+    return float(np.mean(ratio_db[keep])), seg_means
 
 
 @st.composite
@@ -177,3 +228,98 @@ class TestMawSsCancel:
         got = maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, window, p)
         want = hand_built_maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, window, p)
         assert same_bytes(got, want)
+
+
+@st.composite
+def small_framings(draw):
+    """(fft_size, hop, length, window) with a small FFT size, a hop of a quarter, half,
+    three quarters or all of the frame, and a length from one window to a dozen hops
+    past it, often shorter than one hop past a window and odd or even alike."""
+    fft_size = draw(st.sampled_from([8, 16, 32, 64]))
+    hop = fft_size * draw(st.sampled_from([1, 2, 3, 4])) // 4
+    past = draw(st.integers(0, hop - 1) | st.integers(0, 12 * hop))
+    window = draw(st.sampled_from([None, make_window("hann", fft_size)]))
+    return fft_size, hop, fft_size + past, window
+
+
+def num_frames(n, fft_size, hop):
+    return 1 + -(-(n - fft_size) // hop)
+
+
+class TestEveryBlockSize:
+    """The engine at every block size from one frame to the whole take, against the
+    whole-file oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        framing=small_framings(),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+        maw_taps=st.integers(1, 8),
+        maw_p=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_matches_whole_file_oracles(self, data, framing, seed, kappa, maw_taps, maw_p):
+        fft_size, hop, n, window = framing
+        cfg = data.draw(sbw_configs(fft_size, hop, window))
+        geometry = ArrayGeometry(spacing=half_wavelength_spacing(8000.0), sample_rate=FS)
+        maw_cfg = BlockWienerConfig(maw_taps, maw_taps + 16, 8)
+        mix1, mix2, ref = two_mic_take(seed, n)
+        want = {
+            "sbw": hand_built_sbw_cancel(mix1, ref, cfg, hop),
+            "sbw-simo": hand_built_sbw_simo_cancel(mix1, mix2, ref, cfg, hop, geometry, kappa),
+            "maw-ss": hand_built_maw_ss_cancel(
+                mix1, ref, maw_cfg, fft_size, hop, window, maw_p
+            ),
+        }
+        want_snrf, want_segments = whole_file_snrf(mix1, mix2, fft_size, hop, cfg.window)
+        for block in range(1, num_frames(n, fft_size, hop) + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(stft_module, "_BLOCK_FRAMES", block)
+                got = {
+                    "sbw": sbw_cancel(mix1, ref, cfg),
+                    "sbw-simo": sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa=kappa),
+                    "maw-ss": maw_ss_cancel(mix1, ref, maw_cfg, fft_size, hop, window, maw_p),
+                }
+                value, segments = snrf(
+                    mix1, mix2, None, fft_size, hop, cfg.window, return_segments=True
+                )
+            for name, buf in got.items():
+                assert same_bytes(buf, want[name]), (name, block)
+            assert value == want_snrf, block
+            assert segments.tobytes() == want_segments.tobytes(), block
+
+
+class TestIstft:
+    @settings(max_examples=100, deadline=None)
+    @given(framing=small_framings(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_frame_by_frame_loop(self, framing, seed):
+        fft_size, hop, n, window = framing
+        window = make_window("kbd", fft_size) if window is None else window
+        rng = np.random.default_rng(seed)
+        frames = stft(AudioBuffer(rng.standard_normal(n), FS), window, hop).frames
+        # a modified spectrum, as the cancellers hand to the overlap-add
+        frames *= rng.uniform(0.0, 1.0, frames.shape)
+        seq = SpectralFrameSeq(frames, fft_size, hop, FS, window)
+        assert same_bytes(istft(seq), frame_by_frame_istft(seq))
+
+
+class TestBoundedMemory:
+    def test_sbw_working_set_does_not_grow_with_length(self):
+        """Beyond its 8-byte-per-sample output, ``sbw_cancel`` holds one block of frames:
+        its traced peak past the output is the same for 5 s and 20 s of noise."""
+
+        def peak_beyond_output(seconds):
+            rng = np.random.default_rng(5)
+            n = int(seconds * FS)
+            mix = AudioBuffer(rng.standard_normal(n), FS)
+            ref = AudioBuffer(rng.standard_normal(n), FS)
+            tracemalloc.start()
+            try:
+                sbw_cancel(mix, ref)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 8 * n
+
+        assert peak_beyond_output(20.0) <= peak_beyond_output(5.0) + 2 * 2**20
