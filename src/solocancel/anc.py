@@ -118,7 +118,9 @@ def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
         raise ValueError(
             f"frame length {len(x)} too short for order {order} (need > {10 * order})"
         )
-    r = np.correlate(x, x, mode="full")[len(x) - 1 : len(x) + order] / len(x)
+    n = len(x)
+    # The biased autocorrelation at lags 0..order only, one dot product per lag.
+    r = np.array([np.dot(x[lag:], x[: n - lag]) for lag in range(order + 1)]) / n
     return Whitener(_levinson(r, order))
 
 

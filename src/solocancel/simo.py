@@ -87,16 +87,15 @@ def angle_from_delay(kappa: float, geometry: ArrayGeometry) -> float:
     return float(np.degrees(np.arcsin(s)))
 
 
-def estimate_delay(
-    frame1: np.ndarray,
-    frame2: np.ndarray,
-    geometry: ArrayGeometry,
-    rel_threshold: float = 0.01,
-) -> DelayEstimate:
+#: Share of its frame's peak |X1| that a bin must reach to enter the delay median.
+_REL_THRESHOLD = 0.01
+
+
+def estimate_delay(frame1: np.ndarray, frame2: np.ndarray, geometry: ArrayGeometry) -> DelayEstimate:
     """Median-of-bins delay estimate between two half-spectrum frames.
 
     Each retained bin w contributes -arg(X2/X1) * N / (2 pi w). Bins are
-    retained when |X1| clears ``rel_threshold`` of its frame peak and the bin
+    retained when |X1| clears 1 % of its frame peak and the bin
     is low enough that the physically possible delay cannot wrap the
     principal phase (w <= N / (2 kappa_max)); above that the observations
     alias and would bias the median.
@@ -111,24 +110,31 @@ def estimate_delay(
     kappa_max = geometry.max_delay_samples + 0.5
     cap = max(1, min(n_bins - 1, int(fft_size / (2.0 * kappa_max))))
 
-    mags = np.abs(frame1[1 : cap + 1])
-    peak = np.max(np.abs(frame1))
+    mags = np.abs(frame1)
+    peak = mags.max()
     if peak <= 0.0:
         raise NoSignalError("reference channel frame is silent")
-    keep = mags >= rel_threshold * peak
-    if not np.any(keep):
+    bins = np.flatnonzero(mags[1 : cap + 1] >= _REL_THRESHOLD * peak) + 1
+    if bins.size == 0:
         raise NoSignalError("no bins above the retention threshold")
 
-    bins = np.arange(1, cap + 1)[keep]
     ratio_phase = np.angle(frame2[bins] * np.conj(frame1[bins]))
     obs = -ratio_phase * fft_size / (2.0 * np.pi * bins)
+    # np.median from one partial sort: a NaN sorts last and is the median,
+    # else the middle element or the mean of the middle pair
+    half, odd = divmod(obs.size, 2)
+    part = np.partition(obs, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        median = part[-1]
+    else:
+        median = part[half] if odd else (part[half - 1] + part[half]) / 2.0
     # single low bins can produce out-of-range observations; the estimate
     # itself stays within the physical bound
-    kappa = float(np.clip(np.median(obs), -kappa_max, kappa_max))
+    kappa = float(min(max(median, -kappa_max), kappa_max))
     return DelayEstimate(
         kappa=kappa,
         theta_deg=angle_from_delay(kappa, geometry),
-        confidence=float(np.count_nonzero(keep)) / (n_bins - 1),
+        confidence=bins.size / (n_bins - 1),
     )
 
 
@@ -137,17 +143,23 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
 
     The second channel is counter-rotated by the per-bin phase of a
     ``kappa``-sample delay and averaged with the first. ``kappa`` is a scalar,
-    or one delay per frame for stacked (frames x bins) spectra.
+    or one delay per frame for stacked (frames x bins) spectra; any other
+    shape is a ``ValueError``. The rotation is built once per distinct delay.
     """
     frame1 = np.asarray(frame1, dtype=np.complex128)
     frame2 = np.asarray(frame2, dtype=np.complex128)
     if frame1.shape != frame2.shape:
         raise ValueError("frames must have equal length")
+    if np.shape(kappa) not in ((), frame1.shape[:-1]):
+        raise ValueError(
+            f"kappa of shape {np.shape(kappa)} is neither a scalar nor one delay per "
+            f"frame for frames of shape {frame1.shape}"
+        )
     n_bins = frame1.shape[-1]
     fft_size = 2 * (n_bins - 1)
-    if np.ndim(kappa) == 1:
-        kappa = np.asarray(kappa)[:, None]
-    rot = np.exp(2j * np.pi * kappa * np.arange(n_bins) / fft_size)
+    values, inverse = np.unique(kappa, return_inverse=True)
+    rot = np.exp(2j * np.pi * values[:, None] * np.arange(n_bins) / fft_size)
+    rot = rot[inverse.ravel()].reshape(np.shape(kappa) + (n_bins,))
     return 0.5 * (frame1 + rot * frame2)
 
 

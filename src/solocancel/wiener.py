@@ -180,13 +180,18 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
         raise ValueError("spectra must have identical shapes")
     ax = np.abs(spec_x)
     ay = np.abs(spec_y)
-    # Computed on every bin, then selected: the bins where |X| <= |Y| may give NaN
-    # or negative magnitudes here, and none of them is selected.
+    # Computed in place on every bin, then overwritten: the bins where |X| <= |Y|
+    # may give NaN or negative magnitudes here, and all of them are zeroed.
     with np.errstate(divide="ignore", invalid="ignore"):
-        mag = (ax**p - ay**p) ** (1.0 / p)
+        mag = ax**p
+        mag -= ay**p
+        mag **= 1.0 / p
         np.minimum(mag, ax, out=mag)  # guard rounding above |X|
-        subtracted = mag * (spec_x / ax)
-    return np.where(ay == 0.0, spec_x, np.where(ax > ay, subtracted, 0.0))
+        out = spec_x / ax
+        out *= mag
+    out[~(ax > ay)] = 0.0
+    np.copyto(out, spec_x, where=ay == 0.0)
+    return out
 
 
 def maw_ss_cancel(

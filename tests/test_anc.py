@@ -7,6 +7,7 @@ from solocancel import (
     AncConfig, AudioBuffer, LmsState, Whitener, anc_cancel, broadband_accompaniment, fit_whitener,
     lms_step, noise_plus_tones,
 )
+from solocancel.anc import _levinson
 
 
 def planted_system(n, taps=4, seed=0, sigma=1.0):
@@ -108,6 +109,45 @@ class TestFitWhitener:
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
             fit_whitener(AudioBuffer(np.ones(100)), 15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 40),
+        extra=st.integers(2, 3000),
+        kind=st.sampled_from(["noise", "ar2", "tone", "silent", "scene"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_correlation_oracle(self, order, extra, kind, seed):
+        # The lags 0..order of the full np.correlate, then the same Levinson recursion.
+        rng = np.random.default_rng(seed)
+        n = 10 * order + extra
+        if kind == "noise":
+            x = rng.standard_normal(n)
+        elif kind == "ar2":
+            x = np.zeros(n)
+            drive = rng.standard_normal(n)
+            for k in range(2, n):
+                x[k] = 1.2 * x[k - 1] - 0.5 * x[k - 2] + drive[k]
+        elif kind == "tone":
+            x = np.sin(0.05 * np.arange(n)) + 1e-6 * rng.standard_normal(n)
+        elif kind == "silent":
+            x = np.zeros(n)
+        else:
+            x = broadband_accompaniment(1.0, 8000, seed=seed % 1000).samples[:n]
+            n = len(x)
+            if n <= 10 * order:
+                return
+        r = np.correlate(x, x, mode="full")[n - 1 : n + order] / n
+        got = fit_whitener(AudioBuffer(x), order).coeffs
+        assert got.tobytes() == _levinson(r, order).tobytes()
+
+    def test_eleven_sample_frame_matches_to_rounding(self):
+        # np.correlate sums the zero lag of a frame of at most 11 samples in its own
+        # loop rather than BLAS's dot: the one frame fit_whitener accepts at that
+        # length (order 1) may differ from it in the last bits of r[0].
+        x = np.random.default_rng(0).standard_normal(11)
+        r = np.correlate(x, x, mode="full")[10:12] / 11
+        assert np.allclose(fit_whitener(AudioBuffer(x), 1).coeffs, _levinson(r, 1), rtol=1e-14, atol=0)
 
     def test_matches_direct_normal_equations(self):
         import scipy.linalg

@@ -73,6 +73,56 @@ def loop_frame_delays(
     return smoothed
 
 
+def loop_mrc_combine(frame1, frame2, kappa):
+    """Oracle: the complex-exp rotation built for every frame, row by row."""
+    frame1 = np.atleast_2d(frame1)
+    frame2 = np.atleast_2d(frame2)
+    n_bins = frame1.shape[-1]
+    fft_size = 2 * (n_bins - 1)
+    kappa = np.broadcast_to(kappa, frame1.shape[:-1])
+    out = np.empty_like(frame1)
+    for t in range(frame1.shape[0]):
+        rot = np.exp(2j * np.pi * kappa[t] * np.arange(n_bins) / fft_size)
+        out[t] = 0.5 * (frame1[t] + rot * frame2[t])
+    return out
+
+
+def median_estimate_delay(frame1, frame2, geometry):
+    """Oracle: the delay estimate with ``np.median`` and ``np.clip``, returned as
+    (kappa, theta_deg, confidence), or the ``NoSignalError`` message."""
+    n_bins = frame1.shape[0]
+    fft_size = 2 * (n_bins - 1)
+    kappa_max = geometry.max_delay_samples + 0.5
+    cap = max(1, min(n_bins - 1, int(fft_size / (2.0 * kappa_max))))
+    mags = np.abs(frame1[1 : cap + 1])
+    peak = np.max(np.abs(frame1))
+    if peak <= 0.0:
+        return "reference channel frame is silent"
+    keep = mags >= 0.01 * peak
+    if not np.any(keep):
+        return "no bins above the retention threshold"
+    bins = np.arange(1, cap + 1)[keep]
+    ratio_phase = np.angle(frame2[bins] * np.conj(frame1[bins]))
+    obs = -ratio_phase * fft_size / (2.0 * np.pi * bins)
+    kappa = float(np.clip(np.median(obs), -kappa_max, kappa_max))
+    return kappa, angle_from_delay(kappa, geometry), float(np.count_nonzero(keep)) / (n_bins - 1)
+
+
+def estimate_or_message(frame1, frame2, geometry):
+    try:
+        est = estimate_delay(frame1, frame2, geometry)
+    except NoSignalError as err:
+        return str(err)
+    return est.kappa, est.theta_deg, est.confidence
+
+
+def same_bits(a, b):
+    """Equal results, floats compared by their bytes (NaN and signed zeros included)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
 #: Frame kinds for the delay-track property test: an unrelated pair, a silent
 #: frame, one below the energy floor, one whose energy lies above the alias-free
 #: bins (estimate_delay raises NoSignalError), and identical channels.
@@ -158,6 +208,57 @@ class TestEstimateDelay:
         est = estimate_delay(x, x.copy(), geometry())
         assert 0.0 < est.confidence <= 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_bins=st.sampled_from([17, 65, 129, 1001]),
+        kept=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        nan_bin=st.booleans(),
+    )
+    def test_matches_median_oracle(self, n_bins, kept, seed, nan_bin):
+        # ``kept`` loud bins below the alias cap, the rest 1e-3 of the peak or less:
+        # odd and even kept counts, one kept bin, and none (NoSignalError).
+        rng = np.random.default_rng(seed)
+        geo = geometry()
+        frame1 = 1e-3 * rng.uniform(0.0, 1.0, n_bins) * np.exp(2j * np.pi * rng.uniform(size=n_bins))
+        frame2 = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+        frame1[rng.choice(np.arange(1, n_bins), size=min(kept, n_bins - 1), replace=False)] *= 1e4
+        if nan_bin:  # NaN propagates through the median as in np.median
+            frame2[rng.integers(1, 4)] = np.nan
+        got = estimate_or_message(frame1, frame2, geo)
+        assert same_bits(got, median_estimate_delay(frame1, frame2, geo))
+
+    @pytest.mark.parametrize(
+        "frame1, message",
+        [
+            (np.zeros(129, dtype=complex), "reference channel frame is silent"),
+            (np.r_[np.zeros(100), np.ones(29)].astype(complex), "no bins above the retention threshold"),
+            (np.full(129, np.nan, dtype=complex), "no bins above the retention threshold"),
+        ],
+        ids=["silent", "energy-above-alias-cap", "nan-frame"],
+    )
+    def test_no_signal_branches_match_oracle(self, frame1, message):
+        frame2 = np.ones(129, dtype=complex)
+        assert median_estimate_delay(frame1, frame2, geometry()) == message
+        with pytest.raises(NoSignalError, match=message):
+            estimate_delay(frame1, frame2, geometry())
+
+    @pytest.mark.parametrize("nan_observation", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 5, 6])
+    def test_odd_and_even_kept_counts(self, count, nan_observation):
+        rng = np.random.default_rng(count)
+        frame1 = np.zeros(129, dtype=complex)
+        frame1[1 : count + 1] = 1.0
+        frame2 = rng.standard_normal(129) + 1j * rng.standard_normal(129)
+        if nan_observation:
+            frame2[1] = np.nan
+        got = estimate_delay(frame1, frame2, geometry())
+        assert got.confidence == count / 128
+        assert np.isnan(got.kappa) == nan_observation
+        assert same_bits(
+            (got.kappa, got.theta_deg, got.confidence), median_estimate_delay(frame1, frame2, geometry())
+        )
+
     def test_estimate_respects_physical_bound(self):
         rng = np.random.default_rng(12)
         geo = geometry()
@@ -204,6 +305,52 @@ class TestMrcCombine:
         lhs = mrc_combine(a * x + b * y, a * u + b * v, kappa)
         rhs = a * mrc_combine(x, u, kappa) + b * mrc_combine(y, v, kappa)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_bins=st.sampled_from([65, 1001, 1501]),  # FFT sizes 128, 2000 and 3000
+        kappas=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.2, -0.2, 0.999, 1.75, np.nan]),
+                st.floats(-3.0, 3.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_by_row_rotation(self, n_bins, kappas, seed):
+        # Few distinct delays among many frames, as on a take: repeated values,
+        # one value, NaN and signed zeros.
+        rng = np.random.default_rng(seed)
+        shape = (len(kappas), n_bins)
+        e1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        e2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kappa = np.array(kappas)
+        assert mrc_combine(e1, e2, kappa).tobytes() == loop_mrc_combine(e1, e2, kappa).tobytes()
+        same = np.full(len(kappas), kappas[0])
+        assert mrc_combine(e1, e2, same).tobytes() == loop_mrc_combine(e1, e2, same).tobytes()
+        # A scalar delay on one frame and on the stack.
+        got = mrc_combine(e1[0], e2[0], kappas[0])
+        assert got.shape == (n_bins,)
+        assert got.tobytes() == loop_mrc_combine(e1[0], e2[0], kappas[0]).tobytes()
+        assert mrc_combine(e1, e2, kappas[0]).tobytes() == loop_mrc_combine(e1, e2, same).tobytes()
+
+    def test_one_delay_on_one_frame_rejected(self):
+        e1 = np.ones(2049, dtype=complex)
+        with pytest.raises(ValueError, match=r"\(1,\).*\(2049,\)"):
+            mrc_combine(e1, e1, np.array([0.5]))
+
+    def test_wrong_number_of_delays_rejected(self):
+        e1 = np.ones((4, 65), dtype=complex)
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4, 65\)"):
+            mrc_combine(e1, e1, np.zeros(3))
+
+    def test_per_frame_and_zero_d_delays_accepted(self):
+        e1 = np.ones((4, 65), dtype=complex)
+        assert mrc_combine(e1, e1, np.zeros(4)).shape == (4, 65)
+        assert mrc_combine(e1, e1, np.array(0.5)).shape == (4, 65)
+        assert mrc_combine(e1[0], e1[0], np.array(0.5)).shape == (65,)
 
 
 class TestSbwSimoCancel:

@@ -240,7 +240,55 @@ class TestMawCancel:
             BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=np.nan)
 
 
+def where_spectral_subtract(spec_x, spec_y, p):
+    """Oracle: the subtraction computed on every bin, then selected by two nested
+    ``np.where``."""
+    ax = np.abs(spec_x)
+    ay = np.abs(spec_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = (ax**p - ay**p) ** (1.0 / p)
+        np.minimum(mag, ax, out=mag)
+        subtracted = mag * (spec_x / ax)
+    return np.where(ay == 0.0, spec_x, np.where(ax > ay, subtracted, 0.0))
+
+
+#: Real and imaginary parts for the oracle test: signed zeros and values whose
+#: squares and sums tie.
+PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, -4.0, 5.0, 0.5, 1e-300, 1e300]
+
+
 class TestSpectralSubtract:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([0.5, 1.0, 1.7, 2.0]),
+        parts=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from(PARTS), st.floats(-10.0, 10.0)) for _ in range(4)]),
+            min_size=1,
+            max_size=24,
+        ),
+        tie=st.lists(st.sampled_from(["none", "equal", "swapped", "zero-x", "zero-y"]), min_size=24, max_size=24),
+    )
+    def test_matches_nested_where_oracle(self, p, parts, tie):
+        # Each bin draws X and Y from signed zeros, ties and random values, then
+        # may force |X| = |Y| (Y = X, or Y = X with its parts swapped and
+        # negated), zero |X| or zero |Y|.
+        x = np.array([complex(a, b) for a, b, _, _ in parts])
+        y = np.array([complex(c, d) for _, _, c, d in parts])
+        for k, kind in enumerate(tie[: len(parts)]):
+            if kind == "equal":
+                y[k] = x[k]
+            elif kind == "swapped":
+                y[k] = complex(-x[k].imag, x[k].real)
+            elif kind == "zero-x":
+                x[k] = complex(-0.0, 0.0)
+            elif kind == "zero-y":
+                y[k] = complex(0.0, -0.0)
+        got = spectral_subtract(x, y, p)
+        assert got.tobytes() == where_spectral_subtract(x, y, p).tobytes()
+        stack = np.stack([x, y[::-1]])
+        got = spectral_subtract(stack, stack[::-1], p)
+        assert got.tobytes() == where_spectral_subtract(stack, stack[::-1], p).tobytes()
+
     def test_equal_magnitudes_cancel(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
