@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -38,27 +39,44 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+def _integer(p: dict, key: str) -> int:
+    """Setting ``key`` as an int: an integral number, else ValueError naming it."""
+    value = p[key]
+    whole_float = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or whole_float):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(p: dict, key: str) -> bool:
+    """Setting ``key`` as a bool: true, false, 0 or 1, else ValueError naming it."""
+    value = p[key]
+    if not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise ValueError(f"{key} must be true, false, 0 or 1, got {value!r}")
+    return bool(value)
+
+
 def _anc_config(p: dict) -> AncConfig:
     return AncConfig(
-        taps=int(p["taps"]), mu=float(p["mu"]), normalized=bool(p["normalized"]),
-        prewhiten=bool(p["prewhiten"]), lp_order=int(p["lp_order"]),
-        refresh_interval=int(p["refresh_interval"]),
+        taps=_integer(p, "taps"), mu=float(p["mu"]), normalized=_boolean(p, "normalized"),
+        prewhiten=_boolean(p, "prewhiten"), lp_order=_integer(p, "lp_order"),
+        refresh_interval=_integer(p, "refresh_interval"),
     )
 
 
 def _block_config(p: dict) -> BlockWienerConfig:
     return BlockWienerConfig(
-        taps=int(p["taps"]), block_size=int(p["block_size"]), hop=int(p["hop"]),
-        regularization=float(p["regularization"]), interpolate=bool(p["interpolate"]),
+        taps=_integer(p, "taps"), block_size=_integer(p, "block_size"), hop=_integer(p, "hop"),
+        regularization=float(p["regularization"]), interpolate=_boolean(p, "interpolate"),
     )
 
 
 def _maw_ss_config(p: dict):
     """Block settings plus the STFT subtraction settings, as a (cfg, extra) pair."""
     cfg = _block_config(p)
-    fft_size = int(p["fft_size"])
+    fft_size = _integer(p, "fft_size")
     window, fft_hop = _framing(
-        fft_size, None if p["fft_hop"] is None else int(p["fft_hop"]),
+        fft_size, None if p["fft_hop"] is None else _integer(p, "fft_hop"),
         make_window("kbd", fft_size, float(p["window_shape"])),
     )
     extra = {"fft_size": fft_size, "fft_hop": fft_hop, "p": float(p["p"]), "window": window}
@@ -68,11 +86,12 @@ def _maw_ss_config(p: dict):
 
 
 def _sbw_config(p: dict) -> SbwConfig:
-    fft_size = int(p["fft_size"])
+    fft_size = _integer(p, "fft_size")
     return SbwConfig(
-        fft_size=fft_size, hop=None if p["hop"] is None else int(p["hop"]),
+        fft_size=fft_size, hop=None if p["hop"] is None else _integer(p, "hop"),
         window=make_window("kbd", fft_size, float(p["window_shape"])),
-        num_bands=int(p["num_bands"]), cutoff=None if p["cutoff"] is None else float(p["cutoff"]),
+        num_bands=_integer(p, "num_bands"),
+        cutoff=None if p["cutoff"] is None else float(p["cutoff"]),
         p=float(p["p"]), wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
     )
 

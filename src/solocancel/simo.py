@@ -83,7 +83,8 @@ def delay_from_angle(theta_deg: float, geometry: ArrayGeometry) -> float:
 def angle_from_delay(kappa: float, geometry: ArrayGeometry) -> float:
     """Inverse of :func:`delay_from_angle`, degrees; delays past the physical
     bound read as +-90."""
-    s = np.clip(kappa / geometry.max_delay_samples, -1.0, 1.0)
+    # A Python clip, far cheaper than np.clip on a scalar; s first, so NaN stays NaN.
+    s = min(max(kappa / geometry.max_delay_samples, -1.0), 1.0)
     return float(np.degrees(np.arcsin(s)))
 
 

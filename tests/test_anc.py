@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solocancel import (
     AncConfig, AudioBuffer, LmsState, Whitener, anc_cancel, broadband_accompaniment, fit_whitener,
     lms_step, noise_plus_tones,
 )
-from solocancel.anc import _levinson
+from solocancel import anc as anc_module
+from solocancel.anc import _levinson, _peak_window_energy
+from solocancel.audio import require_matched
 
 
 def planted_system(n, taps=4, seed=0, sigma=1.0):
@@ -17,6 +19,108 @@ def planted_system(n, taps=4, seed=0, sigma=1.0):
     h /= np.linalg.norm(h)
     mix = np.convolve(ref, h)[:n]
     return ref, mix, h
+
+
+# The per-sample recursion that anc_cancel computes block-exact, kept as its oracle.
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises below instead
+def loop_anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> AudioBuffer:
+    """Run the full adaptive recursion over a recording.
+
+    Returns the error sequence e(k) = x(k) - w(k) . n0(k), which is the solo
+    estimate. The filter is causal on the reference; no latency is added.
+    Raises FloatingPointError when the recursion diverges to a non-finite
+    estimate.
+    """
+    require_matched(mixture, reference)
+    x = mixture.samples
+    ref = reference.samples
+    n = len(x)
+    m = cfg.taps
+    mu = cfg.mu
+
+    pw = cfg.prewhiten
+    p = cfg.lp_order if pw else 0
+    pad = max(m - 1, p)
+    rp = np.concatenate((np.zeros(pad), ref))
+    w = np.zeros(m)  # oldest-first, matching the window slices below
+    out = np.empty(n)
+
+    # NLMS guard: skip the update while the regressor norm is zero or
+    # vanishing relative to the loudest window in the whole recording, else a
+    # faded-in reference turns 1/||n0||^2 into a divergent step. Relative, so
+    # the guard is invariant under common scaling of the inputs.
+    if cfg.normalized:
+        nsq_floor = 1e-10 * _peak_window_energy(ref, m)
+    else:
+        nsq_floor = 0.0
+
+    if pw:
+        a = np.zeros(p)  # identity whitener until the first refit
+        wp = np.zeros(pad + n)  # whitened reference, same padding as rp
+        e_hist = np.zeros(p)  # past raw errors, newest first
+    for k in range(n):
+        if pw and k > 0 and k % cfg.refresh_interval == 0:
+            seg = AudioBuffer(ref[k - cfg.refresh_interval : k], reference.sample_rate)
+            a = fit_whitener(seg, p).coeffs
+        win = rp[pad + k - m + 1 : pad + k + 1]
+        e = x[k] - np.dot(w, win)
+        out[k] = e
+        # The update's regressor and error: the window and the raw error, or
+        # both passed through the whitener.
+        u, e_u = win, e
+        if pw:
+            wp[pad + k] = rp[pad + k] - np.dot(a, rp[pad + k - p : pad + k][::-1])
+            u = wp[pad + k - m + 1 : pad + k + 1]
+            e_u = e - np.dot(a, e_hist)
+            e_hist[1:] = e_hist[:-1]
+            e_hist[0] = e
+        if cfg.normalized:
+            nsq = np.dot(u, u)
+            if nsq > nsq_floor:
+                w += (mu * e_u / nsq) * u
+        else:
+            w += (mu * e_u) * u
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("adaptive filter diverged: the estimate is not finite")
+    return AudioBuffer(out, mixture.sample_rate)
+
+
+def click_fade_reference(n, rng):
+    """A click, silence, then noise fading in: window energies that jump, vanish
+    and creep up through the NLMS guard floor."""
+    ref = np.zeros(n)
+    if n:
+        ref[n // 10] = 5.0
+    start = n // 2
+    ref[start:] = rng.standard_normal(n - start) * np.linspace(0.0, 1.0, n - start) ** 3
+    return ref
+
+
+def assert_matches_loop(mix, ref, cfg):
+    """anc_cancel within rtol 1e-9, atol 1e-12 of the loop, raising exactly when
+    the loop's estimate is not finite."""
+    try:
+        want = loop_anc_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
+    except FloatingPointError:
+        with pytest.raises(FloatingPointError):
+            anc_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
+        return
+    got = anc_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def recursion_inputs(n, seed, reference, silence):
+    """A mixture and reference of n samples; the reference is noise with a
+    leading silence, or the click-silence-fade one."""
+    rng = np.random.default_rng(seed)
+    if reference == "click":
+        ref = click_fade_reference(n, rng)
+    else:
+        ref = rng.standard_normal(n)
+        ref[: int(silence * n)] = 0.0  # leading silence trips the NLMS guard
+    # the appended zero keeps np.convolve's input non-empty when n = 0
+    mix = np.convolve(np.r_[ref, 0.0], rng.standard_normal(4))[:n] + 0.1 * rng.standard_normal(n)
+    return mix, ref
 
 
 class TestLmsStep:
@@ -305,3 +409,73 @@ class TestAncCancel:
             for k in range(n):
                 state, stepped[k] = lms_step(state, mix[k], ref[k])
             assert np.allclose(batch.samples, stepped, rtol=1e-9, atol=1e-12)
+
+
+class TestBlockExactRecursion:
+    """anc_cancel's block recursion against the per-sample loop it replaced.
+
+    Pre-whitened NLMS at one tap is left out: it diverges because the guard
+    floor comes from the raw reference while the step divides by the whitened
+    energy, an open defect whose fix changes the bytes of the estimate.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(0, 1500),
+        taps=st.integers(1, 300),
+        mu=st.sampled_from([0.0, 0.005, 0.2]),
+        normalized=st.booleans(),
+        whitening=st.one_of(
+            st.none(),
+            st.tuples(st.one_of(st.integers(1, 12), st.just(80)), st.integers(1, 300)),
+        ),
+        reference=st.sampled_from(["noise", "click"]),
+        silence=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=63, taps=64, mu=0.2, normalized=True, whitening=None, reference="noise",
+             silence=0.0, seed=0)
+    @example(n=64, taps=64, mu=0.2, normalized=True, whitening=None, reference="noise",
+             silence=0.0, seed=0)
+    @example(n=65, taps=65, mu=0.005, normalized=False, whitening=(4, 1), reference="click",
+             silence=0.0, seed=1)
+    @example(n=1500, taps=300, mu=0.2, normalized=True, whitening=(80, 7), reference="noise",
+             silence=0.3, seed=2)
+    @example(n=1200, taps=100, mu=0.005, normalized=True, whitening=(15, 99), reference="click",
+             silence=0.0, seed=3)
+    @example(n=1500, taps=300, mu=0.2, normalized=False, whitening=None, reference="noise",
+             silence=0.0, seed=4)  # LMS far above its step bound: both raise
+    def test_matches_loop(self, n, taps, mu, normalized, whitening, reference, silence, seed):
+        assume(not (whitening and normalized and taps == 1))
+        mix, ref = recursion_inputs(n, seed, reference, silence)
+        cfg = AncConfig(taps=taps, mu=mu, normalized=normalized)
+        if whitening:
+            lp_order, extra = whitening
+            cfg = AncConfig(taps=taps, mu=mu, normalized=normalized, prewhiten=True,
+                            lp_order=lp_order, refresh_interval=10 * lp_order + extra)
+        assert_matches_loop(mix, ref, cfg)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        taps=st.integers(1, 40),
+        mu=st.sampled_from([0.005, 0.2]),
+        normalized=st.booleans(),
+        whitening=st.one_of(st.none(), st.tuples(st.integers(1, 8), st.integers(1, 30))),
+        reference=st.sampled_from(["noise", "click"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_block_size(self, n, taps, mu, normalized, whitening, reference, seed):
+        # At one sample per block the recursion is the per-sample loop; at n the
+        # whole take (or the whole whitener span) is one block.
+        assume(not (whitening and normalized and taps == 1))
+        mix, ref = recursion_inputs(n, seed, reference, 0.2)
+        cfg = AncConfig(taps=taps, mu=mu, normalized=normalized)
+        if whitening:
+            lp_order, extra = whitening
+            cfg = AncConfig(taps=taps, mu=mu, normalized=normalized, prewhiten=True,
+                            lp_order=lp_order, refresh_interval=10 * lp_order + extra)
+        for block in range(1, n + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(anc_module, "_BLOCK_SAMPLES", block)
+                assert_matches_loop(mix, ref, cfg)

@@ -51,6 +51,21 @@ class TestBuildAlgorithmConfig:
         cfg = build_algorithm_config("sbw", "none", {"fft_size": 1024, "p": 2.0})
         assert cfg.fft_size == 1024 and cfg.hop == 512 and cfg.p == 2.0
 
+    @pytest.mark.parametrize("text,normalized", [("false", False), ("0", False), ("1", True)])
+    def test_boolean_and_integer_settings_parse(self, text, normalized):
+        overrides = cli._parse_overrides([f"normalized={text}", "taps=255"])
+        cfg = build_algorithm_config("anc", "none", overrides)
+        assert (cfg.normalized, cfg.taps) == (normalized, 255)
+        assert type(cfg.normalized) is bool and type(cfg.taps) is int
+
+    def test_invalid_setting_names_its_key(self, tmp_path, capsys):
+        code = run_cli(
+            "cancel", "--algo", "maw", "--set", "interpolate=off",
+            str(tmp_path / "no.wav"), str(tmp_path / "no2.wav"), str(tmp_path / "out.wav"),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert "interpolate" in capsys.readouterr().err
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             build_algorithm_config("sbw", "none", {"bogus": 1})
@@ -78,10 +93,15 @@ class TestBuildAlgorithmConfig:
         ("maw-ss", {"p": np.nan}),
         ("maw", {"regularization": np.nan}),
         ("anc", {"mu": np.nan}),
+        ("anc", {"normalized": "no"}),
+        ("anc", {"prewhiten": "nope"}),
+        ("maw", {"interpolate": "off"}),
+        ("anc", {"taps": 1.7}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
             "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
             "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
-            "sbw-window_shape-nan", "maw-ss-p-nan", "maw-regularization-nan", "anc-mu-nan"])
+            "sbw-window_shape-nan", "maw-ss-p-nan", "maw-regularization-nan", "anc-mu-nan",
+            "anc-normalized-no", "anc-prewhiten-nope", "maw-interpolate-off", "anc-taps-1.7"])
     def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)

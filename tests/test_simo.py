@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,17 @@ class TestGeometry:
         for kappa in np.linspace(-bound, bound, 11):
             theta = angle_from_delay(kappa, geo)
             assert delay_from_angle(theta, geo) == pytest.approx(kappa, abs=1e-9)
+
+    def test_angle_clip_matches_numpy_clip(self):
+        # angle_from_delay clips the ratio in Python: the bytes of np.clip's form,
+        # at the bounds, one ulp either side, signed zeros, infinities, NaN, subnormals
+        unit = SimpleNamespace(max_delay_samples=1.0)
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        for s in (0.0, 1.0, up, down, np.inf, np.nan, 5e-324):
+            for ratio in (s, -s, np.float64(s), np.float64(-s)):
+                want = float(np.degrees(np.arcsin(np.clip(ratio, -1.0, 1.0))))
+                got = angle_from_delay(ratio, unit)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), ratio
 
     @settings(max_examples=300, deadline=None)
     @given(
