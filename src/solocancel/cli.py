@@ -305,14 +305,16 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-#: Sweep parameters that set an algorithm parameter: name -> (parameter, type).
+#: Sweep parameters that set an algorithm parameter: name -> parameter.
 _SWEEP_SETS = {
-    "fft-size": ("fft_size", int),
-    "window-shape": ("window_shape", float),
-    "subbands": ("num_bands", int),
-    "wiener-exponent": ("wiener_exponent", float),
-    "p-norm": ("p", float),
+    "fft-size": "fft_size",
+    "window-shape": "window_shape",
+    "subbands": "num_bands",
+    "wiener-exponent": "wiener_exponent",
+    "p-norm": "p",
 }
+#: Sweep parameters whose values must be integral; the others take finite numbers.
+_SWEEP_INTEGERS = ("fft-size", "subbands", "delay-mismatch")
 #: Sweep parameters that run the two-microphone pipeline whatever the algorithm.
 _SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
 #: Sweep parameters that change the scene; for the others it depends on the scene index alone.
@@ -330,14 +332,27 @@ def _two_mic(args) -> bool:
     return args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
 
 
+def _sweep_value(param: str, value):
+    """A parsed ``--values`` entry as ``param`` takes it: an int by the ``--set`` rule for the
+    ``_SWEEP_INTEGERS``, else a finite float; ValueError naming ``param`` otherwise."""
+    if param in _SWEEP_INTEGERS:
+        return _integer({param: value}, param)
+    try:
+        if np.isfinite(number := float(value)):
+            return number
+    except (ValueError, OverflowError):  # text, or an integer beyond the float range
+        pass
+    raise ValueError(f"{param} must be a finite number, got {value!r}")
+
+
 def _sweep_scene(args, value, scene_index: int):
     """The scene of a sweep point; ``value`` is read only for the ``_SWEEP_SCENE`` parameters."""
     seed = args.seed + scene_index
-    level_diff = float(value) if args.param == "level-diff" else args.level_diff_db
-    kappa = int(value) if args.param == "delay-mismatch" else args.kappa
+    level_diff = value if args.param == "level-diff" else args.level_diff_db
+    kappa = value if args.param == "delay-mismatch" else args.kappa
     if not _two_mic(args):
         return _scene(args, seed, kappa, level_diff)
-    spacing = float(value) if args.param == "mic-spacing" else args.spacing
+    spacing = value if args.param == "mic-spacing" else args.spacing
     return _scene(args, seed, kappa, level_diff, layout=_sido_layout(args, spacing))
 
 
@@ -345,8 +360,7 @@ def _sweep_point(args, overrides: dict, value, scene):
     """One sweep measurement of ``value`` on ``scene``; returns a MetricsReport."""
     overrides = dict(overrides)
     if args.param in _SWEEP_SETS:
-        key, kind = _SWEEP_SETS[args.param]
-        overrides[key] = kind(value)
+        overrides[_SWEEP_SETS[args.param]] = value
 
     algorithm, channels = args.algorithm, [scene.mixture]
     if _two_mic(args):
@@ -355,7 +369,7 @@ def _sweep_point(args, overrides: dict, value, scene):
         overrides.update(spacing=layout.spacing, f_max=layout.f_max)
         if args.param == "angle-mismatch":
             geometry = layout.geometry(scene.reference.sample_rate)
-            overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + float(value), geometry)
+            overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + value, geometry)
     algo_cfg = build_algorithm_config(algorithm, args.preset, overrides)
     estimate = ALGORITHMS[algorithm].cancel(algo_cfg, channels, scene.reference)
     return measure(estimate, scene.reference_solo)
@@ -363,9 +377,12 @@ def _sweep_point(args, overrides: dict, value, scene):
 
 def _cmd_sweep(args) -> int:
     overrides = _parse_overrides(args.overrides)
-    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
-    if not values:
+    given = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    if not given:
         raise ValueError("--values is required")
+    values = [_sweep_value(args.param, value) for value in given]
+    if args.param == "delay-mismatch" and min(values) < 0:
+        raise ValueError(f"delay-mismatch must be >= 0, got {min(values)}")
     if args.num_scenes < 1:
         raise ValueError("--num-scenes must be >= 1")
     if args.param in _SWEEP_TWO_MIC and args.algorithm not in ("sbw", "sbw-simo"):
@@ -373,12 +390,19 @@ def _cmd_sweep(args) -> int:
     label = "sbw-simo" if _two_mic(args) else args.algorithm
     if _two_mic(args):
         for spacing in values if args.param == "mic-spacing" else [args.spacing]:
-            _sido_layout(args, float(spacing))
+            _sido_layout(args, spacing)
         fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
         if fixed:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
-    # validate the base configuration (and overrides) up front
+    # validate the base configuration (and overrides), then every swept setting, up front
     build_algorithm_config(label, args.preset, overrides)
+    if args.param in _SWEEP_SETS:
+        for text, value in zip(given, values):
+            swept = {**overrides, _SWEEP_SETS[args.param]: value}
+            try:
+                build_algorithm_config(label, args.preset, swept)
+            except ValueError as exc:
+                raise ValueError(f"{args.param} {text}: {exc}") from exc
 
     reports = {}
     for si in range(args.num_scenes):
@@ -388,7 +412,7 @@ def _cmd_sweep(args) -> int:
             reports[vi, si] = _sweep_point(args, overrides, value, scene)
 
     rows = []
-    for vi, value in enumerate(values):
+    for vi, value in enumerate(given):
         for metric in ("rmsd_db", "snrf_db"):
             samples = [getattr(reports[vi, si], metric) for si in range(args.num_scenes)]
             summary = [np.median(samples), *np.percentile(samples, [25, 75])]

@@ -51,6 +51,8 @@ class SbwConfig:
 
     def __post_init__(self):
         self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
+        if self.num_bands < 1:
+            raise ValueError("num_bands must be >= 1")
         if not self.p > 0:
             raise ValueError("p must be > 0")
         if not self.wiener_exponent >= 0:

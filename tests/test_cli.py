@@ -557,6 +557,50 @@ class TestSweep:
         assert code == 0
         assert len(calls) == syntheses
 
+    @pytest.mark.parametrize("param,values,algorithm", [
+        ("fft-size", "1024.5", "sbw"),
+        ("subbands", "13.9", "sbw"),
+        ("delay-mismatch", "3.7", "maw"),
+        ("subbands", "8,-5", "sbw"),
+        ("fft-size", "1024,1025", "sbw"),
+        ("delay-mismatch", "16,-1", "sbw"),
+        ("level-diff", "6,nan", "sbw"),
+        ("window-shape", "4,wide", "sbw"),
+        ("fft-size", "1024", "maw"),
+    ], ids=["fraction", "fraction-bands", "fraction-delay", "negative-bands", "odd-frame",
+            "negative-delay", "nan", "text", "not-a-maw-parameter"])
+    def test_bad_value_rejected_before_any_scene(self, param, values, algorithm, tmp_path,
+                                                 monkeypatch, capsys):
+        synthesised = []
+        for name in ("synth_siso", "synth_sido"):
+            monkeypatch.setattr(cli, name, synthesised.append)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--algo", algorithm, "--param", param, "--values", values,
+            "--num-scenes", "1", "--duration", "0.5", "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert param in capsys.readouterr().err
+        assert synthesised == []
+        assert not out.exists()
+
+    def test_whole_float_sweeps_an_integer(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def recording(mixture, reference, cfg):
+            sizes.append(cfg.fft_size)
+            return sbw_cancel(mixture, reference, cfg)
+
+        monkeypatch.setattr(cli, "sbw_cancel", recording)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "fft-size", "--values", "1024.0", "--num-scenes", "1",
+            "--duration", "0.5", "--out", str(out),
+        )
+        assert code == 0
+        assert sizes == [1024] and type(sizes[0]) is int
+        assert out.read_text().split("\n")[1].startswith("fft-size,1024.0,")
+
     def test_bad_param_rejected(self, tmp_path):
         code = run_cli(
             "sweep", "--param", "warp", "--values", "1", "--out",

@@ -166,6 +166,12 @@ class TestSbwCancel:
         with pytest.raises(ValueError):
             SbwConfig(**kwargs)
 
+    @pytest.mark.parametrize("bands", [0, -5])
+    def test_band_count_checked_at_construction(self, bands):
+        # make_partition's rule, checked before any audio
+        with pytest.raises(ValueError, match="num_bands"):
+            SbwConfig(num_bands=bands)
+
     def test_config_default_hop_is_half_the_frame(self):
         assert SbwConfig(fft_size=1024).hop == 512
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,13 +42,52 @@ def explicit_solve_block(ref_window, block, taps, reg):
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), cross)
 
 
+def loop_solve_block(ref_window, block, taps, reg):
+    """Oracle for the bytes of ``wiener._solve_block``: the one-block solve with a
+    row-by-row diagonal recursion and ``cho_factor``/``cho_solve``, kept verbatim."""
+    n = len(block)
+    a = taps - 1
+    size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
+    spec = scipy.fft.rfft(ref_window, size)
+    segments = scipy.fft.rfft(np.stack((ref_window[a : a + n], block)), size)
+    first_row, cross = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
+    cov = np.zeros((taps, taps))
+    cov[0] = first_row
+    entering = ref_window[:a][::-1]
+    leaving = ref_window[n : a + n][::-1]
+    for i in range(a):
+        cov[i + 1, i + 1 :] = cov[i, i:a] + entering[i] * entering[i:] - leaving[i] * leaving[i:]
+    cov /= n
+    cross /= n
+    trace = float(np.trace(cov))
+    if trace <= 0.0:
+        return np.zeros(taps)
+    if reg > 0.0:
+        cov[np.diag_indices_from(cov)] += reg * trace / taps
+    try:
+        factor = scipy.linalg.cho_factor(cov, check_finite=False)
+        return scipy.linalg.cho_solve(factor, cross, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            "sample covariance is singular; retry with regularization > 0"
+        ) from exc
+
+
+def rowwise(solve):
+    """A stacked ``_solve_block`` that calls the one-block ``solve`` on each row."""
+    def stacked(windows, blocks, taps, reg):
+        return np.array([solve(w, b, taps, reg) for w, b in zip(windows, blocks)])
+    return stacked
+
+
 @st.composite
-def block_problems(draw):
+def block_problems(draw, taps=None, n=None):
     """A (ref_window, block, taps) triple: noise windows of amplitude 1e-3 to 1e3 with
     leading and trailing zero runs, the block sharing the window's trailing zeros as
-    matched_accompaniment's padding does, and at least one non-zero window sample."""
-    taps = draw(st.integers(1, 64))
-    n = draw(st.integers(taps + 1, 600))
+    matched_accompaniment's padding does, and at least one non-zero window sample.
+    ``taps`` and the block length ``n`` are drawn unless given."""
+    taps = draw(st.integers(1, 64)) if taps is None else taps
+    n = draw(st.integers(taps + 1, 600)) if n is None else n
     length = taps + n - 1
     lead = draw(st.integers(0, length - 1))
     trail = draw(st.integers(0, length - 1 - lead))
@@ -58,6 +100,21 @@ def block_problems(draw):
     block += 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal(n)
     block[n - min(trail, n) :] = 0.0
     return window, block, taps
+
+
+@st.composite
+def block_stacks(draw):
+    """A (windows, blocks, taps) stack of 1 to 6 rows of ``block_problems`` that share
+    the taps and block length; one row may have an all-zero window."""
+    taps = draw(st.integers(1, 64))
+    n = draw(st.integers(taps + 1, 600))
+    rows = draw(st.lists(block_problems(taps, n), min_size=1, max_size=6))
+    windows = np.stack([window for window, _, _ in rows])
+    blocks = np.stack([block for _, block, _ in rows])
+    zero_row = draw(st.none() | st.integers(0, len(rows) - 1))
+    if zero_row is not None:
+        windows[zero_row] = 0.0
+    return windows, blocks, taps
 
 
 def _scene_block(taps, n):
@@ -176,9 +233,77 @@ class TestSolveBlockOracle:
         mix = np.convolve(ref, rng.standard_normal(12))[:n] + 0.1 * rng.standard_normal(n)
         cfg = BlockWienerConfig(48, 1024, 100)
         got = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
-        monkeypatch.setattr(wiener, "_solve_block", explicit_solve_block)
+        monkeypatch.setattr(wiener, "_solve_block", rowwise(explicit_solve_block))
         expected = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg).samples
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+class TestStackedSolve:
+    @settings(max_examples=120, deadline=None)
+    @given(block_stacks(), st.sampled_from([0.0, 1e-8]))
+    def test_rows_match_loop_bytes(self, stack, reg):
+        windows, blocks, taps = stack
+        try:
+            expected = [loop_solve_block(w, b, taps, reg) for w, b in zip(windows, blocks)]
+        except SolverError:
+            with pytest.raises(SolverError):
+                wiener._solve_block(windows, blocks, taps, reg)
+            return
+        got = wiener._solve_block(windows, blocks, taps, reg)
+        assert got.shape == (len(blocks), taps)
+        for row, want in zip(got, expected):
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taps,n", [(511, 8192), (1023, 16384)])
+    def test_one_block_matches_loop_bytes_on_scene(self, taps, n):
+        window, block = _scene_block(taps, n)
+        got = wiener._solve_block(window, block, taps, 1e-8)
+        assert got.tobytes() == loop_solve_block(window, block, taps, 1e-8).tobytes()
+
+    def test_singular_row_inside_a_stack_raises(self):
+        rng = np.random.default_rng(18)
+        taps, n = 8, 100
+        windows = rng.standard_normal((3, taps + n - 1))
+        windows[1] = 1.0  # a constant window: rank-one covariance
+        blocks = rng.standard_normal((3, n))
+        with pytest.raises(SolverError):
+            wiener._solve_block(windows, blocks, taps, 0.0)
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_every_stack_size_gives_the_same_bytes(self, interpolate, monkeypatch):
+        # 15 blocks on a short take: the first windows start in the leading zero
+        # padding, the last blocks run past the end of the take
+        rng = np.random.default_rng(19)
+        n = 1500
+        ref = rng.standard_normal(n)
+        mix = np.convolve(ref, rng.standard_normal(12))[:n] + 0.1 * rng.standard_normal(n)
+        cfg = BlockWienerConfig(24, 512, 100, interpolate=interpolate)
+        take = AudioBuffer(mix), AudioBuffer(ref), cfg
+        with monkeypatch.context() as patch:
+            patch.setattr(wiener, "_solve_block", rowwise(loop_solve_block))
+            expected = matched_accompaniment(*take).samples.tobytes()
+        blocks = -(-n // cfg.hop)
+        for stack in range(1, blocks + 1):
+            monkeypatch.setattr(wiener, "_STACK_BYTES", stack * 8 * cfg.taps**2)
+            assert matched_accompaniment(*take).samples.tobytes() == expected, stack
+
+    def test_peak_memory_stays_at_two_matrices(self):
+        # The one-block solve held its matrix and the factorization's copy; a stack
+        # must fit in that footprint, plus buffers linear in the block length.
+        rng = np.random.default_rng(20)
+        n = 441
+        ref = rng.standard_normal(n)
+        mix = np.convolve(ref, rng.standard_normal(12))[:n]
+        cfg = BlockWienerConfig(1023, 16384, 64)
+        tracemalloc.start()
+        try:
+            matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = 2 * 8 * cfg.taps**2
+        slack = 16 * 8 * (cfg.taps + cfg.block_size + n)
+        assert peak <= matrices + slack
 
 
 class TestMawCancel:
