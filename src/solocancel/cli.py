@@ -22,8 +22,8 @@ from .errors import NoSignalError, SolverError
 from .metrics import measure
 from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
-    SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
-    synth_sido, synth_siso, write_kv,
+    SceneConfig, SidoLayout, _check_level_diff, broadband_accompaniment, make_mic_ir,
+    noise_plus_tones, read_kv, synth_sido, synth_siso, write_kv,
 )
 from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
 from .stft import _framing, make_window
@@ -206,10 +206,8 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
 # ---------------------------------------------------------------------------
 
 
-def _scene(args, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
-    """Read or generate the solo and accompaniment, cut them to a common
-    length and synthesise a SISO scene, or a SIDO scene when ``layout`` is
-    given. Both inputs must share a sample rate."""
+def _inputs(args, seed: int) -> tuple[AudioBuffer, AudioBuffer]:
+    """The solo and accompaniment, read or generated, cut to a common length."""
     if args.solo_path:
         solo = read_mono(args.solo_path)
     else:
@@ -220,9 +218,17 @@ def _scene(args, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
     else:
         accomp = broadband_accompaniment(args.duration, fs, seed=seed)
     n = min(len(solo), len(accomp))
+    return AudioBuffer(solo.samples[:n], fs), AudioBuffer(accomp.samples[:n], accomp.sample_rate)
+
+
+def _scene(args, inputs, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
+    """Synthesise a SISO scene from ``_inputs``, or a SIDO scene when ``layout``
+    is given. Both inputs must share a sample rate."""
+    solo, accomp = inputs
+    fs = solo.sample_rate
     scene_cfg = SceneConfig(
-        solo=AudioBuffer(solo.samples[:n], fs),
-        accompaniment_reference=AudioBuffer(accomp.samples[:n], accomp.sample_rate),
+        solo=solo,
+        accompaniment_reference=accomp,
         mic_ir=make_mic_ir(args.rt_ms, args.ir_length, seed=seed, sample_rate=fs),
         channel_delay=kappa, level_diff_db=level_diff_db, accompaniment_gain=gain, sido=layout,
     )
@@ -241,7 +247,8 @@ def _sido_layout(args, spacing: float) -> SidoLayout:
 def _cmd_simulate(args) -> int:
     layout = _sido_layout(args, args.spacing) if args.sido else None
     level_diff = None if args.gain is not None else args.level_diff_db
-    scene = _scene(args, args.seed, args.kappa, level_diff, args.gain, layout)
+    inputs = _inputs(args, args.seed)
+    scene = _scene(args, inputs, args.seed, args.kappa, level_diff, args.gain, layout)
     fs = scene.reference.sample_rate
 
     out_dir = Path(args.out_dir)
@@ -345,15 +352,16 @@ def _sweep_value(param: str, value):
     raise ValueError(f"{param} must be a finite number, got {value!r}")
 
 
-def _sweep_scene(args, value, scene_index: int):
-    """The scene of a sweep point; ``value`` is read only for the ``_SWEEP_SCENE`` parameters."""
+def _sweep_scene(args, inputs, value, scene_index: int):
+    """The scene of a sweep point from its scene's ``_inputs``; ``value`` is read only
+    for the ``_SWEEP_SCENE`` parameters."""
     seed = args.seed + scene_index
     level_diff = value if args.param == "level-diff" else args.level_diff_db
     kappa = value if args.param == "delay-mismatch" else args.kappa
     if not _two_mic(args):
-        return _scene(args, seed, kappa, level_diff)
+        return _scene(args, inputs, seed, kappa, level_diff)
     spacing = value if args.param == "mic-spacing" else args.spacing
-    return _scene(args, seed, kappa, level_diff, layout=_sido_layout(args, spacing))
+    return _scene(args, inputs, seed, kappa, level_diff, layout=_sido_layout(args, spacing))
 
 
 def _sweep_point(args, overrides: dict, value, scene):
@@ -394,21 +402,31 @@ def _cmd_sweep(args) -> int:
         fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
         if fixed:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
-    # validate the base configuration (and overrides), then every swept setting, up front
+    # validate the base configuration (and overrides), then every swept value, up front
     build_algorithm_config(label, args.preset, overrides)
-    if args.param in _SWEEP_SETS:
-        for text, value in zip(given, values):
-            swept = {**overrides, _SWEEP_SETS[args.param]: value}
-            try:
+    for text, value in zip(given, values):
+        try:
+            if args.param in _SWEEP_SETS:
+                swept = {**overrides, _SWEEP_SETS[args.param]: value}
                 build_algorithm_config(label, args.preset, swept)
-            except ValueError as exc:
-                raise ValueError(f"{args.param} {text}: {exc}") from exc
+            elif args.param == "level-diff":
+                _check_level_diff(value)
+        except ValueError as exc:
+            raise ValueError(f"{args.param} {text}: {exc}") from exc
+    inputs = _inputs(args, args.seed)  # every scene's take has this length
+    if args.param == "delay-mismatch":
+        for text, value in zip(given, values):
+            if value >= len(inputs[0]):
+                raise ValueError(f"{args.param} {text}: not shorter than the take "
+                                 f"({len(inputs[0])} samples)")
 
     reports = {}
     for si in range(args.num_scenes):
+        if si > 0:
+            inputs = _inputs(args, args.seed + si)
         for vi, value in enumerate(values):
             if vi == 0 or args.param in _SWEEP_SCENE:
-                scene = _sweep_scene(args, value, si)
+                scene = _sweep_scene(args, inputs, value, si)
             reports[vi, si] = _sweep_point(args, overrides, value, scene)
 
     rows = []

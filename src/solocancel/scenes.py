@@ -99,6 +99,16 @@ class SidoLayout:
         return delay_from_angle(self.solo_angle_deg, self.geometry(sample_rate))
 
 
+def _check_level_diff(level_diff_db: float) -> None:
+    """ValueError unless ``level_diff_db`` and its linear gain are finite."""
+    if not np.isfinite(level_diff_db):
+        raise ValueError("level_diff_db must be finite")
+    try:
+        math.pow(10.0, level_diff_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"level_diff_db {level_diff_db} dB overflows the linear gain") from None
+
+
 @dataclass
 class SceneConfig:
     """Everything needed to synthesize a scene.
@@ -123,14 +133,7 @@ class SceneConfig:
         if self.level_diff_db is None and self.accompaniment_gain is None:
             raise ValueError("need level_diff_db or accompaniment_gain")
         if self.level_diff_db is not None:
-            if not np.isfinite(self.level_diff_db):
-                raise ValueError("level_diff_db must be finite")
-            try:
-                math.pow(10.0, self.level_diff_db / 20.0)
-            except OverflowError:
-                raise ValueError(
-                    f"level_diff_db {self.level_diff_db} dB overflows the linear gain"
-                ) from None
+            _check_level_diff(self.level_diff_db)
         if self.accompaniment_gain is not None and not 0 <= self.accompaniment_gain < np.inf:
             raise ValueError("accompaniment_gain must be finite and >= 0")
         require_matched(self.solo, self.accompaniment_reference, "solo/accompaniment")

@@ -2,16 +2,20 @@
 
 Each block solves the sample normal equations (R + loading) w = p, where R is
 the M x M covariance-method matrix of the reference over the N block samples
-and p its cross-correlation with the mixture block. The first row of R and p
-come from one FFT cross-correlation; the rest of R follows from a recursion
-along its diagonals (Makhoul 1975), in O(M^2) instead of the O(M^2 N) of
-forming the M x N data matrix. The blocks are solved in stacks: one pass of
-the recursion builds every matrix of a stack, each stored in the memory
-order LAPACK's Cholesky factorization reads, which then factors it in place.
-The matched accompaniment w * s0 is subtracted either per sample (maw_cancel)
-or per STFT bin after a magnitude comparison (maw_ss_cancel), whose frame map
-is ``spectral_subtract`` inside the package's one weighted overlap-add
-pipeline (``stft._wola``).
+and p its cross-correlation with the mixture block. The first column of R
+and p come from one FFT cross-correlation. R is never formed: R minus its
+shift down one row and one column has rank 4, and the generalized Schur
+algorithm (Kailath & Sayed, "Displacement structure: theory and
+applications", SIAM Review 37(3), 1995) computes the Cholesky factor of R
+from that difference's four generator columns in O(M^2), where forming the
+M x N data matrix would cost O(M^2 N) and a dense Cholesky factorization
+O(M^3). Chandrasekaran & Sayed ("Stabilizing the generalized Schur
+algorithm", SIAM J. Matrix Anal. Appl. 17(4), 1996) analyse its rounding.
+The blocks are factored in stacks, one Schur step for every block of a stack
+at once. The matched accompaniment w * s0 is subtracted either per sample
+(maw_cancel) or per STFT bin after a magnitude comparison (maw_ss_cancel),
+whose frame map is ``spectral_subtract`` inside the package's one weighted
+overlap-add pipeline (``stft._wola``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpptrs
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import SolverError
@@ -55,10 +59,23 @@ class BlockWienerConfig:
             raise ValueError("regularization must be >= 0")
 
 
-#: Bytes of covariance matrices that ``matched_accompaniment`` builds and solves
-#: in one stack: two 1023-tap matrices, the footprint of one matrix plus the
-#: factor copy ``cho_factor`` would make, so stacking adds no peak memory.
+#: Bytes of packed Cholesky factors, 4 M (M + 1) per block, that
+#: ``matched_accompaniment`` computes in one stack: four 1023-tap or sixteen
+#: 511-tap factors, about the two M x M matrices a one-block solve by LAPACK's
+#: full-storage Cholesky would hold.
 _STACK_BYTES = 16 * 2**20
+
+# Each Schur step maps the generator rows (u, e, v, l) to
+#   u' = ch (c1 u + s1 e) - sh (c2 v + s2 l),   e' = c1 e - s1 u,
+#   v' = ch (c2 v + s2 l) - sh (c1 u + s1 e),   l' = c2 l - s2 v,
+# with (c1, s1) and (c2, s2) the Givens rotations that zero the top of e and of l
+# and (ch, sh) the hyperbolic rotation that zeroes the top of v. The rows of that
+# 4 x 4 matrix are gathered from (ch, -sh) and (c1, s1, c2, s2) by these indices.
+_HYPERBOLIC = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])  # rows u', v'
+_GIVENS = np.array([1, 0, 3, 2])  # rows e', l', times the signs below
+_GIVENS_SIGNS = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
+_DIFF_SUM = np.array([[1.0, 1.0], [-1.0, 1.0]])
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: float) -> np.ndarray:
@@ -71,51 +88,77 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     block anywhere in the stack raises ``SolverError``.
 
     With s = ``ref_window`` and a = M - 1, R[i, j] = sum_t s[a+t-i] s[a+t-j]
-    over the N block samples t. Row 0 of R and p are correlations of s with
-    the in-block segment s[a:a+N] and with the block; the rest of the upper
-    triangle, the only part Cholesky reads, follows from
-    R[i+1, j+1] = R[i, j] + s[a-i-1] s[a-j-1] - s[a-i+N-1] s[a-j+N-1].
-    Each matrix is stored transposed, ``lower[b, j, i] = R_b[i, j]``, so that
-    column j + 1 of R follows from column j as one contiguous row, one step
-    for the whole stack, and ``lower[b].T`` is the Fortran-ordered upper
-    triangle that LAPACK's ``dpotrf`` factors in place, without the copy
-    ``cho_factor`` makes of a C-ordered matrix. Every element takes the same
-    rounding steps in the same order as in a row-by-row build factored by
-    ``cho_factor``/``cho_solve``, so the taps have the same bytes.
+    over the N block samples t; the 1/N of the sample moments cancels from
+    the normal equations, so it is left out. Column 0 of R and p are
+    correlations of s with the in-block segment s[a:a+N] and with the block.
+    R is Toeplitz-like: with Z the down-shift, R - Z R Z^T = G J G^T for the
+    M x 4 generator G = [u, e, v, l] and J = diag(1, 1, -1, -1), where
+    u = R[:, 0] / sqrt(R[0, 0]), v is u with v[0] = 0, e[i] = s[a-i] and
+    l[i] = s[a-i+N] for i >= 1, and e[0] = l[0] = 0. Loading R by lambda I
+    adds lambda to R[0, 0] alone, since I - Z Z^T = diag(1, 0, ..., 0).
+
+    The generalized Schur algorithm (Kailath & Sayed 1995) turns G into the
+    Cholesky factor L of R = L L^T in O(M^2). At step k, Givens rotations on
+    (u, e) and (v, l) and a hyperbolic rotation on (u, v), one J-unitary
+    4 x 4 matrix, bring the generator's top row to (d, 0, 0, 0). The rotated
+    u is column k of L; u shifted down one row, with e, v and l, generates
+    the Schur complement. The hyperbolic rotation needs
+    rho = |(v, l)| / |(u, e)| < 1, which holds at every step exactly when R is
+    positive definite. A block where rho reaches 1 or is not finite leaves a
+    non-positive or non-finite pivot in L and raises ``SolverError``.
+    Chandrasekaran & Sayed (1996) analyse the rounding of this algorithm; the
+    rotations here are applied directly, one matrix product per step. Each
+    step runs for the whole stack at once, and LAPACK's ``dpptrs`` solves
+    with each packed factor.
     """
     windows = np.atleast_2d(ref_window)
     blocks = np.atleast_2d(block)
     count, n = blocks.shape
     a = taps - 1
     size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
-    lower = np.zeros((count, taps, taps))
+    gen = np.zeros((count, 4, taps))  # each block's generator, rows u, e, v, l
     cross = np.empty((count, taps))
     for b, (window, blk) in enumerate(zip(windows, blocks)):
         spec = scipy.fft.rfft(window, size)
         segments = scipy.fft.rfft(np.stack((window[a : a + n], blk)), size)
-        lower[b, :, 0], cross[b] = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
-    entering = np.ascontiguousarray(windows[:, :a][:, ::-1])
-    leaving = np.ascontiguousarray(windows[:, n : a + n][:, ::-1])
-    product = np.empty((count, a))
-    for j in range(a):
-        column = lower[:, j + 1, 1 : j + 2]  # R[1 : j + 2, j + 1] from R[: j + 1, j]
-        np.multiply(entering[:, : j + 1], entering[:, j, None], out=column)
-        np.add(lower[:, j, : j + 1], column, out=column)
-        np.multiply(leaving[:, : j + 1], leaving[:, j, None], out=product[:, : j + 1])
-        np.subtract(column, product[:, : j + 1], out=column)
-    lower /= n
-    cross /= n
+        gen[b, 0], cross[b] = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
+    gen[:, 1, 1:] = windows[:, :a][:, ::-1]
+    gen[:, 3, 1:] = windows[:, n : a + n][:, ::-1]
+    # R[i, i] - R[0, 0], the sum over 0 < j <= i of e[j]^2 - l[j]^2
+    diagonal = np.cumsum(gen[:, 1] ** 2 - gen[:, 3] ** 2, axis=1)
+    trace = taps * gen[:, 0, 0] + diagonal.sum(axis=1)
+    silent = trace <= 0.0
+    gen[:, 0, 0] += reg * trace / taps
+    gen[silent] = 0.0
+    gen[silent, 0, 0] = 1.0  # the generator of I: no NaN, and no solve below
+    factor = np.empty((count, taps * (taps + 1) // 2))  # L, column-major packed
+    theta = np.empty((count, 4, 4))
+    uv_rows, el_rows = theta[:, ::2], theta[:, 1::2]
+    start = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular blocks and zero pairs
+        gen[:, 0] /= np.sqrt(gen[:, 0, :1])
+        gen[:, 2, 1:] = gen[:, 0, 1:]
+        for k in range(taps):
+            top = gen[:, :, k]
+            norm = np.hypot(top[:, ::2], top[:, 1::2])  # |(u, e)|, |(v, l)|
+            rot = top / norm.repeat(2, axis=1)  # c1, s1, c2, s2
+            # a zero pair needs no rotation, so any will do: 0/0 becomes 45 degrees
+            np.copyto(rot, 0.5**0.5, where=rot != rot)
+            diff_sum = norm @ _DIFF_SUM  # |(u, e)| -+ |(v, l)|
+            # ch and -sh: 1 and -rho over sqrt(1 - rho^2)
+            hyp = norm * _PLUS_MINUS / np.sqrt(diff_sum[:, :1] * diff_sum[:, 1:])
+            np.multiply(hyp[:, _HYPERBOLIC], rot[:, None, :], out=uv_rows)
+            np.multiply(rot[:, None, _GIVENS], _GIVENS_SIGNS, out=el_rows)
+            np.matmul(theta, gen[:, :, k:], out=gen[:, :, k:])
+            factor[:, start : start + taps - k] = gen[:, 0, k:]
+            gen[:, 0, k + 1 :] = gen[:, 0, k:-1]  # shift u down one row
+            start += taps - k
+    pivots = factor[:, np.cumsum(np.arange(taps + 1, 1, -1)) - taps - 1]  # diagonal of L
+    if not np.all((pivots > 0.0) & (pivots < np.inf), axis=1)[~silent].all():
+        raise SolverError("sample covariance is singular; retry with regularization > 0")
     w = np.zeros((count, taps))
-    for b, matrix in enumerate(lower):
-        trace = float(np.trace(matrix))
-        if trace <= 0.0:
-            continue
-        if reg > 0.0:
-            matrix.reshape(-1)[:: taps + 1] += reg * trace / taps
-        factor, info = dpotrf(matrix.T, lower=0, overwrite_a=1, clean=0)
-        if info > 0:
-            raise SolverError("sample covariance is singular; retry with regularization > 0")
-        w[b] = dpotrs(factor, cross[b], lower=0)[0]
+    for b in np.flatnonzero(~silent):
+        w[b] = dpptrs(taps, factor[b], cross[b, :, None], lower=1)[0][:, 0]
     return w if np.ndim(block) == 2 else w[0]
 
 
@@ -130,7 +173,8 @@ def block_wiener(
     ``reference_window`` must hold taps + N - 1 samples, where N is the
     mixture block length: the N in-block samples preceded by the taps - 1
     samples of left context the convolution needs. It is the one-block case
-    of the stacked solve that ``matched_accompaniment`` runs.
+    of the stacked generalized Schur solve that ``matched_accompaniment``
+    runs.
     """
     n = len(mixture_block)
     if taps < 1 or taps >= n:
@@ -155,7 +199,7 @@ def matched_accompaniment(
     looks N samples ahead of the samples it filters: a block-length latency
     in live use. With ``interpolate`` the taps blend linearly from the
     previous block's filter across each hop. The blocks are solved in stacks
-    of at most ``_STACK_BYTES`` of covariance matrices.
+    whose packed Cholesky factors fit in ``_STACK_BYTES``.
     """
     require_matched(mixture, reference)
     x = mixture.samples
@@ -167,7 +211,7 @@ def matched_accompaniment(
     starts = range(0, n, hop)  # one window and block per start, views into the padding
     windows = sliding_window_view(ref_pad, m + nblk - 1)[:n:hop]
     blocks = sliding_window_view(x_pad, nblk)[:n:hop]
-    stack = max(1, _STACK_BYTES // (8 * m * m))
+    stack = max(1, _STACK_BYTES // (4 * m * (m + 1)))
 
     y = np.empty(n)
     w_prev: np.ndarray | None = None

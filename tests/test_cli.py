@@ -567,8 +567,11 @@ class TestSweep:
         ("level-diff", "6,nan", "sbw"),
         ("window-shape", "4,wide", "sbw"),
         ("fft-size", "1024", "maw"),
+        ("level-diff", "6,1e5", "sbw"),
+        ("delay-mismatch", "5,22050", "sbw"),  # the 0.5-s take is 22050 samples
     ], ids=["fraction", "fraction-bands", "fraction-delay", "negative-bands", "odd-frame",
-            "negative-delay", "nan", "text", "not-a-maw-parameter"])
+            "negative-delay", "nan", "text", "not-a-maw-parameter", "gain-overflow",
+            "delay-past-take"])
     def test_bad_value_rejected_before_any_scene(self, param, values, algorithm, tmp_path,
                                                  monkeypatch, capsys):
         synthesised = []

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import solocancel as sc
 from solocancel import (
@@ -42,35 +44,95 @@ def explicit_solve_block(ref_window, block, taps, reg):
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), cross)
 
 
-def loop_solve_block(ref_window, block, taps, reg):
-    """Oracle for the bytes of ``wiener._solve_block``: the one-block solve with a
-    row-by-row diagonal recursion and ``cho_factor``/``cho_solve``, kept verbatim."""
-    n = len(block)
+# Oracle for ``wiener._solve_block``: the stacked solve it replaced, kept verbatim. It
+# builds each covariance matrix by its diagonal recursion and factors it with LAPACK's
+# O(M^3) Cholesky factorization.
+def cholesky_solve_block(
+    ref_window: np.ndarray, block: np.ndarray, taps: int, reg: float
+) -> np.ndarray:
+    """Wiener-Hopf solve on one block, or on a stack of blocks.
+
+    ``ref_window`` holds the M + N - 1 reference samples ending with the
+    block; returns the M optimal taps. A silent reference window yields the
+    zero filter (the normal equations vanish identically). Windows and blocks
+    stacked on a leading axis give one row of taps per block; a singular
+    block anywhere in the stack raises ``SolverError``.
+
+    With s = ``ref_window`` and a = M - 1, R[i, j] = sum_t s[a+t-i] s[a+t-j]
+    over the N block samples t. Row 0 of R and p are correlations of s with
+    the in-block segment s[a:a+N] and with the block; the rest of the upper
+    triangle, the only part Cholesky reads, follows from
+    R[i+1, j+1] = R[i, j] + s[a-i-1] s[a-j-1] - s[a-i+N-1] s[a-j+N-1].
+    Each matrix is stored transposed, ``lower[b, j, i] = R_b[i, j]``, so that
+    column j + 1 of R follows from column j as one contiguous row, one step
+    for the whole stack, and ``lower[b].T`` is the Fortran-ordered upper
+    triangle that LAPACK's ``dpotrf`` factors in place, without the copy
+    ``cho_factor`` makes of a C-ordered matrix. Every element takes the same
+    rounding steps in the same order as in a row-by-row build factored by
+    ``cho_factor``/``cho_solve``, so the taps have the same bytes.
+    """
+    windows = np.atleast_2d(ref_window)
+    blocks = np.atleast_2d(block)
+    count, n = blocks.shape
     a = taps - 1
     size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
-    spec = scipy.fft.rfft(ref_window, size)
-    segments = scipy.fft.rfft(np.stack((ref_window[a : a + n], block)), size)
-    first_row, cross = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
-    cov = np.zeros((taps, taps))
-    cov[0] = first_row
-    entering = ref_window[:a][::-1]
-    leaving = ref_window[n : a + n][::-1]
-    for i in range(a):
-        cov[i + 1, i + 1 :] = cov[i, i:a] + entering[i] * entering[i:] - leaving[i] * leaving[i:]
-    cov /= n
+    lower = np.zeros((count, taps, taps))
+    cross = np.empty((count, taps))
+    for b, (window, blk) in enumerate(zip(windows, blocks)):
+        spec = scipy.fft.rfft(window, size)
+        segments = scipy.fft.rfft(np.stack((window[a : a + n], blk)), size)
+        lower[b, :, 0], cross[b] = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
+    entering = np.ascontiguousarray(windows[:, :a][:, ::-1])
+    leaving = np.ascontiguousarray(windows[:, n : a + n][:, ::-1])
+    product = np.empty((count, a))
+    for j in range(a):
+        column = lower[:, j + 1, 1 : j + 2]  # R[1 : j + 2, j + 1] from R[: j + 1, j]
+        np.multiply(entering[:, : j + 1], entering[:, j, None], out=column)
+        np.add(lower[:, j, : j + 1], column, out=column)
+        np.multiply(leaving[:, : j + 1], leaving[:, j, None], out=product[:, : j + 1])
+        np.subtract(column, product[:, : j + 1], out=column)
+    lower /= n
     cross /= n
-    trace = float(np.trace(cov))
-    if trace <= 0.0:
-        return np.zeros(taps)
-    if reg > 0.0:
-        cov[np.diag_indices_from(cov)] += reg * trace / taps
+    w = np.zeros((count, taps))
+    for b, matrix in enumerate(lower):
+        trace = float(np.trace(matrix))
+        if trace <= 0.0:
+            continue
+        if reg > 0.0:
+            matrix.reshape(-1)[:: taps + 1] += reg * trace / taps
+        factor, info = dpotrf(matrix.T, lower=0, overwrite_a=1, clean=0)
+        if info > 0:
+            raise SolverError("sample covariance is singular; retry with regularization > 0")
+        w[b] = dpotrs(factor, cross[b], lower=0)[0]
+    return w if np.ndim(block) == 2 else w[0]
+
+
+def assert_solves(window, block, taps, reg, got, expected):
+    """The oracle criteria for one row of taps ``got``: exact zeros for a silent window,
+    else a backward error within 1e-12 of the scale of the explicit system and, where
+    that system is well conditioned, a forward error within 1e-9 of ``expected``."""
+    if not window.any():
+        assert np.all(got == 0.0)
+        return
+    cov, cross = explicit_normal_equations(window, block, taps, reg)
+    # Backward error: the taps solve the oracle's system up to the rounding of
+    # an FFT correlation, whose error scales with |window| |block|.
+    scale = np.linalg.norm(cov, 2) * np.linalg.norm(got)
+    scale += np.linalg.norm(window) * np.linalg.norm(block) / len(block)
+    assert np.linalg.norm(cov @ got - cross) <= 1e-12 * scale
+    # Forward error where the system is well conditioned: rounding moves the taps
+    # by up to cond(C) times the backward error, the oracle's too (1e-9 off a
+    # 50-digit solve at cond 1e8).
+    if np.linalg.cond(cov) <= 1e6:
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def solve_or_none(solve, windows, blocks, taps, reg):
+    """``solve``'s taps, or None where it raises ``SolverError``."""
     try:
-        factor = scipy.linalg.cho_factor(cov, check_finite=False)
-        return scipy.linalg.cho_solve(factor, cross, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "sample covariance is singular; retry with regularization > 0"
-        ) from exc
+        return solve(windows, blocks, taps, reg)
+    except SolverError:
+        return None
 
 
 def rowwise(solve):
@@ -117,13 +179,19 @@ def block_stacks(draw):
     return windows, blocks, taps
 
 
-def _scene_block(taps, n):
-    """Reference window and mixture block 0.2 s into a 1-s acceptance-style scene."""
-    scene = sc.synth_siso(sc.SceneConfig(
+@functools.cache
+def _scene():
+    """A 1-s acceptance-style scene."""
+    return sc.synth_siso(sc.SceneConfig(
         solo=sc.noise_plus_tones(1.0, 44100, seed=17),
         accompaniment_reference=sc.broadband_accompaniment(1.0, 44100, seed=17),
         mic_ir=sc.make_mic_ir(13.7, 606, seed=17), channel_delay=32, level_diff_db=6.02,
     ))
+
+
+def _scene_block(taps, n):
+    """Reference window and mixture block 0.2 s into ``_scene``."""
+    scene = _scene()
     k = 8820
     return scene.reference.samples[k - taps + 1 : k + n], scene.mixture.samples[k : k + n]
 
@@ -196,19 +264,9 @@ class TestSolveBlockOracle:
     @given(block_problems())
     def test_matches_explicit_build(self, problem):
         window, block, taps = problem
-        cov, cross = explicit_normal_equations(window, block, taps, 1e-8)
         got = wiener._solve_block(window, block, taps, 1e-8)
         expected = explicit_solve_block(window, block, taps, 1e-8)
-        # Backward error: the taps solve the oracle's system up to the rounding of
-        # an FFT correlation, whose error scales with |window| |block|.
-        scale = np.linalg.norm(cov, 2) * np.linalg.norm(got)
-        scale += np.linalg.norm(window) * np.linalg.norm(block) / len(block)
-        assert np.linalg.norm(cov @ got - cross) <= 1e-12 * scale
-        # Forward error where the system is well conditioned: rounding moves the taps
-        # by up to cond(C) times the backward error, the oracle's too (1e-9 off a
-        # 50-digit solve at cond 1e8).
-        if np.linalg.cond(cov) <= 1e6:
-            assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+        assert_solves(window, block, taps, 1e-8, got, expected)
 
     @pytest.mark.parametrize("taps,n", [(511, 8192), (1023, 16384)])
     def test_matches_explicit_build_on_scene(self, taps, n):
@@ -241,24 +299,69 @@ class TestSolveBlockOracle:
 class TestStackedSolve:
     @settings(max_examples=120, deadline=None)
     @given(block_stacks(), st.sampled_from([0.0, 1e-8]))
-    def test_rows_match_loop_bytes(self, stack, reg):
+    def test_rows_match_cholesky_oracle(self, stack, reg):
         windows, blocks, taps = stack
-        try:
-            expected = [loop_solve_block(w, b, taps, reg) for w, b in zip(windows, blocks)]
-        except SolverError:
-            with pytest.raises(SolverError):
-                wiener._solve_block(windows, blocks, taps, reg)
+        expected = solve_or_none(cholesky_solve_block, windows, blocks, taps, reg)
+        got = solve_or_none(wiener._solve_block, windows, blocks, taps, reg)
+        if (got is None) != (expected is None):
+            # The two factorizations may disagree on a singular matrix alone: one
+            # whose condition number, unloaded, exceeds 1e12.
+            assert reg == 0.0
+            conds = [np.linalg.cond(explicit_normal_equations(w, b, taps, reg)[0])
+                     for w, b in zip(windows, blocks) if w.any()]
+            assert max(conds) > 1e12
             return
-        got = wiener._solve_block(windows, blocks, taps, reg)
+        if got is None:
+            return
         assert got.shape == (len(blocks), taps)
-        for row, want in zip(got, expected):
-            assert row.tobytes() == want.tobytes()
+        for window, blk, row, want in zip(windows, blocks, got, expected):
+            assert_solves(window, blk, taps, reg, row, want)
 
     @pytest.mark.parametrize("taps,n", [(511, 8192), (1023, 16384)])
-    def test_one_block_matches_loop_bytes_on_scene(self, taps, n):
+    def test_one_block_matches_cholesky_oracle_on_scene(self, taps, n):
         window, block = _scene_block(taps, n)
         got = wiener._solve_block(window, block, taps, 1e-8)
-        assert got.tobytes() == loop_solve_block(window, block, taps, 1e-8).tobytes()
+        expected = cholesky_solve_block(window, block, taps, 1e-8)
+        assert_solves(window, block, taps, 1e-8, got, expected)
+
+    def test_ill_conditioned_short_take(self):
+        # The paper-v preset on the first 192 samples of a take: three blocks that
+        # are almost all zero padding, with condition numbers of about 2e5, 6e8 and
+        # 2e10. Past column 1214 of the data matrix every sample is padding, so the
+        # explicit system is built on the columns before it: a multiple of the full
+        # system, with the same solution.
+        taps, n, hop, take = 1023, 16384, 64, 192
+        scene = _scene()
+        ref = np.concatenate((np.zeros(taps - 1), scene.reference.samples[:take], np.zeros(n)))
+        mix = np.concatenate((scene.mixture.samples[:take], np.zeros(n)))
+        windows = np.stack([ref[k : k + taps + n - 1] for k in range(0, take, hop)])
+        blocks = np.stack([mix[k : k + n] for k in range(0, take, hop)])
+        got = wiener._solve_block(windows, blocks, taps, 1e-8)
+        used = taps - 1 + take
+        for window, block, row in zip(windows, blocks, got):
+            cov, cross = explicit_normal_equations(
+                window[: taps - 1 + used], block[:used], taps, 1e-8
+            )
+            scale = np.linalg.norm(cov, 2) * np.linalg.norm(row)
+            scale += np.linalg.norm(window) * np.linalg.norm(block) / used
+            assert np.linalg.norm(cov @ row - cross) <= 1e-12 * scale
+
+    def test_mixed_stack(self):
+        # a live row, a silent row (exact zeros) and a rank-one row (singular unloaded)
+        rng = np.random.default_rng(21)
+        taps, n = 8, 100
+        windows = rng.standard_normal((3, taps + n - 1))
+        windows[1] = 0.0
+        windows[2] = 1.0
+        blocks = rng.standard_normal((3, n))
+        with pytest.raises(SolverError):
+            wiener._solve_block(windows, blocks, taps, 0.0)
+        for reg, rows in ((0.0, [0, 1]), (1e-8, [0, 1, 2])):
+            got = wiener._solve_block(windows[rows], blocks[rows], taps, reg)
+            expected = cholesky_solve_block(windows[rows], blocks[rows], taps, reg)
+            assert np.all(got[1] == 0.0)
+            for row in rows:
+                assert_solves(windows[row], blocks[row], taps, reg, got[row], expected[row])
 
     def test_singular_row_inside_a_stack_raises(self):
         rng = np.random.default_rng(18)
@@ -279,12 +382,12 @@ class TestStackedSolve:
         mix = np.convolve(ref, rng.standard_normal(12))[:n] + 0.1 * rng.standard_normal(n)
         cfg = BlockWienerConfig(24, 512, 100, interpolate=interpolate)
         take = AudioBuffer(mix), AudioBuffer(ref), cfg
-        with monkeypatch.context() as patch:
-            patch.setattr(wiener, "_solve_block", rowwise(loop_solve_block))
-            expected = matched_accompaniment(*take).samples.tobytes()
+        factor_bytes = 4 * cfg.taps * (cfg.taps + 1)
+        monkeypatch.setattr(wiener, "_STACK_BYTES", factor_bytes)
+        expected = matched_accompaniment(*take).samples.tobytes()
         blocks = -(-n // cfg.hop)
-        for stack in range(1, blocks + 1):
-            monkeypatch.setattr(wiener, "_STACK_BYTES", stack * 8 * cfg.taps**2)
+        for stack in range(2, blocks + 1):
+            monkeypatch.setattr(wiener, "_STACK_BYTES", stack * factor_bytes)
             assert matched_accompaniment(*take).samples.tobytes() == expected, stack
 
     def test_peak_memory_stays_at_two_matrices(self):
@@ -304,6 +407,28 @@ class TestStackedSolve:
         matrices = 2 * 8 * cfg.taps**2
         slack = 16 * 8 * (cfg.taps + cfg.block_size + n)
         assert peak <= matrices + slack
+
+    def test_peak_memory_stays_at_one_stack_of_factors(self):
+        # 44 blocks at the acceptance preset: stacks of 16 packed factors, plus the
+        # take's padded copies and output, one block's FFT buffers and the stack's
+        # generators with their rotated copy.
+        rng = np.random.default_rng(22)
+        n = 88200
+        ref = rng.standard_normal(n)
+        mix = np.convolve(ref, rng.standard_normal(12))[:n]
+        cfg = BlockWienerConfig(511, 8192, 2048)
+        m, size = cfg.taps, cfg.taps + cfg.block_size
+        stack = wiener._STACK_BYTES // (4 * m * (m + 1))
+        tracemalloc.start()
+        try:
+            matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factors = stack * 4 * m * (m + 1)
+        buffers = 4 * 8 * (n + size) + 16 * 8 * size + 16 * 8 * m * stack
+        assert stack == 16
+        assert peak <= factors + buffers
 
 
 class TestMawCancel:
