@@ -9,6 +9,7 @@ microphone's signature stays part of the estimate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -249,6 +250,17 @@ CHORD_SPAN = 0.5  # seconds per chord
 NOTE_SPAN = 0.25  # seconds per solo note slot
 
 
+def _sample_count(duration: float, sample_rate: int) -> int:
+    """``round(duration * sample_rate)``; ValueError naming ``duration`` unless it is
+    finite and gives at least one sample."""
+    if not np.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
+    n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration {duration} s gives no sample at {sample_rate} Hz")
+    return n
+
+
 def _progression(duration: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     count = int(np.ceil(duration / CHORD_SPAN)) + 1
@@ -261,10 +273,11 @@ def noise_plus_tones(duration: float, sample_rate: int = 44100, seed: int = 0) -
 
     One note starts every ``NOTE_SPAN`` seconds and sounds for 60 % of its
     slot; the signal is scaled to RMS 0.05. Only ``seed`` varies the material.
+    ValueError unless ``duration`` is finite and gives at least one sample.
     """
+    n = _sample_count(duration, sample_rate)
     rng = np.random.default_rng(seed + 1)
     prog = _progression(duration, seed)
-    n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
     out = np.zeros(n)
     slot = int(NOTE_SPAN * sample_rate)
@@ -294,6 +307,18 @@ def noise_plus_tones(duration: float, sample_rate: int = 44100, seed: int = 0) -
     return AudioBuffer(out, sample_rate)
 
 
+def _phasor_polynomial(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z**k by Horner's rule, in place on one span-length array;
+    zero coefficients cost one product each."""
+    top = max(np.flatnonzero(coeffs), default=0)
+    out = np.full(len(z), coeffs[top])
+    for c in coeffs[:top][::-1]:
+        out *= z
+        if c:
+            out += c
+    return out
+
+
 def broadband_accompaniment(
     duration: float, sample_rate: int = 44100, seed: int = 0
 ) -> AudioBuffer:
@@ -303,13 +328,19 @@ def broadband_accompaniment(
     A hat every 0.25 s, high-passed at 6 kHz or, below 16 kHz, at 0.75 x
     Nyquist, and a kick every 0.5 s; a 5-Hz tremolo of depth 0.6 over the mix,
     then an AR(1) noise bed; scaled to RMS 0.05. Only ``seed`` varies the
-    material.
+    material. ValueError unless ``duration`` is finite and gives a sample.
+
+    Every chord and bass partial sits at a multiple k of root / 2, so each
+    0.5-s chord evaluates one phasor z = exp(2 pi i (root / 2) t) over its span
+    and sums its partials as Im(sum_k c_k z**k) by Horner's rule; c_k adds
+    exp(i phi) / harmonic for each partial at k, with its random phase phi.
+    The bass is Im(exp(i phi) z + 0.3 z**2).
     """
     import scipy.signal  # here, not at the top: importing it dominates package start-up
 
+    n = _sample_count(duration, sample_rate)
     rng = np.random.default_rng(seed + 2)
     prog = _progression(duration, seed)
-    n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
     out = np.zeros(n)
     chord_len = int(CHORD_SPAN * sample_rate)
@@ -317,23 +348,21 @@ def broadband_accompaniment(
         stop = min(n, start + chord_len)
         span = stop - start
         root = CHORD_ROOTS[prog[j]]
-        _t = t[start:stop]
         env = np.exp(-2.0 * np.arange(span) / sample_rate / CHORD_SPAN)
         attack = min(int(0.005 * sample_rate), span)
         env[:attack] *= np.linspace(0.0, 1.0, attack)
-        chord = np.zeros(span)
+        # harmonic `harm` of `mult` x root is power 2 * mult * harm of z, at most 64
+        coeffs = np.zeros(65, complex)
         for mult in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
             f0 = root * mult
             for harm in range(1, 9):
                 if f0 * harm > sample_rate / 2 * 0.9:
                     break
-                chord += (1.0 / harm) * np.sin(
-                    2 * np.pi * f0 * harm * _t + rng.uniform(0, 2 * np.pi)
-                )
-        out[start:stop] += 0.5 * env * chord
-        bass = np.sin(2 * np.pi * (root / 2) * _t + rng.uniform(0, 2 * np.pi))
-        bass += 0.3 * np.sin(2 * np.pi * root * _t)
-        out[start:stop] += 0.8 * bass * np.exp(
+                coeffs[int(2 * mult) * harm] += cmath.exp(1j * rng.uniform(0, 2 * np.pi)) / harm
+        z = np.exp(1j * (2 * np.pi * (root / 2)) * t[start:stop])
+        out[start:stop] += 0.5 * env * _phasor_polynomial(coeffs, z).imag
+        bass = z * (cmath.exp(1j * rng.uniform(0, 2 * np.pi)) + 0.3 * z)
+        out[start:stop] += 0.8 * bass.imag * np.exp(
             -1.0 * np.arange(span) / sample_rate / CHORD_SPAN
         )
     hat_len = int(0.02 * sample_rate)

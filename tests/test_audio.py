@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solocancel as sc
 from solocancel import AudioBuffer
@@ -32,3 +36,76 @@ def test_non_finite_input_rejected(runner, where, bad):
     with pytest.raises(FloatingPointError):
         RUNNERS[runner](AudioBuffer(x, FS), AudioBuffer(r, FS))
 
+
+def direct_fir(taps, x):
+    """The direct convolution that ``FirFilter.apply`` replaced, kept as its oracle."""
+    return np.convolve(x, taps)[: len(x)]
+
+
+def silent_windows(taps, x):
+    """True where the ``len(taps)`` input samples ending at the output are all zero."""
+    return np.convolve(x != 0, np.ones(len(taps)))[: len(x)] == 0
+
+
+@st.composite
+def fir_problems(draw):
+    """Taps and an input with runs of exact zeros, over the length regimes: one tap,
+    input shorter than the filter, one sample, inputs of many FFT blocks."""
+    m = draw(st.sampled_from([1, 2, 17, 606, 1500]) | st.integers(1, 700))
+    n = draw(st.sampled_from([1, 2, max(1, m - 1), m, m + 1, 3 * sc.audio._FIR_MIN_FFT])
+             | st.integers(1, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.standard_normal(m) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    x = rng.standard_normal(n) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    for _ in range(draw(st.integers(0, 5))):
+        start = draw(st.integers(0, n - 1))
+        x[start : start + draw(st.sampled_from([m - 1, m, m + 1, 2 * m]) | st.integers(0, n))] = 0.0
+    if draw(st.booleans()) and n > 1:
+        x[draw(st.integers(0, n - 1))] = -0.0
+    return taps, x
+
+
+class TestFirFilterApply:
+    @settings(max_examples=150, deadline=None)
+    @given(fir_problems())
+    def test_matches_direct_convolution(self, problem):
+        taps, x = problem
+        out = sc.FirFilter(taps).apply(AudioBuffer(x, 8000))
+        assert out.sample_rate == 8000 and out.samples.shape == x.shape
+        silent = silent_windows(taps, x)
+        assert np.all(out.samples[silent] == 0.0)
+        scale = np.abs(taps).sum() * np.abs(x).max()
+        error = np.abs(out.samples - direct_fir(taps, x))
+        assert np.all(error[~silent] <= 1e-12 * scale)
+
+    def test_zeros_where_direct_convolution_has_them(self):
+        # the recorded solo of a generated take: its rests are digitally silent
+        solo = sc.noise_plus_tones(3.0, FS, seed=4)
+        ir = sc.make_mic_ir(seed=4)
+        out = ir.apply(solo).samples
+        direct = direct_fir(ir.taps, solo.samples)
+        assert np.count_nonzero(direct == 0) > FS // 2
+        assert np.array_equal(out == 0, direct == 0)
+        scale = np.abs(ir.taps).sum() * np.abs(solo.samples).max()
+        assert np.max(np.abs(out - direct)) <= 1e-12 * scale
+
+    def test_empty_buffer_rejected(self):
+        with pytest.raises(ValueError):
+            sc.FirFilter(np.ones(3)).apply(AudioBuffer(np.zeros(0)))
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # 60 s at 44.1 kHz through the 606-tap mic response: one take-length array
+        # (the output) and one FFT block of temporaries (spectra, block output, counts)
+        n = 60 * FS
+        x = np.random.default_rng(6).standard_normal(n)
+        x[FS : 3 * FS] = 0.0
+        ir = sc.make_mic_ir()
+        size = sc.audio._FIR_MIN_FFT
+        assert 4 * len(ir) <= size
+        tracemalloc.start()
+        try:
+            ir.apply(AudioBuffer(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 * 8 * n + 16 * 8 * size

@@ -165,6 +165,14 @@ class TestSimulate:
         assert code == EXIT_BAD_ARGS
         assert not (out / "mixture.wav").exists()
 
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+    def test_duration_without_samples_rejected(self, duration, tmp_path, capsys):
+        out = tmp_path / "scene"
+        code = run_cli("simulate", f"--duration={duration}", "--out-dir", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert "duration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_supplies_parameters(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("kappa=7\nlevel_diff=3.0\nduration=1.0\nseed=9\n")
@@ -585,6 +593,17 @@ class TestSweep:
         assert code == EXIT_BAD_ARGS
         assert param in capsys.readouterr().err
         assert synthesised == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+    def test_duration_without_samples_rejected(self, duration, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "subbands", "--values", "8", "--num-scenes", "1",
+            f"--duration={duration}", "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert "duration" in capsys.readouterr().err
         assert not out.exists()
 
     def test_whole_float_sweeps_an_integer(self, tmp_path, monkeypatch):

@@ -25,6 +25,76 @@ from solocancel import (
 from solocancel.scenes import read_kv, write_kv
 
 
+def loop_broadband_accompaniment(duration, sample_rate=44100, seed=0):
+    """``broadband_accompaniment`` with one ``np.sin`` per chord and bass partial, as it
+    was before the phasor polynomial; kept as its oracle."""
+    import scipy.signal
+
+    from solocancel.scenes import CHORD_ROOTS, CHORD_SPAN, _progression
+
+    rng = np.random.default_rng(seed + 2)
+    prog = _progression(duration, seed)
+    n = int(round(duration * sample_rate))
+    t = np.arange(n) / sample_rate
+    out = np.zeros(n)
+    chord_len = int(CHORD_SPAN * sample_rate)
+    for j, start in enumerate(range(0, n, chord_len)):
+        stop = min(n, start + chord_len)
+        span = stop - start
+        root = CHORD_ROOTS[prog[j]]
+        _t = t[start:stop]
+        env = np.exp(-2.0 * np.arange(span) / sample_rate / CHORD_SPAN)
+        attack = min(int(0.005 * sample_rate), span)
+        env[:attack] *= np.linspace(0.0, 1.0, attack)
+        chord = np.zeros(span)
+        for mult in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+            f0 = root * mult
+            for harm in range(1, 9):
+                if f0 * harm > sample_rate / 2 * 0.9:
+                    break
+                chord += (1.0 / harm) * np.sin(
+                    2 * np.pi * f0 * harm * _t + rng.uniform(0, 2 * np.pi)
+                )
+        out[start:stop] += 0.5 * env * chord
+        bass = np.sin(2 * np.pi * (root / 2) * _t + rng.uniform(0, 2 * np.pi))
+        bass += 0.3 * np.sin(2 * np.pi * root * _t)
+        out[start:stop] += 0.8 * bass * np.exp(
+            -1.0 * np.arange(span) / sample_rate / CHORD_SPAN
+        )
+    hat_len = int(0.02 * sample_rate)
+    hat_env = np.exp(-np.arange(hat_len) / (0.003 * sample_rate))
+    b, a = scipy.signal.butter(2, min(6000 / (sample_rate / 2), 0.75), "high")
+    for start in range(0, n - hat_len, int(0.25 * sample_rate)):
+        out[start : start + hat_len] += hat_env * scipy.signal.lfilter(
+            b, a, rng.standard_normal(hat_len)
+        )
+    kick_len = int(0.06 * sample_rate)
+    for start in range(0, n - kick_len, int(0.5 * sample_rate)):
+        sweep = 2 * np.pi * np.cumsum(np.linspace(120.0, 50.0, kick_len)) / sample_rate
+        out[start : start + kick_len] += 1.5 * np.exp(
+            -np.arange(kick_len) / (0.01 * sample_rate)
+        ) * np.sin(sweep)
+    out *= 1.0 + 0.6 * np.sin(2 * np.pi * 5.0 * t)
+    out += 0.015 * scipy.signal.lfilter([1.0], [1.0, -0.7], rng.standard_normal(n))
+    out *= 0.05 / np.sqrt(np.mean(out**2))
+    return AudioBuffer(out, sample_rate)
+
+
+def generator_states(monkeypatch, generate, *args):
+    """The final states of the generators that ``generate(*args)`` draws from."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        generate(*args)
+    return [rng.bit_generator.state for rng in made]
+
+
 def basic_config(n=44100, seed=0, **kwargs):
     fs = 44100
     rng = np.random.default_rng(seed)
@@ -246,6 +316,31 @@ class TestGenerators:
         a = broadband_accompaniment(1.0, fs, seed=17)
         assert np.all(np.isfinite(a.samples))
         assert a.rms() == pytest.approx(0.05, rel=1e-6)
+
+    @pytest.mark.parametrize("fs", [8000, 11025, 44100, 48000])
+    @pytest.mark.parametrize("seed", [0, 17, 83])
+    def test_accompaniment_matches_per_partial_sines(self, fs, seed):
+        # 2.3 s: the last chord is partial; the 0.9-Nyquist cut bites at 8 and 11.025 kHz
+        fast = broadband_accompaniment(2.3, fs, seed=seed).samples
+        loop = loop_broadband_accompaniment(2.3, fs, seed=seed).samples
+        assert fast.shape == loop.shape
+        assert np.max(np.abs(fast - loop)) <= 1e-9 * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("fs", [8000, 44100])
+    def test_accompaniment_draws_the_same_random_stream(self, fs, monkeypatch):
+        fast = generator_states(monkeypatch, broadband_accompaniment, 1.7, fs, 5)
+        loop = generator_states(monkeypatch, loop_broadband_accompaniment, 1.7, fs, 5)
+        assert len(fast) == 2 and fast == loop
+
+    @pytest.mark.parametrize("generate", [noise_plus_tones, broadband_accompaniment])
+    @pytest.mark.parametrize("duration", [0.0, 1e-9, -1.0, np.nan, np.inf, -np.inf])
+    def test_duration_without_samples_rejected(self, generate, duration):
+        with pytest.raises(ValueError, match="duration"):
+            generate(duration, 44100, seed=1)
+
+    @pytest.mark.parametrize("generate", [noise_plus_tones, broadband_accompaniment])
+    def test_one_sample_duration(self, generate):
+        assert len(generate(1 / 44100, 44100, seed=1)) == 1
 
     def test_generators_differ_across_seeds(self):
         assert not np.array_equal(
