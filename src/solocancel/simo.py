@@ -2,21 +2,23 @@
 
 The two channels are cancelled independently; the inter-microphone solo delay
 is then read off the phase ratio of the cancelled spectra and the second
-channel is counter-rotated and averaged with the first.
+channel is counter-rotated and averaged with the first. Both run frame by
+frame through the one weighted overlap-add engine: the delay track is causal,
+so a frame's delay depends only on that frame and the ones before it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, require_matched
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
-from .stft import _blocks, _map_blocks, _num_frames, _overlap_add
+from .stft import _wola
 
 
 #: Speed of sound in air, m/s.
@@ -164,36 +166,36 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     return 0.5 * (frame1 + rot * frame2)
 
 
-def _frame_delays(est1: np.ndarray, est2: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Per-frame delay track, estimated on solo-dominant frames and smoothed
-    by a five-frame median."""
-    num_frames = est1.shape[0]
-    energy = np.sum(np.abs(est1) ** 2, axis=1)
-    floor = 1e-6 * np.max(energy)
-    raw = np.full(num_frames, np.nan)
-    for t in range(num_frames):
-        if energy[t] <= floor:
-            continue
-        try:
-            raw[t] = estimate_delay(est1[t], est2[t], geometry).kappa
-        except NoSignalError:
-            continue
-    valid = np.flatnonzero(~np.isnan(raw))
-    if valid.size == 0:
-        return np.zeros(num_frames)
-    # Frames without an estimate inherit the nearest valid one.
-    nearest = valid[np.searchsorted(valid, np.arange(num_frames)).clip(max=valid.size - 1)]
-    prev = valid[(np.searchsorted(valid, np.arange(num_frames), side="right") - 1).clip(min=0)]
-    pick = np.where(
-        np.abs(nearest - np.arange(num_frames)) < np.abs(np.arange(num_frames) - prev),
-        nearest,
-        prev,
-    )
-    # Median over a window truncated at both ends of the track: the NaN
-    # padding drops out of nanmedian.
-    edge = np.full(2, np.nan)
-    padded = np.concatenate((edge, raw[pick], edge))
-    return np.nanmedian(sliding_window_view(padded, 2 * edge.size + 1), axis=1)
+#: Successful per-frame estimates the delay track takes the median of.
+_TRACK_LENGTH = 5
+
+
+def _delay_track(geometry: ArrayGeometry):
+    """A causal delay track: a function of one block's cancelled frames of both
+    channels that returns each frame's delay, the median of the last
+    ``_TRACK_LENGTH`` successful estimates up to and including that frame, or 0
+    before the first. An estimate succeeds when :func:`estimate_delay` finds
+    bins and returns a number (not NaN). The recent estimates carry over from
+    block to block, so the delays do not depend on how the frames are blocked.
+    """
+    recent = deque(maxlen=_TRACK_LENGTH)
+
+    def extend(est1: np.ndarray, est2: np.ndarray) -> np.ndarray:
+        delays = np.zeros(est1.shape[0])
+        for t in range(est1.shape[0]):
+            try:
+                kappa = estimate_delay(est1[t], est2[t], geometry).kappa
+            except NoSignalError:
+                kappa = math.nan
+            if not math.isnan(kappa):
+                recent.append(kappa)
+            if recent:  # np.median's value; for five numbers sorted() is far cheaper
+                ordered = sorted(recent)
+                mid = len(ordered) // 2
+                delays[t] = (ordered[mid] + ordered[~mid]) / 2.0
+        return delays
+
+    return extend
 
 
 def sbw_simo_cancel(
@@ -206,8 +208,11 @@ def sbw_simo_cancel(
 ) -> AudioBuffer:
     """Cancel both channels independently, then combine them with MRC.
 
-    When ``kappa`` is given it is used for every frame; otherwise the delay
-    is estimated per frame from the cancelled spectra. The output is aligned
+    When ``kappa`` is given it is used for every frame; otherwise each frame
+    takes the causal delay track's value: the median of the last five delays
+    estimated from the cancelled spectra up to and including that frame, or 0
+    before the first. Like :func:`~solocancel.sbw.sbw_cancel`, it holds one
+    block of frames beyond its inputs and output. The output is aligned
     with channel 1. ``geometry`` None is the half-wavelength array for 8 kHz
     at the mixture's sample rate; a given geometry must share that rate.
     """
@@ -223,23 +228,11 @@ def sbw_simo_cancel(
             f"{mixture1.sample_rate}"
         )
     partition = cfg.partition_for(mixture1.sample_rate)
+    track = _delay_track(geometry)
 
     def cancel_both(mix1, mix2, ref):
-        return cancel_frames(mix1, ref, partition, cfg), cancel_frames(mix2, ref, partition, cfg)
+        est1 = cancel_frames(mix1, ref, partition, cfg)
+        est2 = cancel_frames(mix2, ref, partition, cfg)
+        return mrc_combine(est1, est2, track(est1, est2) if kappa is None else float(kappa))
 
-    # Two passes: the delay track needs the whole take (frames without an estimate
-    # take the nearest valid one, under a take-wide energy floor), so both cancelled
-    # stacks are kept, and only the combination runs block by block.
-    num_frames = _num_frames(len(mixture1), cfg.fft_size, cfg.hop)
-    est1 = np.empty((num_frames, cfg.fft_size // 2 + 1), dtype=np.complex128)
-    est2 = np.empty_like(est1)
-    blocks = _map_blocks(cancel_both, (mixture1, mixture2, reference), cfg.window, cfg.hop)
-    for frames, (block1, block2) in zip(_blocks(num_frames), blocks):
-        est1[frames], est2[frames] = block1, block2
-    if kappa is None:
-        delays = _frame_delays(est1, est2, geometry)
-    else:
-        delays = np.full(num_frames, float(kappa))
-    combined = (mrc_combine(est1[f], est2[f], delays[f]) for f in _blocks(num_frames))
-    out = _overlap_add(combined, cfg.window, cfg.hop, len(mixture1))
-    return AudioBuffer(out, mixture1.sample_rate)
+    return _wola(cancel_both, (mixture1, mixture2, reference), cfg.window, cfg.hop)

@@ -21,7 +21,7 @@ from solocancel import (
     sbw_simo_cancel,
     stft,
 )
-from solocancel.simo import _frame_delays
+from solocancel.simo import _delay_track
 
 
 def geometry(spacing=None, f_max=8000.0):
@@ -36,43 +36,22 @@ def rotate(frame, kappa):
     return frame * np.exp(-2j * np.pi * kappa * np.arange(n_bins) / n)
 
 
-def loop_frame_delays(
-    est1: np.ndarray,
-    est2: np.ndarray,
-    geometry: ArrayGeometry,
-    median_window: int = 5,
-) -> np.ndarray:
-    """Oracle: the per-frame loop that ``_frame_delays`` replaced."""
-    num_frames = est1.shape[0]
-    energy = np.sum(np.abs(est1) ** 2, axis=1)
-    floor = 1e-6 * np.max(energy) if np.max(energy) > 0 else 0.0
-    raw = np.full(num_frames, np.nan)
-    for t in range(num_frames):
-        if energy[t] <= floor:
-            continue
+def causal_track(est1: np.ndarray, est2: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """Oracle: the delay track frame by frame. Each frame's delay is ``np.median``
+    of the last five estimates that did not fail or read NaN, up to and including
+    that frame, and 0 before the first."""
+    found = []
+    delays = np.zeros(est1.shape[0])
+    for t in range(est1.shape[0]):
         try:
-            raw[t] = estimate_delay(est1[t], est2[t], geometry).kappa
+            kappa = estimate_delay(est1[t], est2[t], geometry).kappa
         except NoSignalError:
-            continue
-    valid = np.flatnonzero(~np.isnan(raw))
-    if valid.size == 0:
-        return np.zeros(num_frames)
-    # Frames without an estimate inherit the nearest valid one.
-    nearest = valid[np.searchsorted(valid, np.arange(num_frames)).clip(max=valid.size - 1)]
-    prev = valid[(np.searchsorted(valid, np.arange(num_frames), side="right") - 1).clip(min=0)]
-    pick = np.where(
-        np.abs(nearest - np.arange(num_frames)) < np.abs(np.arange(num_frames) - prev),
-        nearest,
-        prev,
-    )
-    filled = raw[pick]
-    half = median_window // 2
-    smoothed = np.empty(num_frames)
-    for t in range(num_frames):
-        lo = max(0, t - half)
-        hi = min(num_frames, t + half + 1)
-        smoothed[t] = np.median(filled[lo:hi])
-    return smoothed
+            kappa = np.nan
+        if not np.isnan(kappa):
+            found.append(kappa)
+        if found:
+            delays[t] = np.median(found[-5:])
+    return delays
 
 
 def loop_mrc_combine(frame1, frame2, kappa):
@@ -126,9 +105,10 @@ def same_bits(a, b):
 
 
 #: Frame kinds for the delay-track property test: an unrelated pair, a silent
-#: frame, one below the energy floor, one whose energy lies above the alias-free
-#: bins (estimate_delay raises NoSignalError), and identical channels.
-FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical")
+#: frame, a faint one, one whose energy lies above the alias-free bins
+#: (estimate_delay raises NoSignalError), identical channels, and a NaN in
+#: channel 2's lowest bins (the estimate reads NaN and does not count).
+FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical", "nan")
 
 
 class TestGeometry:
@@ -415,28 +395,52 @@ class TestSbwSimoCancel:
             )
 
 
-class TestFrameDelays:
+def track_frames(kinds, rng, n_bins=65):
+    """Cancelled frames of both channels, one per entry of ``kinds``; at fft 128,
+    bins 1..19 lie below the alias cap of the default geometry."""
+    est1 = np.zeros((len(kinds), n_bins), dtype=complex)
+    est2 = np.zeros_like(est1)
+    for t, kind in enumerate(kinds):
+        a = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+        b = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+        if kind in ("random", "nan"):
+            est1[t], est2[t] = a, b
+        elif kind == "faint":
+            est1[t], est2[t] = 1e-5 * a, b
+        elif kind == "high_only":
+            est1[t, 30:], est2[t, 30:] = a[30:], b[30:]
+        elif kind == "identical":
+            est1[t], est2[t] = a, a
+        if kind == "nan":
+            est2[t, 1:4] = np.nan
+    return est1, est2
+
+
+class TestDelayTrack:
     @settings(max_examples=150, deadline=None)
     @given(
         kinds=st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=40),
+        cuts=st.lists(st.integers(1, 39), max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_frame_loop(self, kinds, seed):
-        rng = np.random.default_rng(seed)
-        n_bins = 65  # fft 128: bins 1..19 lie below the alias cap of the default geometry
-        est1 = np.zeros((len(kinds), n_bins), dtype=complex)
-        est2 = np.zeros_like(est1)
-        for t, kind in enumerate(kinds):
-            a = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-            b = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-            if kind == "random":
-                est1[t], est2[t] = a, b
-            elif kind == "faint":
-                est1[t], est2[t] = 1e-5 * a, b
-            elif kind == "high_only":
-                est1[t, 30:], est2[t, 30:] = a[30:], b[30:]
-            elif kind == "identical":
-                est1[t], est2[t] = a, a
+    def test_matches_per_frame_oracle_for_any_blocks(self, kinds, cuts, seed):
+        est1, est2 = track_frames(kinds, np.random.default_rng(seed))
         geo = geometry()
-        got = _frame_delays(est1, est2, geo)
-        assert got.tobytes() == loop_frame_delays(est1, est2, geo).tobytes()
+        track = _delay_track(geo)
+        edges = [0, *sorted({c for c in cuts if c < len(kinds)}), len(kinds)]
+        got = np.concatenate(
+            [track(est1[a:b], est2[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        )
+        assert got.tobytes() == causal_track(est1, est2, geo).tobytes()
+
+    def test_zero_before_the_first_estimate_then_causal(self):
+        # A delay of 1.5 samples from the third frame on: the first two frames read 0,
+        # and no frame reads a delay before its own estimate.
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((6, 65)) + 1j * rng.standard_normal((6, 65))
+        est1 = a.copy()
+        est1[:2] = 0.0
+        est2 = np.array([rotate(row, 1.5) for row in a])
+        delays = _delay_track(geometry())(est1, est2)
+        assert delays[:2].tolist() == [0.0, 0.0]
+        assert np.allclose(delays[2:], 1.5, atol=1e-9)

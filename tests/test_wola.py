@@ -31,9 +31,10 @@ from solocancel import (
     spectral_subtract,
 )
 from solocancel.sbw import cancel_frames
-from solocancel.simo import _frame_delays, half_wavelength_spacing, mrc_combine
+from solocancel.simo import half_wavelength_spacing, mrc_combine
 from solocancel.stft import SpectralFrameSeq, istft, stft
 from solocancel.wiener import matched_accompaniment
+from test_simo import causal_track
 
 # The module, which the package's ``stft`` function shadows as an attribute.
 stft_module = importlib.import_module("solocancel.stft")
@@ -76,7 +77,7 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
     if kappa is not None:
         delays = np.full(est1.shape[0], float(kappa))
     else:
-        delays = _frame_delays(est1, est2, geometry)
+        delays = causal_track(est1, est2, geometry)
     out = resynthesize(spec1, mrc_combine(est1, est2, delays))
     return AudioBuffer(out.samples[: len(mixture1)], mixture1.sample_rate)
 
@@ -323,3 +324,22 @@ class TestBoundedMemory:
             return peak - 8 * n
 
         assert peak_beyond_output(20.0) <= peak_beyond_output(5.0) + 2 * 2**20
+
+    def test_sbw_simo_working_set_does_not_grow_with_length(self):
+        """``sbw_simo_cancel`` holds one block of both channels' frames and a five-value
+        delay track: past the output, its traced peak is the same for 4 s and 16 s.
+        (Both takes span more than one 64-frame block; a take of one partial block
+        holds less.)"""
+
+        def peak_beyond_output(seconds):
+            n = int(seconds * FS)
+            mix1, mix2, ref = two_mic_take(5, n)
+            tracemalloc.start()
+            try:
+                sbw_simo_cancel(mix1, mix2, ref)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 8 * n
+
+        assert peak_beyond_output(16.0) <= peak_beyond_output(4.0) + 2 * 2**20
