@@ -3,12 +3,13 @@
 A pair of microphones 2.14 cm apart (half the wavelength at 8 kHz) sees the
 solo from 21.3 degrees, so channel 2 lags channel 1 by about one sample.
 Each channel is cancelled independently; the inter-channel delay is then read
-off the phase ratio of the cancelled spectra and channel 2 is counter-rotated
-and averaged in.
+off the phase ratio of the cancelled spectra, in the bins where the solo
+dominates, and channel 2 is counter-rotated and averaged in.
 """
 import numpy as np
 
 import solocancel as sc
+from solocancel.sbw import cancel_frames
 
 fs = 44100
 layout = sc.SidoLayout(spacing=0.0214, solo_angle_deg=21.3, accomp_angle_deg=90.0)
@@ -27,19 +28,31 @@ scene = sc.synth_sido(
     )
 )
 
-# Delay estimation on the raw channels, frame by frame.
-window = sc.make_window("kbd", 4096, 4.0)
+
+def median_delay(frames1, frames2):
+    """Median of the per-frame delay estimates that find bins."""
+    estimates = []
+    for t in range(1, frames1.shape[0] - 1):
+        try:
+            estimates.append(sc.estimate_delay(frames1[t], frames2[t], geometry).kappa)
+        except sc.NoSignalError:
+            pass
+    return np.median(estimates)
+
+
+# Delay estimation frame by frame: on the raw channels, then as sbw-simo tracks
+# it, on the bins of cancelled channel 1 that keep at least 90 % of the mixture.
+cfg = sc.SbwConfig()
 geometry = layout.geometry(fs)
-frames1 = sc.stft(scene.mixture, window, 2048).frames
-frames2 = sc.stft(scene.mixture2, window, 2048).frames
-estimates = []
-for t in range(1, frames1.shape[0] - 1):
-    try:
-        estimates.append(sc.estimate_delay(frames1[t], frames2[t], geometry).kappa)
-    except sc.NoSignalError:
-        pass
-print(f"median raw-channel delay estimate: {np.median(estimates):.3f} samples "
+partition = cfg.partition_for(fs)
+mix1, mix2, ref = (sc.stft(x, cfg.window, cfg.hop).frames
+                   for x in (scene.mixture, scene.mixture2, scene.reference))
+est1 = cancel_frames(mix1, ref, partition, cfg)
+est2 = cancel_frames(mix2, ref, partition, cfg)
+solo1 = np.where(np.abs(est1) < 0.9 * np.abs(mix1), 0.0, est1)
+print(f"median raw-channel delay estimate:   {median_delay(mix1, mix2):.3f} samples "
       f"(biased by the shared accompaniment)")
+print(f"median delay on solo-dominant bins:  {median_delay(solo1, est2):.3f} samples")
 
 single = sc.sbw_cancel(scene.mixture, scene.reference)
 combined = sc.sbw_simo_cancel(

@@ -1,7 +1,8 @@
 """Two-microphone extension: per-bin delay estimation and maximal-ratio combining.
 
 The two channels are cancelled independently; the inter-microphone solo delay
-is then read off the phase ratio of the cancelled spectra and the second
+is then read off the phase ratio of the cancelled spectra, in the bins where
+the solo dominates, and the second
 channel is counter-rotated and averaged with the first. Both run frame by
 frame through the one weighted overlap-add engine: the delay track is causal,
 so a frame's delay depends only on that frame and the ones before it.
@@ -169,22 +170,30 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
 #: Successful per-frame estimates the delay track takes the median of.
 _TRACK_LENGTH = 5
 
+#: Share of its mixture magnitude that a bin of cancelled channel 1 must keep to
+#: enter the delay track: the solo-dominant bins. Elsewhere the accompaniment,
+#: the same on both channels, would pull the delay toward 0.
+_SOLO_SHARE = 0.9
+
 
 def _delay_track(geometry: ArrayGeometry):
-    """A causal delay track: a function of one block's cancelled frames of both
-    channels that returns each frame's delay, the median of the last
-    ``_TRACK_LENGTH`` successful estimates up to and including that frame, or 0
-    before the first. An estimate succeeds when :func:`estimate_delay` finds
-    bins and returns a number (not NaN). The recent estimates carry over from
-    block to block, so the delays do not depend on how the frames are blocked.
+    """A causal delay track: a function of one block's mixture frames of channel 1
+    and cancelled frames of both channels that returns each frame's delay, the
+    median of the last ``_TRACK_LENGTH`` successful estimates up to and including
+    that frame, or 0 before the first. Each estimate is :func:`estimate_delay` on
+    channel 1's solo-dominant bins (the others zeroed) against channel 2; it
+    succeeds when bins remain and it reads a number (not NaN). The recent
+    estimates carry over from block to block, so the delays do not depend on how
+    the frames are blocked.
     """
     recent = deque(maxlen=_TRACK_LENGTH)
 
-    def extend(est1: np.ndarray, est2: np.ndarray) -> np.ndarray:
+    def extend(mix1: np.ndarray, est1: np.ndarray, est2: np.ndarray) -> np.ndarray:
+        solo1 = np.where(np.abs(est1) < _SOLO_SHARE * np.abs(mix1), 0.0, est1)
         delays = np.zeros(est1.shape[0])
         for t in range(est1.shape[0]):
             try:
-                kappa = estimate_delay(est1[t], est2[t], geometry).kappa
+                kappa = estimate_delay(solo1[t], est2[t], geometry).kappa
             except NoSignalError:
                 kappa = math.nan
             if not math.isnan(kappa):
@@ -211,7 +220,8 @@ def sbw_simo_cancel(
     When ``kappa`` is given it is used for every frame; otherwise each frame
     takes the causal delay track's value: the median of the last five delays
     estimated from the cancelled spectra up to and including that frame, or 0
-    before the first. Like :func:`~solocancel.sbw.sbw_cancel`, it holds one
+    before the first. Only channel 1's solo-dominant bins, those that keep at
+    least 90 % of their mixture magnitude, enter an estimate. Like :func:`~solocancel.sbw.sbw_cancel`, it holds one
     block of frames beyond its inputs and output. The output is aligned
     with channel 1. ``geometry`` None is the half-wavelength array for 8 kHz
     at the mixture's sample rate; a given geometry must share that rate.
@@ -233,6 +243,6 @@ def sbw_simo_cancel(
     def cancel_both(mix1, mix2, ref):
         est1 = cancel_frames(mix1, ref, partition, cfg)
         est2 = cancel_frames(mix2, ref, partition, cfg)
-        return mrc_combine(est1, est2, track(est1, est2) if kappa is None else float(kappa))
+        return mrc_combine(est1, est2, track(mix1, est1, est2) if kappa is None else float(kappa))
 
     return _wola(cancel_both, (mixture1, mixture2, reference), cfg.window, cfg.hop)

@@ -10,16 +10,22 @@ from solocancel import (
     AudioBuffer,
     NoSignalError,
     SbwConfig,
+    SceneConfig,
     SidoLayout,
     angle_from_delay,
+    broadband_accompaniment,
     delay_from_angle,
     estimate_delay,
     half_wavelength_spacing,
+    make_mic_ir,
     make_window,
     mrc_combine,
+    noise_plus_tones,
     sbw_cancel,
     sbw_simo_cancel,
+    snrf,
     stft,
+    synth_sido,
 )
 from solocancel.simo import _delay_track
 
@@ -36,15 +42,19 @@ def rotate(frame, kappa):
     return frame * np.exp(-2j * np.pi * kappa * np.arange(n_bins) / n)
 
 
-def causal_track(est1: np.ndarray, est2: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Oracle: the delay track frame by frame. Each frame's delay is ``np.median``
-    of the last five estimates that did not fail or read NaN, up to and including
-    that frame, and 0 before the first."""
+def causal_track(mix1, est1, est2, geometry: ArrayGeometry) -> np.ndarray:
+    """Oracle: the delay track frame by frame. A frame's estimate reads channel 1's
+    cancelled bins with zeros where they keep less than 0.9 of the mixture's
+    magnitude. Each frame's delay is ``np.median`` of the last five estimates that
+    did not fail or read NaN, up to and including that frame, and 0 before the
+    first."""
     found = []
     delays = np.zeros(est1.shape[0])
     for t in range(est1.shape[0]):
+        solo = est1[t].copy()
+        solo[np.abs(est1[t]) < 0.9 * np.abs(mix1[t])] = 0.0
         try:
-            kappa = estimate_delay(est1[t], est2[t], geometry).kappa
+            kappa = estimate_delay(solo, est2[t], geometry).kappa
         except NoSignalError:
             kappa = np.nan
         if not np.isnan(kappa):
@@ -106,9 +116,10 @@ def same_bits(a, b):
 
 #: Frame kinds for the delay-track property test: an unrelated pair, a silent
 #: frame, a faint one, one whose energy lies above the alias-free bins
-#: (estimate_delay raises NoSignalError), identical channels, and a NaN in
-#: channel 2's lowest bins (the estimate reads NaN and does not count).
-FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical", "nan")
+#: (estimate_delay raises NoSignalError), identical channels, a NaN in
+#: channel 2's lowest bins (the estimate reads NaN and does not count), and one
+#: whose every bin the accompaniment dominates (none is solo-dominant).
+FRAME_KINDS = ("random", "silent", "faint", "high_only", "identical", "nan", "masked")
 
 
 class TestGeometry:
@@ -385,6 +396,28 @@ class TestSbwSimoCancel:
         with pytest.raises(ValueError, match="sample rate"):
             sbw_simo_cancel(x1, x2, ref, SbwConfig(fft_size=1024, hop=512), ArrayGeometry(0.0214))
 
+    def test_beats_single_channel_on_criterion_6_scene(self):
+        # The acceptance comparison's two-microphone scene: 20 s, seed 17, channel
+        # delay 32, +6.02 dB, solo at 21.3 degrees on a 2.14-cm array.
+        fs, seed = 44100, 17
+        scene = synth_sido(
+            SceneConfig(
+                solo=noise_plus_tones(20.0, fs, seed=seed),
+                accompaniment_reference=broadband_accompaniment(20.0, fs, seed=seed),
+                mic_ir=make_mic_ir(13.7, 606, seed=seed),
+                channel_delay=32,
+                level_diff_db=6.02,
+                sido=SidoLayout(spacing=0.0214, solo_angle_deg=21.3, accomp_angle_deg=90.0),
+            )
+        )
+        geo = ArrayGeometry(spacing=0.0214, f_max=8000.0, sample_rate=fs)
+        single = snrf(sbw_cancel(scene.mixture, scene.reference), scene.reference_solo)
+        combined = snrf(
+            sbw_simo_cancel(scene.mixture, scene.mixture2, scene.reference, None, geo),
+            scene.reference_solo,
+        )
+        assert combined >= single + 0.1, (combined, single)
+
     def test_channel_length_mismatch_rejected(self):
         fs = 44100
         with pytest.raises(ValueError):
@@ -396,10 +429,15 @@ class TestSbwSimoCancel:
 
 
 def track_frames(kinds, rng, n_bins=65):
-    """Cancelled frames of both channels, one per entry of ``kinds``; at fft 128,
-    bins 1..19 lie below the alias cap of the default geometry."""
+    """Channel 1's mixture frames and the cancelled frames of both channels, one per
+    entry of ``kinds``; at fft 128, bins 1..19 lie below the alias cap of the
+    default geometry. Outside the silent and masked kinds, the mixture is the
+    cancelled frame scaled by 0.9-1.3 per bin, so some bins are solo-dominant and
+    some sit at the 0.9 bound."""
     est1 = np.zeros((len(kinds), n_bins), dtype=complex)
     est2 = np.zeros_like(est1)
+    scale = rng.choice([0.9, 1.0 / 0.9, 1.2, 1.3], size=est1.shape)
+    scale[:, ::3] = rng.uniform(0.9, 1.3, size=scale[:, ::3].shape)
     for t, kind in enumerate(kinds):
         a = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
         b = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
@@ -411,9 +449,14 @@ def track_frames(kinds, rng, n_bins=65):
             est1[t, 30:], est2[t, 30:] = a[30:], b[30:]
         elif kind == "identical":
             est1[t], est2[t] = a, a
+        elif kind == "masked":
+            est1[t], est2[t] = 0.5 * a, b
+            scale[t] = 2.0
         if kind == "nan":
             est2[t, 1:4] = np.nan
-    return est1, est2
+    mix1 = scale * est1
+    mix1[np.array(kinds) == "silent"] = 0.0
+    return mix1, est1, est2
 
 
 class TestDelayTrack:
@@ -424,14 +467,14 @@ class TestDelayTrack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_frame_oracle_for_any_blocks(self, kinds, cuts, seed):
-        est1, est2 = track_frames(kinds, np.random.default_rng(seed))
+        mix1, est1, est2 = track_frames(kinds, np.random.default_rng(seed))
         geo = geometry()
         track = _delay_track(geo)
         edges = [0, *sorted({c for c in cuts if c < len(kinds)}), len(kinds)]
         got = np.concatenate(
-            [track(est1[a:b], est2[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+            [track(mix1[a:b], est1[a:b], est2[a:b]) for a, b in zip(edges[:-1], edges[1:])]
         )
-        assert got.tobytes() == causal_track(est1, est2, geo).tobytes()
+        assert got.tobytes() == causal_track(mix1, est1, est2, geo).tobytes()
 
     def test_zero_before_the_first_estimate_then_causal(self):
         # A delay of 1.5 samples from the third frame on: the first two frames read 0,
@@ -441,6 +484,6 @@ class TestDelayTrack:
         est1 = a.copy()
         est1[:2] = 0.0
         est2 = np.array([rotate(row, 1.5) for row in a])
-        delays = _delay_track(geometry())(est1, est2)
+        delays = _delay_track(geometry())(est1, est1, est2)  # every bin solo-dominant
         assert delays[:2].tolist() == [0.0, 0.0]
         assert np.allclose(delays[2:], 1.5, atol=1e-9)

@@ -77,7 +77,7 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
     if kappa is not None:
         delays = np.full(est1.shape[0], float(kappa))
     else:
-        delays = causal_track(est1, est2, geometry)
+        delays = causal_track(spec1.frames, est1, est2, geometry)
     out = resynthesize(spec1, mrc_combine(est1, est2, delays))
     return AudioBuffer(out.samples[: len(mixture1)], mixture1.sample_rate)
 
