@@ -144,7 +144,11 @@ class SceneConfig:
 
 @dataclass
 class Scene:
-    """A synthesized recording with its clean reference and ground truth."""
+    """A synthesized recording with its clean reference and ground truth.
+
+    ``reference`` is ``config.accompaniment_reference``: the two names hold one
+    buffer, not two copies.
+    """
 
     mixture: AudioBuffer
     reference: AudioBuffer
@@ -184,7 +188,7 @@ def synth_siso(cfg: SceneConfig) -> Scene:
     )
     return Scene(
         mixture=mixture,
-        reference=cfg.accompaniment_reference.copy(),
+        reference=cfg.accompaniment_reference,
         reference_solo=recorded_solo,
         config=cfg,
         accompaniment_gain=gain,
@@ -211,7 +215,7 @@ def synth_sido(cfg: SceneConfig) -> Scene:
     return Scene(
         mixture=AudioBuffer(recorded_solo.samples + accomp, sr),
         mixture2=AudioBuffer(solo2 + accomp, sr),
-        reference=cfg.accompaniment_reference.copy(),
+        reference=cfg.accompaniment_reference,
         reference_solo=recorded_solo,
         config=cfg,
         accompaniment_gain=gain,
