@@ -25,8 +25,7 @@ def rmsd(
     estimate: AudioBuffer,
     ref_solo: AudioBuffer,
     block_size: int = 1024,
-    return_blocks: bool = False,
-):
+) -> float:
     """Block-averaged RMS deviation in dB re full scale.
 
     The deviation RMS is taken per non-overlapping block (1024 samples is
@@ -45,8 +44,6 @@ def rmsd(
     mean_rms = float(np.mean(block_rms))
     floor_lin = 10.0 ** (RMSD_FLOOR_DB / 20.0)
     value = RMSD_FLOOR_DB if mean_rms <= floor_lin else 20.0 * np.log10(mean_rms)
-    if return_blocks:
-        return float(value), block_rms
     return float(value)
 
 
@@ -118,7 +115,6 @@ class MetricsReport:
     rmsd_db: float
     snrf_db: float
     rtf: float | None = None
-    per_block: np.ndarray | None = field(default=None, repr=False)
     per_segment: np.ndarray | None = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
 
@@ -170,7 +166,7 @@ def measure(
 ) -> MetricsReport:
     """Evaluate an estimate against the recorded-solo ground truth; the SNRF is
     framed as in :func:`snrf`, so ``hop`` None is half of ``fft_size``."""
-    rmsd_db, per_block = rmsd(estimate, ref_solo, block_size, return_blocks=True)
+    rmsd_db = rmsd(estimate, ref_solo, block_size)
     if partition is None:
         partition = _default_partition(fft_size, estimate.sample_rate)
     snrf_db, per_segment = snrf(
@@ -180,7 +176,6 @@ def measure(
         rmsd_db=rmsd_db,
         snrf_db=snrf_db,
         rtf=None if elapsed is None else rtf(elapsed, estimate.duration),
-        per_block=per_block,
         per_segment=per_segment,
         params={
             "block_size": block_size,
