@@ -56,6 +56,14 @@ def _boolean(p: dict, key: str) -> bool:
     return bool(value)
 
 
+def _real(p: dict, key: str) -> float:
+    """Setting ``key`` as a float: a number, else ValueError naming it."""
+    value = p[key]
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _anc_config(p: dict) -> AncConfig:
     return AncConfig(
         taps=_integer(p, "taps"), mu=float(p["mu"]), normalized=_boolean(p, "normalized"),
@@ -444,26 +452,28 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-#: Keys a ``simulate --config`` file may set: key -> (argument, type).
+#: Keys a ``simulate --config`` file may set: key -> (argument, check). The two WAV
+#: paths have no check and are taken as written.
 _SCENE_FILE_KEYS = {
-    "level_diff": ("level_diff_db", float), "level_diff_db": ("level_diff_db", float),
-    "gain": ("gain", float), "kappa": ("kappa", int), "ir_length": ("ir_length", int),
-    "rt_ms": ("rt_ms", float), "seed": ("seed", int), "duration": ("duration", float),
-    "spacing": ("spacing", float), "solo_angle": ("solo_angle", float),
-    "accomp_angle": ("accomp_angle", float),
-    "sido": ("sido", lambda v: v.lower() in ("1", "true", "yes")),
-    "solo": ("solo_path", str), "accomp": ("accomp_path", str),
+    "level_diff": ("level_diff_db", _real), "level_diff_db": ("level_diff_db", _real),
+    "gain": ("gain", _real), "kappa": ("kappa", _integer), "ir_length": ("ir_length", _integer),
+    "rt_ms": ("rt_ms", _real), "seed": ("seed", _integer), "duration": ("duration", _real),
+    "spacing": ("spacing", _real), "solo_angle": ("solo_angle", _real),
+    "accomp_angle": ("accomp_angle", _real), "sido": ("sido", _boolean),
+    "solo": ("solo_path", None), "accomp": ("accomp_path", None),
 }
 
 
 def _scene_file(path) -> dict:
-    """The parser defaults a ``simulate --config`` file sets."""
+    """The parser defaults a ``simulate --config`` file sets. Each value is parsed as a
+    ``--set`` value is and checked by its key's rule; a bad one is a ValueError naming
+    the key."""
     out = {}
     for key, raw in read_kv(path).items():
         if key not in _SCENE_FILE_KEYS:
             raise ValueError(f"unknown scene parameter {key!r} in {path}")
-        dest, kind = _SCENE_FILE_KEYS[key]
-        out[dest] = kind(raw)
+        dest, check = _SCENE_FILE_KEYS[key]
+        out[dest] = raw if check is None else check({key: _parse_value(raw)}, key)
     return out
 
 

@@ -182,6 +182,32 @@ class TestSimulate:
         assert manifest["kappa"] == "7"
         assert manifest["level_diff_db"] == "3.0"
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("sido=on", "sido"), ("sido=2", "sido"), ("sido=yes", "sido"), ("kappa=3.5", "kappa"),
+         ("seed=abc", "seed"), ("duration=abc", "duration")],
+    )
+    def test_bad_config_value_rejected(self, line, key, tmp_path, capsys):
+        # values follow the --set rules: no silent mono scene, no truncated integer
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"duration=0.3\n{line}\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == EXIT_BAD_ARGS
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, sido, kappa",
+        [("sido=true", "1", "32"), ("sido=1", "1", "32"), ("kappa=7.0", "0", "7")],
+    )
+    def test_config_values_read_as_set_values(self, line, sido, kappa, tmp_path):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"duration=0.3\n{line}\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == 0
+        manifest = read_kv(out / "scene.manifest")
+        assert (manifest["sido"], manifest["kappa"]) == (sido, kappa)
+
     def test_simulate_from_wav_inputs(self, tmp_path):
         rng = np.random.default_rng(2)
         solo = tmp_path / "d.wav"
