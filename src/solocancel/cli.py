@@ -58,10 +58,9 @@ def _boolean(p: dict, key: str) -> bool:
 
 def _real(p: dict, key: str) -> float:
     """Setting ``key`` as a float: a number, else ValueError naming it."""
-    value = p[key]
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(p[key], numbers.Real):
+        raise ValueError(f"{key} must be a number, got {p[key]!r}")
+    return float(p[key])
 
 
 def _anc_config(p: dict) -> AncConfig:
@@ -452,8 +451,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-#: Keys a ``simulate --config`` file may set: key -> (argument, check). The two WAV
-#: paths have no check and are taken as written.
+#: Keys a ``simulate --config`` file may set: key -> (argument, check); paths are unchecked.
 _SCENE_FILE_KEYS = {
     "level_diff": ("level_diff_db", _real), "level_diff_db": ("level_diff_db", _real),
     "gain": ("gain", _real), "kappa": ("kappa", _integer), "ir_length": ("ir_length", _integer),
@@ -465,9 +463,8 @@ _SCENE_FILE_KEYS = {
 
 
 def _scene_file(path) -> dict:
-    """The parser defaults a ``simulate --config`` file sets. Each value is parsed as a
-    ``--set`` value is and checked by its key's rule; a bad one is a ValueError naming
-    the key."""
+    """The parser defaults a ``simulate --config`` file sets, each parsed as a ``--set``
+    value and checked by its key's rule (a ValueError naming the key)."""
     out = {}
     for key, raw in read_kv(path).items():
         if key not in _SCENE_FILE_KEYS:

@@ -144,11 +144,8 @@ class SceneConfig:
 
 @dataclass
 class Scene:
-    """A synthesized recording with its clean reference and ground truth.
-
-    ``reference`` is ``config.accompaniment_reference``: the two names hold one
-    buffer, not two copies.
-    """
+    """A synthesized recording with its clean reference and ground truth;
+    ``reference`` and ``config.accompaniment_reference`` are one buffer."""
 
     mixture: AudioBuffer
     reference: AudioBuffer

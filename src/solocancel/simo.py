@@ -1,11 +1,9 @@
 """Two-microphone extension: per-bin delay estimation and maximal-ratio combining.
 
-The two channels are cancelled independently; the inter-microphone solo delay
-is then read off the phase ratio of the cancelled spectra, in the bins where
-the solo dominates, and the second
-channel is counter-rotated and averaged with the first. Both run frame by
-frame through the one weighted overlap-add engine: the delay track is causal,
-so a frame's delay depends only on that frame and the ones before it.
+The two channels are cancelled independently; a causal track reads the
+inter-microphone solo delay off the phase ratio of the cancelled spectra in
+the solo-dominant bins, and the second channel is counter-rotated and averaged
+with the first, frame by frame in the one weighted overlap-add engine.
 """
 
 from __future__ import annotations
@@ -167,25 +165,20 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     return 0.5 * (frame1 + rot * frame2)
 
 
-#: Successful per-frame estimates the delay track takes the median of.
+#: Delay estimates the track takes the median of.
 _TRACK_LENGTH = 5
 
 #: Share of its mixture magnitude that a bin of cancelled channel 1 must keep to
-#: enter the delay track: the solo-dominant bins. Elsewhere the accompaniment,
-#: the same on both channels, would pull the delay toward 0.
+#: count as solo-dominant and enter the delay track.
 _SOLO_SHARE = 0.9
 
 
 def _delay_track(geometry: ArrayGeometry):
-    """A causal delay track: a function of one block's mixture frames of channel 1
-    and cancelled frames of both channels that returns each frame's delay, the
-    median of the last ``_TRACK_LENGTH`` successful estimates up to and including
-    that frame, or 0 before the first. Each estimate is :func:`estimate_delay` on
-    channel 1's solo-dominant bins (the others zeroed) against channel 2; it
-    succeeds when bins remain and it reads a number (not NaN). The recent
-    estimates carry over from block to block, so the delays do not depend on how
-    the frames are blocked.
-    """
+    """A causal delay track: ``extend(mix1, est1, est2)`` maps one block of channel 1's
+    mixture frames and both channels' cancelled frames to each frame's delay, the
+    median of the last ``_TRACK_LENGTH`` estimates up to and including it that did
+    not fail or read NaN, or 0 before the first. An estimate reads only channel 1's
+    solo-dominant bins. The state carries across blocks."""
     recent = deque(maxlen=_TRACK_LENGTH)
 
     def extend(mix1: np.ndarray, est1: np.ndarray, est2: np.ndarray) -> np.ndarray:
@@ -217,12 +210,9 @@ def sbw_simo_cancel(
 ) -> AudioBuffer:
     """Cancel both channels independently, then combine them with MRC.
 
-    When ``kappa`` is given it is used for every frame; otherwise each frame
-    takes the causal delay track's value: the median of the last five delays
-    estimated from the cancelled spectra up to and including that frame, or 0
-    before the first. Only channel 1's solo-dominant bins, those that keep at
-    least 90 % of their mixture magnitude, enter an estimate. Like :func:`~solocancel.sbw.sbw_cancel`, it holds one
-    block of frames beyond its inputs and output. The output is aligned
+    When ``kappa`` is given it is used for every frame; otherwise each frame takes
+    the causal delay track's value (:func:`_delay_track`). Like ``sbw_cancel``, it
+    holds one block of frames beyond its inputs and output. The output is aligned
     with channel 1. ``geometry`` None is the half-wavelength array for 8 kHz
     at the mixture's sample rate; a given geometry must share that rate.
     """
