@@ -22,8 +22,8 @@ from .errors import NoSignalError, SolverError
 from .metrics import measure
 from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
-    SceneConfig, SidoLayout, _check_level_diff, broadband_accompaniment, make_mic_ir,
-    noise_plus_tones, read_kv, synth_sido, synth_siso, write_kv,
+    SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
+    synth_sido, synth_siso, write_kv,
 )
 from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
 from .stft import _framing, make_window
@@ -65,7 +65,7 @@ def _real(p: dict, key: str) -> float:
 
 def _anc_config(p: dict) -> AncConfig:
     return AncConfig(
-        taps=_integer(p, "taps"), mu=float(p["mu"]), normalized=_boolean(p, "normalized"),
+        taps=_integer(p, "taps"), mu=_real(p, "mu"), normalized=_boolean(p, "normalized"),
         prewhiten=_boolean(p, "prewhiten"), lp_order=_integer(p, "lp_order"),
         refresh_interval=_integer(p, "refresh_interval"),
     )
@@ -74,7 +74,7 @@ def _anc_config(p: dict) -> AncConfig:
 def _block_config(p: dict) -> BlockWienerConfig:
     return BlockWienerConfig(
         taps=_integer(p, "taps"), block_size=_integer(p, "block_size"), hop=_integer(p, "hop"),
-        regularization=float(p["regularization"]), interpolate=_boolean(p, "interpolate"),
+        regularization=_real(p, "regularization"), interpolate=_boolean(p, "interpolate"),
     )
 
 
@@ -84,9 +84,9 @@ def _maw_ss_config(p: dict):
     fft_size = _integer(p, "fft_size")
     window, fft_hop = _framing(
         fft_size, None if p["fft_hop"] is None else _integer(p, "fft_hop"),
-        make_window("kbd", fft_size, float(p["window_shape"])),
+        make_window("kbd", fft_size, _real(p, "window_shape")),
     )
-    extra = {"fft_size": fft_size, "fft_hop": fft_hop, "p": float(p["p"]), "window": window}
+    extra = {"fft_size": fft_size, "fft_hop": fft_hop, "p": _real(p, "p"), "window": window}
     if not extra["p"] > 0:
         raise ValueError("p must be > 0")
     return cfg, extra
@@ -96,19 +96,19 @@ def _sbw_config(p: dict) -> SbwConfig:
     fft_size = _integer(p, "fft_size")
     return SbwConfig(
         fft_size=fft_size, hop=None if p["hop"] is None else _integer(p, "hop"),
-        window=make_window("kbd", fft_size, float(p["window_shape"])),
+        window=make_window("kbd", fft_size, _real(p, "window_shape")),
         num_bands=_integer(p, "num_bands"),
-        cutoff=None if p["cutoff"] is None else float(p["cutoff"]),
-        p=float(p["p"]), wiener_exponent=float(p["wiener_exponent"]), cross_cov=str(p["cross_cov"]),
+        cutoff=None if p["cutoff"] is None else _real(p, "cutoff"),
+        p=_real(p, "p"), wiener_exponent=_real(p, "wiener_exponent"), cross_cov=str(p["cross_cov"]),
     )
 
 
 def _simo_config(p: dict):
     """ERB-band settings, array geometry and fixed delay: a (cfg, geometry_kw, kappa) triple."""
     cfg = _sbw_config(p)
-    geometry_kw = {"spacing": float(p["spacing"]), "f_max": float(p["f_max"])}
+    geometry_kw = {"spacing": _real(p, "spacing"), "f_max": _real(p, "f_max")}
     ArrayGeometry(**geometry_kw)  # its check does not depend on the sample rate
-    return cfg, geometry_kw, None if p["kappa"] is None else float(p["kappa"])
+    return cfg, geometry_kw, None if p["kappa"] is None else _real(p, "kappa")
 
 
 def _run_anc(cfg, channels, reference):
@@ -228,34 +228,33 @@ def _inputs(args, seed: int) -> tuple[AudioBuffer, AudioBuffer]:
     return AudioBuffer(solo.samples[:n], fs), AudioBuffer(accomp.samples[:n], accomp.sample_rate)
 
 
-def _scene(args, inputs, seed: int, kappa: int, level_diff_db, gain=None, layout=None):
-    """Synthesise a SISO scene from ``_inputs``, or a SIDO scene when ``layout``
-    is given. Both inputs must share a sample rate."""
+def _scene(args, inputs, seed: int) -> SceneConfig:
+    """The scene that the parsed flags describe on ``inputs`` from ``_inputs``: two-microphone
+    with ``args.sido``, its ``f_max`` lowered to the array's half-wavelength frequency when that
+    is below 8 kHz, so a wider array is accepted; ``args.gain``, when given, replaces
+    ``args.level_diff_db``."""
     solo, accomp = inputs
-    fs = solo.sample_rate
-    scene_cfg = SceneConfig(
+    layout = None
+    if args.sido:
+        if not args.spacing > 0:
+            raise ValueError("microphone spacing must be > 0")
+        f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * args.spacing))
+        layout = SidoLayout(args.spacing, args.solo_angle, args.accomp_angle, f_max)
+    return SceneConfig(
         solo=solo,
         accompaniment_reference=accomp,
-        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, seed=seed, sample_rate=fs),
-        channel_delay=kappa, level_diff_db=level_diff_db, accompaniment_gain=gain, sido=layout,
+        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, seed=seed, sample_rate=solo.sample_rate),
+        channel_delay=args.kappa, accompaniment_gain=args.gain, sido=layout,
+        level_diff_db=None if args.gain is not None else args.level_diff_db,
     )
-    return synth_siso(scene_cfg) if layout is None else synth_sido(scene_cfg)
 
 
-def _sido_layout(args, spacing: float) -> SidoLayout:
-    """The two-microphone layout at ``spacing`` > 0; ``f_max`` is lowered to the array's
-    half-wavelength frequency when that is below 8 kHz, so a wider array is accepted."""
-    if not spacing > 0:
-        raise ValueError("microphone spacing must be > 0")
-    f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * spacing))
-    return SidoLayout(spacing, args.solo_angle, args.accomp_angle, f_max)
+def _synth(scene_cfg: SceneConfig):
+    return synth_siso(scene_cfg) if scene_cfg.sido is None else synth_sido(scene_cfg)
 
 
 def _cmd_simulate(args) -> int:
-    layout = _sido_layout(args, args.spacing) if args.sido else None
-    level_diff = None if args.gain is not None else args.level_diff_db
-    inputs = _inputs(args, args.seed)
-    scene = _scene(args, inputs, args.seed, args.kappa, level_diff, args.gain, layout)
+    scene = _synth(_scene(args, _inputs(args, args.seed), args.seed))
     fs = scene.reference.sample_rate
 
     out_dir = Path(args.out_dir)
@@ -267,6 +266,7 @@ def _cmd_simulate(args) -> int:
     write_wav(out_dir / "reference.wav", scene.reference.samples, fs, args.bit_depth)
     write_wav(out_dir / "reference_solo.wav", scene.reference_solo.samples, fs, args.bit_depth)
 
+    level_diff = scene.config.level_diff_db
     manifest = {
         "sample_rate": fs, "samples": len(scene.reference), "kappa": args.kappa,
         "level_diff_db": "" if level_diff is None else level_diff,
@@ -288,9 +288,6 @@ def _cmd_cancel(args) -> int:
     algo_cfg = build_algorithm_config(args.algorithm, args.preset, _parse_overrides(args.overrides))
     channels = read_channels(args.mixture)
     reference = read_mono(args.reference)
-    for ch in channels:
-        if ch.sample_rate != reference.sample_rate:
-            raise ValueError("mixture and reference sample rates differ")
 
     start = time.perf_counter()
     estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, channels, reference)
@@ -327,23 +324,20 @@ _SWEEP_SETS = {
     "wiener-exponent": "wiener_exponent",
     "p-norm": "p",
 }
+#: Sweep parameters that set a scene flag: name -> flag. For the others the scene depends on
+#: the scene index alone.
+_SWEEP_FLAGS = {"level-diff": "level_diff_db", "delay-mismatch": "kappa", "mic-spacing": "spacing"}
 #: Sweep parameters whose values must be integral; the others take finite numbers.
 _SWEEP_INTEGERS = ("fft-size", "subbands", "delay-mismatch")
 #: Sweep parameters that run the two-microphone pipeline whatever the algorithm.
 _SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
-#: Sweep parameters that change the scene; for the others it depends on the scene index alone.
-_SWEEP_SCENE = ("level-diff", "delay-mismatch", "mic-spacing")
-SWEEP_PARAMS = (*_SWEEP_SETS, "level-diff", "delay-mismatch", *_SWEEP_TWO_MIC)
+SWEEP_PARAMS = (*_SWEEP_SETS, *_SWEEP_FLAGS, "angle-mismatch")
 #: ``sbw-simo`` parameters that ``--set`` cannot give a two-microphone sweep, and why.
 _SWEEP_FIXED = {
     "spacing": "the array comes from --spacing",
     "f_max": "the array comes from --spacing",
     "kappa": "κ is swept with --param angle-mismatch",
 }
-
-
-def _two_mic(args) -> bool:
-    return args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
 
 
 def _sweep_value(param: str, value):
@@ -359,35 +353,22 @@ def _sweep_value(param: str, value):
     raise ValueError(f"{param} must be a finite number, got {value!r}")
 
 
-def _sweep_scene(args, inputs, value, scene_index: int):
-    """The scene of a sweep point from its scene's ``_inputs``; ``value`` is read only
-    for the ``_SWEEP_SCENE`` parameters."""
-    seed = args.seed + scene_index
-    level_diff = value if args.param == "level-diff" else args.level_diff_db
-    kappa = value if args.param == "delay-mismatch" else args.kappa
-    if not _two_mic(args):
-        return _scene(args, inputs, seed, kappa, level_diff)
-    spacing = value if args.param == "mic-spacing" else args.spacing
-    return _scene(args, inputs, seed, kappa, level_diff, layout=_sido_layout(args, spacing))
-
-
-def _sweep_point(args, overrides: dict, value, scene):
-    """One sweep measurement of ``value`` on ``scene``; returns a MetricsReport."""
-    overrides = dict(overrides)
-    if args.param in _SWEEP_SETS:
+def _sweep_point(args, overrides: dict, inputs, value, seed: int):
+    """The (SceneConfig, canceller config) of the sweep point ``value`` on a scene's
+    ``inputs``: ``args`` with the swept scene flag, or ``overrides`` with the swept ``--set``
+    key, replaced. A two-microphone canceller takes the scene's array."""
+    point, overrides = argparse.Namespace(**vars(args)), dict(overrides)
+    if args.param in _SWEEP_FLAGS:
+        setattr(point, _SWEEP_FLAGS[args.param], value)
+    elif args.param in _SWEEP_SETS:
         overrides[_SWEEP_SETS[args.param]] = value
-
-    algorithm, channels = args.algorithm, [scene.mixture]
-    if _two_mic(args):
-        layout = scene.config.sido  # the canceller's array is the scene's
-        algorithm, channels = "sbw-simo", [scene.mixture, scene.mixture2]
+    scene_cfg = _scene(point, inputs, seed)
+    if layout := scene_cfg.sido:
         overrides.update(spacing=layout.spacing, f_max=layout.f_max)
         if args.param == "angle-mismatch":
-            geometry = layout.geometry(scene.reference.sample_rate)
+            geometry = layout.geometry(scene_cfg.solo.sample_rate)
             overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + value, geometry)
-    algo_cfg = build_algorithm_config(algorithm, args.preset, overrides)
-    estimate = ALGORITHMS[algorithm].cancel(algo_cfg, channels, scene.reference)
-    return measure(estimate, scene.reference_solo)
+    return scene_cfg, build_algorithm_config(args.algorithm, args.preset, overrides)
 
 
 def _cmd_sweep(args) -> int:
@@ -396,45 +377,32 @@ def _cmd_sweep(args) -> int:
     if not given:
         raise ValueError("--values is required")
     values = [_sweep_value(args.param, value) for value in given]
-    if args.param == "delay-mismatch" and min(values) < 0:
-        raise ValueError(f"delay-mismatch must be >= 0, got {min(values)}")
     if args.num_scenes < 1:
         raise ValueError("--num-scenes must be >= 1")
-    if args.param in _SWEEP_TWO_MIC and args.algorithm not in ("sbw", "sbw-simo"):
-        raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
-    label = "sbw-simo" if _two_mic(args) else args.algorithm
-    if _two_mic(args):
-        for spacing in values if args.param == "mic-spacing" else [args.spacing]:
-            _sido_layout(args, spacing)
+    args.sido = args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
+    if args.sido:
+        if args.algorithm not in ("sbw", "sbw-simo"):
+            raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
         fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
         if fixed:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
-    # validate the base configuration (and overrides), then every swept value, up front
-    build_algorithm_config(label, args.preset, overrides)
-    for text, value in zip(given, values):
-        try:
-            if args.param in _SWEEP_SETS:
-                swept = {**overrides, _SWEEP_SETS[args.param]: value}
-                build_algorithm_config(label, args.preset, swept)
-            elif args.param == "level-diff":
-                _check_level_diff(value)
-        except ValueError as exc:
-            raise ValueError(f"{args.param} {text}: {exc}") from exc
-    inputs = _inputs(args, args.seed)  # every scene's take has this length
-    if args.param == "delay-mismatch":
-        for text, value in zip(given, values):
-            if value >= len(inputs[0]):
-                raise ValueError(f"{args.param} {text}: not shorter than the take "
-                                 f"({len(inputs[0])} samples)")
+        args.algorithm = "sbw-simo"
 
     reports = {}
     for si in range(args.num_scenes):
-        if si > 0:
-            inputs = _inputs(args, args.seed + si)
-        for vi, value in enumerate(values):
-            if vi == 0 or args.param in _SWEEP_SCENE:
-                scene = _sweep_scene(args, inputs, value, si)
-            reports[vi, si] = _sweep_point(args, overrides, value, scene)
+        inputs = _inputs(args, args.seed + si)
+        points = []  # every point is built, and so checked, before the scene is synthesised
+        for text, value in zip(given, values):
+            try:
+                points.append(_sweep_point(args, overrides, inputs, value, args.seed + si))
+            except ValueError as exc:
+                raise ValueError(f"{args.param} {text}: {exc}") from exc
+        for vi, (scene_cfg, algo_cfg) in enumerate(points):
+            if vi == 0 or args.param in _SWEEP_FLAGS:
+                scene = _synth(scene_cfg)
+            channels = [scene.mixture, scene.mixture2] if scene.is_sido else [scene.mixture]
+            estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, channels, scene.reference)
+            reports[vi, si] = measure(estimate, scene.reference_solo)
 
     rows = []
     for vi, value in enumerate(given):
@@ -443,7 +411,7 @@ def _cmd_sweep(args) -> int:
             summary = [np.median(samples), *np.percentile(samples, [25, 75])]
             for si, sample in enumerate(samples):
                 figures = ",".join(f"{x:.6f}" for x in (sample, *summary))
-                rows.append(f"{args.param},{value},{si},{label},{metric},{figures}\n")
+                rows.append(f"{args.param},{value},{si},{args.algorithm},{metric},{figures}\n")
 
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(rows))
@@ -542,7 +510,7 @@ def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser
     sw.add_argument("--num-scenes", type=int, default=4)
     _add_scene_flags(sw)
     sw.add_argument("--out", dest="output", default="sweep.csv")
-    sw.set_defaults(handler=_cmd_sweep)
+    sw.set_defaults(handler=_cmd_sweep, gain=None)
     return parser
 
 

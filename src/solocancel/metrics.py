@@ -10,7 +10,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, _framing, _map_blocks
+from .stft import Window, _framing, _map_blocks, _num_frames
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -54,8 +54,7 @@ def snrf(
     fft_size: int = 4096,
     hop: int | None = None,
     window: Window | None = None,
-    return_segments: bool = False,
-):
+) -> float:
     """Frequency-weighted segmental SNR over auditory bands, in dB.
 
     Per STFT segment and band: signal power is the band mean of the reference
@@ -89,14 +88,7 @@ def snrf(
     )
     np.clip(ratio_db, -SNRF_CLAMP_DB, SNRF_CLAMP_DB, out=ratio_db)
 
-    value = float(np.mean(ratio_db[keep]))
-    if return_segments:
-        seg_means = np.array(
-            [np.mean(ratio_db[t][keep[t]]) if np.any(keep[t]) else np.nan
-             for t in range(ratio_db.shape[0])]
-        )
-        return value, seg_means
-    return value
+    return float(np.mean(ratio_db[keep]))
 
 
 def rtf(elapsed: float, duration: float) -> float:
@@ -115,7 +107,6 @@ class MetricsReport:
     rmsd_db: float
     snrf_db: float
     rtf: float | None = None
-    per_segment: np.ndarray | None = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ("rmsd_db", "snrf_db", "rtf", "block_size", "segments", "num_bands")
@@ -169,17 +160,15 @@ def measure(
     rmsd_db = rmsd(estimate, ref_solo, block_size)
     if partition is None:
         partition = _default_partition(fft_size, estimate.sample_rate)
-    snrf_db, per_segment = snrf(
-        estimate, ref_solo, partition, fft_size, hop, window, return_segments=True
-    )
+    window, hop = _framing(fft_size, hop, window)
+    snrf_db = snrf(estimate, ref_solo, partition, fft_size, hop, window)
     return MetricsReport(
         rmsd_db=rmsd_db,
         snrf_db=snrf_db,
         rtf=None if elapsed is None else rtf(elapsed, estimate.duration),
-        per_segment=per_segment,
         params={
             "block_size": block_size,
-            "segments": len(per_segment),
+            "segments": _num_frames(len(estimate), fft_size, hop),
             "num_bands": partition.num_bands,
         },
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from solocancel import AudioBuffer, read_mono, write_wav
+from solocancel import AudioBuffer, read_channels, read_mono, write_wav
 from solocancel import cli
 from solocancel.cli import (
     ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, EXIT_NUMERIC, build_algorithm_config, main,
@@ -97,12 +97,25 @@ class TestBuildAlgorithmConfig:
         ("anc", {"prewhiten": "nope"}),
         ("maw", {"interpolate": "off"}),
         ("anc", {"taps": 1.7}),
+        ("anc", {"mu": "abc"}),
+        ("maw", {"regularization": "abc"}),
+        ("maw-ss", {"window_shape": "abc"}),
+        ("maw-ss", {"p": "abc"}),
+        ("sbw", {"p": "abc"}),
+        ("sbw", {"wiener_exponent": "abc"}),
+        ("sbw", {"cutoff": "abc"}),
+        ("sbw-simo", {"spacing": "abc"}),
+        ("sbw-simo", {"f_max": "abc"}),
+        ("sbw-simo", {"kappa": "abc"}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
             "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
             "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
             "sbw-window_shape-nan", "maw-ss-p-nan", "maw-regularization-nan", "anc-mu-nan",
-            "anc-normalized-no", "anc-prewhiten-nope", "maw-interpolate-off", "anc-taps-1.7"])
-    def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path):
+            "anc-normalized-no", "anc-prewhiten-nope", "maw-interpolate-off", "anc-taps-1.7",
+            "anc-mu-text", "maw-regularization-text", "maw-ss-window_shape-text",
+            "maw-ss-p-text", "sbw-p-text", "sbw-wiener_exponent-text", "sbw-cutoff-text",
+            "sbw-simo-spacing-text", "sbw-simo-f_max-text", "sbw-simo-kappa-text"])
+    def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)
         (key, value), = overrides.items()
@@ -111,6 +124,8 @@ class TestBuildAlgorithmConfig:
             str(tmp_path / "no.wav"), str(tmp_path / "no2.wav"), str(tmp_path / "out.wav"),
         )
         assert code == EXIT_BAD_ARGS
+        if isinstance(value, str):  # a value of the wrong kind names its key
+            assert f"{key} must be" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -648,6 +663,42 @@ class TestSweep:
         assert code == 0
         assert sizes == [1024] and type(sizes[0]) is int
         assert out.read_text().split("\n")[1].startswith("fft-size,1024.0,")
+
+    @pytest.mark.parametrize("sweep_flags,simulate_flags", [
+        (["--param", "level-diff", "--values", "3"], ["--level-diff", "3"]),
+        (["--param", "mic-spacing", "--values", "0.03"], ["--sido", "--spacing", "0.03"]),
+        (["--algo", "sbw-simo", "--param", "subbands", "--values", "8"], ["--sido"]),
+    ], ids=["siso", "mic-spacing", "sbw-simo"])
+    def test_sweep_scene_is_the_simulated_scene(self, sweep_flags, simulate_flags, tmp_path,
+                                                monkeypatch):
+        cancelled = []
+
+        def recording(canceller):
+            def wrapper(*args, **kwargs):
+                cancelled.append([a.samples for a in args if isinstance(a, AudioBuffer)])
+                return canceller(*args, **kwargs)
+            return wrapper
+
+        for name in ("sbw_cancel", "sbw_simo_cancel"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        scene_flags = ["--duration", "0.5", "--kappa", "7", "--solo-angle", "30"]
+        code = run_cli(
+            "sweep", *sweep_flags, "--num-scenes", "2", "--seed", "5", *scene_flags,
+            "--set", "fft_size=1024", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0 and len(cancelled) == 2
+        for index, signals in enumerate(cancelled):
+            out = tmp_path / f"scene{index}"
+            assert run_cli(
+                "simulate", "--seed", str(5 + index), *scene_flags, *simulate_flags,
+                "--out-dir", str(out),
+            ) == 0
+            written = [ch.samples for ch in read_channels(out / "mixture.wav")]
+            written.append(read_mono(out / "reference.wav").samples)
+            # simulate writes float32 WAVs: the mixture channels, then the reference
+            assert len(signals) == len(written)
+            for got, want in zip(signals, written):
+                assert np.float32(got).tobytes() == np.float32(want).tobytes()
 
     def test_bad_param_rejected(self, tmp_path):
         code = run_cli(

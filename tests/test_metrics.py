@@ -165,7 +165,7 @@ class TestMeasure:
         est, ref = noise_pair(seed=7)
         rep = measure(est, ref, fft_size=512, hop=256, elapsed=1.0)
         assert rep.rtf == pytest.approx(1.0 / est.duration)
-        assert rep.params["segments"] == len(rep.per_segment)
+        assert rep.params["segments"] == stft(est, make_window("kbd", 512), 256).num_frames
         text = rep.to_csv()
         header, row = text.strip().split("\n")
         assert header.split(",") == list(rep.CSV_COLUMNS)
@@ -177,7 +177,6 @@ class TestMeasure:
         default = measure(est, ref, fft_size=1024)
         half = measure(est, ref, fft_size=1024, hop=512)
         assert default.to_csv() == half.to_csv()
-        assert default.per_segment.tobytes() == half.per_segment.tobytes()
 
     def test_rtf_omitted_without_timing(self):
         est, ref = noise_pair(seed=8)

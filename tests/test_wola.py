@@ -119,7 +119,7 @@ def frame_by_frame_istft(seq: SpectralFrameSeq) -> AudioBuffer:
 
 
 def whole_file_snrf(estimate, ref_solo, fft_size, hop, window):
-    """Oracle: ``snrf`` with ``return_segments``, from the ``stft`` of whole files."""
+    """Oracle: ``snrf`` from the ``stft`` of whole files."""
     partition = make_partition(fft_size, estimate.sample_rate, None, 39)
     mag_est = np.abs(stft(estimate, window, hop).frames)
     mag_ref = np.abs(stft(ref_solo, window, hop).frames)
@@ -130,10 +130,7 @@ def whole_file_snrf(estimate, ref_solo, fft_size, hop, window):
     measurable = keep & (psi_noise > 0.0)
     ratio_db[measurable] = 10.0 * np.log10(psi_signal[measurable] / psi_noise[measurable])
     np.clip(ratio_db, -100.0, 100.0, out=ratio_db)
-    seg_means = np.array(
-        [np.mean(row[k]) if np.any(k) else np.nan for row, k in zip(ratio_db, keep)]
-    )
-    return float(np.mean(ratio_db[keep])), seg_means
+    return float(np.mean(ratio_db[keep]))
 
 
 @st.composite
@@ -273,7 +270,7 @@ class TestEveryBlockSize:
                 mix1, ref, maw_cfg, fft_size, hop, window, maw_p
             ),
         }
-        want_snrf, want_segments = whole_file_snrf(mix1, mix2, fft_size, hop, cfg.window)
+        want_snrf = whole_file_snrf(mix1, mix2, fft_size, hop, cfg.window)
         for block in range(1, num_frames(n, fft_size, hop) + 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(stft_module, "_BLOCK_FRAMES", block)
@@ -282,13 +279,10 @@ class TestEveryBlockSize:
                     "sbw-simo": sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa=kappa),
                     "maw-ss": maw_ss_cancel(mix1, ref, maw_cfg, fft_size, hop, window, maw_p),
                 }
-                value, segments = snrf(
-                    mix1, mix2, None, fft_size, hop, cfg.window, return_segments=True
-                )
+                value = snrf(mix1, mix2, None, fft_size, hop, cfg.window)
             for name, buf in got.items():
                 assert same_bytes(buf, want[name]), (name, block)
             assert value == want_snrf, block
-            assert segments.tobytes() == want_segments.tobytes(), block
 
 
 class TestIstft:
