@@ -9,7 +9,8 @@ import argparse
 import numbers
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -19,13 +20,15 @@ from .anc import AncConfig, anc_cancel
 from .audio import AudioBuffer
 from .erb import make_partition
 from .errors import NoSignalError, SolverError
-from .metrics import measure
+from .metrics import measure, rtf
 from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
     SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
     synth_sido, synth_siso, write_kv,
 )
-from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
+from .simo import (
+    SPEED_OF_SOUND, ArrayGeometry, _fixed_delay, delay_from_angle, sbw_simo_cancel,
+)
 from .stft import _framing, make_window
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, maw_cancel, maw_ss_cancel
@@ -39,105 +42,90 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _integer(p: dict, key: str) -> int:
-    """Setting ``key`` as an int: an integral number, else ValueError naming it."""
-    value = p[key]
+def _integer(key: str, value) -> int:
+    """``value`` of setting ``key`` as an int: an integral number, else ValueError naming it."""
     whole_float = isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or whole_float):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _boolean(p: dict, key: str) -> bool:
-    """Setting ``key`` as a bool: true, false, 0 or 1, else ValueError naming it."""
-    value = p[key]
+def _boolean(key: str, value) -> bool:
+    """``value`` of setting ``key`` as a bool: true, false, 0 or 1, else ValueError naming it."""
     if not isinstance(value, numbers.Integral) or value not in (0, 1):
         raise ValueError(f"{key} must be true, false, 0 or 1, got {value!r}")
     return bool(value)
 
 
-def _real(p: dict, key: str) -> float:
-    """Setting ``key`` as a float: a number, else ValueError naming it."""
-    if not isinstance(p[key], numbers.Real):
-        raise ValueError(f"{key} must be a number, got {p[key]!r}")
-    return float(p[key])
+def _real(key: str, value) -> float:
+    """``value`` of setting ``key`` as a float: a number, else ValueError naming it."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
-def _anc_config(p: dict) -> AncConfig:
-    return AncConfig(
-        taps=_integer(p, "taps"), mu=_real(p, "mu"), normalized=_boolean(p, "normalized"),
-        prewhiten=_boolean(p, "prewhiten"), lp_order=_integer(p, "lp_order"),
-        refresh_interval=_integer(p, "refresh_interval"),
-    )
+#: The check of every canceller parameter, by key.
+_KINDS = {
+    **dict.fromkeys(("taps", "lp_order", "refresh_interval", "block_size", "hop", "fft_size",
+                     "fft_hop", "num_bands"), _integer),
+    **dict.fromkeys(("normalized", "prewhiten", "interpolate"), _boolean),
+    **dict.fromkeys(("mu", "regularization", "p", "window_shape", "cutoff", "wiener_exponent",
+                     "spacing", "f_max", "kappa"), _real),
+    "cross_cov": lambda key, value: str(value),  # text, which SbwConfig checks
+}
 
 
-def _block_config(p: dict) -> BlockWienerConfig:
-    return BlockWienerConfig(
-        taps=_integer(p, "taps"), block_size=_integer(p, "block_size"), hop=_integer(p, "hop"),
-        regularization=_real(p, "regularization"), interpolate=_boolean(p, "interpolate"),
-    )
+def _stft_framing(p: dict, hop_key: str) -> dict:
+    """Keyword arguments ``window``, the KBD window of ``p``'s ``fft_size`` and ``window_shape``,
+    and ``hop_key``, its hop by the framing rule; a ValueError is prefixed with these keys."""
+    try:
+        window = make_window("kbd", p["fft_size"], p["window_shape"])
+        window, hop = _framing(p["fft_size"], p[hop_key], window)
+    except ValueError as exc:
+        raise ValueError(f"fft_size/window_shape/{hop_key}: {exc}") from exc
+    return {"window": window, hop_key: hop}
 
 
-def _maw_ss_config(p: dict):
-    """Block settings plus the STFT subtraction settings, as a (cfg, extra) pair."""
-    cfg = _block_config(p)
-    fft_size = _integer(p, "fft_size")
-    window, fft_hop = _framing(
-        fft_size, None if p["fft_hop"] is None else _integer(p, "fft_hop"),
-        make_window("kbd", fft_size, _real(p, "window_shape")),
-    )
-    extra = {"fft_size": fft_size, "fft_hop": fft_hop, "p": _real(p, "p"), "window": window}
-    if not extra["p"] > 0:
+def _anc(p: dict):
+    return partial(anc_cancel, cfg=AncConfig(**p))
+
+
+def _maw_ss(p: dict):
+    cfg = BlockWienerConfig(**{key: p[key] for key in _BLOCK})
+    framing = _stft_framing(p, "fft_hop")
+    if not p["p"] > 0:
         raise ValueError("p must be > 0")
-    return cfg, extra
+    return partial(maw_ss_cancel, cfg=cfg, fft_size=p["fft_size"], p=p["p"], **framing)
 
 
 def _sbw_config(p: dict) -> SbwConfig:
-    fft_size = _integer(p, "fft_size")
-    return SbwConfig(
-        fft_size=fft_size, hop=None if p["hop"] is None else _integer(p, "hop"),
-        window=make_window("kbd", fft_size, _real(p, "window_shape")),
-        num_bands=_integer(p, "num_bands"),
-        cutoff=None if p["cutoff"] is None else _real(p, "cutoff"),
-        p=_real(p, "p"), wiener_exponent=_real(p, "wiener_exponent"), cross_cov=str(p["cross_cov"]),
+    fields = {key: p[key] for key in _SBW if key not in ("window_shape", "hop")}
+    return SbwConfig(**fields, **_stft_framing(p, "hop"))
+
+
+def _simo(mixture1, mixture2, reference, cfg, geometry, kappa):
+    """``sbw_simo_cancel`` with ``geometry``, whose check does not depend on the sample rate,
+    at the mixture's sample rate."""
+    geometry = replace(geometry, sample_rate=mixture1.sample_rate)
+    return sbw_simo_cancel(mixture1, mixture2, reference, cfg, geometry, kappa=kappa)
+
+
+def _sbw_simo(p: dict):
+    return partial(
+        _simo, cfg=_sbw_config(p), geometry=ArrayGeometry(p["spacing"], p["f_max"]),
+        kappa=_fixed_delay(p["kappa"]),
     )
-
-
-def _simo_config(p: dict):
-    """ERB-band settings, array geometry and fixed delay: a (cfg, geometry_kw, kappa) triple."""
-    cfg = _sbw_config(p)
-    geometry_kw = {"spacing": _real(p, "spacing"), "f_max": _real(p, "f_max")}
-    ArrayGeometry(**geometry_kw)  # its check does not depend on the sample rate
-    return cfg, geometry_kw, None if p["kappa"] is None else _real(p, "kappa")
-
-
-def _run_anc(cfg, channels, reference):
-    return anc_cancel(channels[0], reference, cfg)
-
-
-def _run_maw_ss(cfg, channels, reference):
-    block_cfg, extra = cfg
-    return maw_ss_cancel(channels[0], reference, block_cfg, **extra)
-
-
-def _run_sbw_simo(cfg, channels, reference):
-    sbw_cfg, geometry_kw, kappa = cfg
-    if len(channels) != 2:
-        raise ValueError("sbw-simo needs a two-channel mixture WAV")
-    geometry = ArrayGeometry(sample_rate=channels[0].sample_rate, **geometry_kw)
-    return sbw_simo_cancel(channels[0], channels[1], reference, sbw_cfg, geometry, kappa=kappa)
 
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One canceller: its parameters with their defaults, its paper-v preset, its config builder
-    and ``cancel(config, mixture_channels, reference)``. ``cancel`` calls the canceller through
-    its module-level name, so a rebound module attribute is what runs."""
+    """One canceller: its parameters with their defaults, its paper-v preset and ``build``,
+    which binds the checked parameters to the canceller, taken by its module-level name so a
+    rebound module attribute is what runs; the result is called as ``run(*channels, reference)``."""
 
     defaults: dict
     paper_v: dict
-    config: Callable[[dict], object]
-    cancel: Callable
+    build: Callable[[dict], Callable[..., AudioBuffer]]
 
 
 _ANC = {"taps": 256, "normalized": True, "lp_order": 15, "refresh_interval": 16384}
@@ -150,21 +138,18 @@ _SBW = {
 }
 
 ALGORITHMS = {
-    "anc": _Algorithm({**_ANC, "mu": 0.1, "prewhiten": False}, _ANC_PAPER, _anc_config, _run_anc),
-    "anc-pw": _Algorithm(
-        {**_ANC, "mu": 0.01, "prewhiten": True}, _ANC_PAPER, _anc_config, _run_anc
-    ),
+    "anc": _Algorithm({**_ANC, "mu": 0.1, "prewhiten": False}, _ANC_PAPER, _anc),
+    "anc-pw": _Algorithm({**_ANC, "mu": 0.01, "prewhiten": True}, _ANC_PAPER, _anc),
     "maw": _Algorithm(
-        _BLOCK, _BLOCK_PAPER, _block_config, lambda cfg, ch, ref: maw_cancel(ch[0], ref, cfg)
+        _BLOCK, _BLOCK_PAPER, lambda p: partial(maw_cancel, cfg=BlockWienerConfig(**p))
     ),
     "maw-ss": _Algorithm(
         {**_BLOCK, "fft_size": 4096, "fft_hop": None, "p": 2.0, "window_shape": 4.0},
-        _BLOCK_PAPER, _maw_ss_config, _run_maw_ss,
+        _BLOCK_PAPER, _maw_ss,
     ),
-    "sbw": _Algorithm(_SBW, {}, _sbw_config, lambda cfg, ch, ref: sbw_cancel(ch[0], ref, cfg)),
+    "sbw": _Algorithm(_SBW, {}, lambda p: partial(sbw_cancel, cfg=_sbw_config(p))),
     "sbw-simo": _Algorithm(
-        {**_SBW, "spacing": 0.0214, "f_max": 8000.0, "kappa": None}, {},
-        _simo_config, _run_sbw_simo,
+        {**_SBW, "spacing": 0.0214, "f_max": 8000.0, "kappa": None}, {}, _sbw_simo
     ),
 }
 
@@ -192,7 +177,8 @@ def _parse_overrides(pairs) -> dict:
 
 
 def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
-    """Resolve an algorithm name + preset + overrides into a config object.
+    """Resolve an algorithm name + preset + overrides into its canceller, with every setting
+    checked by its kind and bound, called as ``run(*channels, reference)``.
 
     Raises ValueError on unknown keys or precondition violations, before any
     audio has been read.
@@ -200,12 +186,11 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     entry = ALGORITHMS[algorithm]
-    params = {**entry.defaults, **(entry.paper_v if preset == "paper-v" else {})}
-    unknown = sorted(set(overrides) - set(params))
-    cfg = entry.config({**params, **overrides})
+    unknown = sorted(set(overrides) - set(entry.defaults))
     if unknown:
         raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(unknown)}")
-    return cfg
+    params = {**entry.defaults, **(entry.paper_v if preset == "paper-v" else {}), **overrides}
+    return entry.build({k: None if v is None else _KINDS[k](k, v) for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +270,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
-    algo_cfg = build_algorithm_config(args.algorithm, args.preset, _parse_overrides(args.overrides))
+    run = build_algorithm_config(args.algorithm, args.preset, _parse_overrides(args.overrides))
     channels = read_channels(args.mixture)
     reference = read_mono(args.reference)
+    if args.algorithm != "sbw-simo":
+        channels = channels[:1]  # a one-channel canceller cancels the first channel
+    elif len(channels) != 2:
+        raise ValueError("sbw-simo needs a two-channel mixture WAV")
 
     start = time.perf_counter()
-    estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, channels, reference)
+    estimate = run(*channels, reference)
     elapsed = time.perf_counter() - start
+    ratio = rtf(elapsed, estimate.duration)  # an empty take fails here, before anything is written
 
     write_wav(args.output, estimate.samples, estimate.sample_rate, args.bit_depth)
-    ratio = elapsed / estimate.duration
     print(f"algorithm={args.algorithm} elapsed_s={elapsed:.3f} rtf={ratio:.4f}")
     if args.timing_out:
         write_kv(args.timing_out, {"elapsed_s": f"{elapsed:.6f}", "rtf": f"{ratio:.6f}"})
@@ -344,7 +333,7 @@ def _sweep_value(param: str, value):
     """A parsed ``--values`` entry as ``param`` takes it: an int by the ``--set`` rule for the
     ``_SWEEP_INTEGERS``, else a finite float; ValueError naming ``param`` otherwise."""
     if param in _SWEEP_INTEGERS:
-        return _integer({param: value}, param)
+        return _integer(param, value)
     try:
         if np.isfinite(number := float(value)):
             return number
@@ -354,7 +343,7 @@ def _sweep_value(param: str, value):
 
 
 def _sweep_point(args, overrides: dict, inputs, value, seed: int):
-    """The (SceneConfig, canceller config) of the sweep point ``value`` on a scene's
+    """The (SceneConfig, canceller) of the sweep point ``value`` on a scene's
     ``inputs``: ``args`` with the swept scene flag, or ``overrides`` with the swept ``--set``
     key, replaced. A two-microphone canceller takes the scene's array."""
     point, overrides = argparse.Namespace(**vars(args)), dict(overrides)
@@ -397,11 +386,11 @@ def _cmd_sweep(args) -> int:
                 points.append(_sweep_point(args, overrides, inputs, value, args.seed + si))
             except ValueError as exc:
                 raise ValueError(f"{args.param} {text}: {exc}") from exc
-        for vi, (scene_cfg, algo_cfg) in enumerate(points):
+        for vi, (scene_cfg, run) in enumerate(points):
             if vi == 0 or args.param in _SWEEP_FLAGS:
                 scene = _synth(scene_cfg)
             channels = [scene.mixture, scene.mixture2] if scene.is_sido else [scene.mixture]
-            estimate = ALGORITHMS[args.algorithm].cancel(algo_cfg, channels, scene.reference)
+            estimate = run(*channels, scene.reference)
             reports[vi, si] = measure(estimate, scene.reference_solo)
 
     rows = []
@@ -438,7 +427,7 @@ def _scene_file(path) -> dict:
         if key not in _SCENE_FILE_KEYS:
             raise ValueError(f"unknown scene parameter {key!r} in {path}")
         dest, check = _SCENE_FILE_KEYS[key]
-        out[dest] = raw if check is None else check({key: _parse_value(raw)}, key)
+        out[dest] = raw if check is None else check(key, _parse_value(raw))
     return out
 
 

@@ -200,6 +200,13 @@ def _delay_track(geometry: ArrayGeometry):
     return extend
 
 
+def _fixed_delay(kappa: float | None) -> float | None:
+    """``kappa``, checked to be None or finite (ValueError), as :func:`sbw_simo_cancel` takes it."""
+    if kappa is not None and not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
+    return kappa
+
+
 def sbw_simo_cancel(
     mixture1: AudioBuffer,
     mixture2: AudioBuffer,
@@ -210,12 +217,14 @@ def sbw_simo_cancel(
 ) -> AudioBuffer:
     """Cancel both channels independently, then combine them with MRC.
 
-    When ``kappa`` is given it is used for every frame; otherwise each frame takes
-    the causal delay track's value (:func:`_delay_track`). Like ``sbw_cancel``, it
-    holds one block of frames beyond its inputs and output. The output is aligned
-    with channel 1. ``geometry`` None is the half-wavelength array for 8 kHz
-    at the mixture's sample rate; a given geometry must share that rate.
+    When ``kappa`` is given (finite, else ``ValueError`` before any work) it is used for
+    every frame; otherwise each frame takes the causal delay track's value
+    (:func:`_delay_track`). Like ``sbw_cancel``, it holds one block of frames beyond its
+    inputs and output. The output is aligned with channel 1. ``geometry`` None is the
+    half-wavelength array for 8 kHz at the mixture's sample rate; a given geometry must
+    share that rate.
     """
+    _fixed_delay(kappa)
     if cfg is None:
         cfg = SbwConfig()
     require_matched(mixture1, mixture2, "channels")

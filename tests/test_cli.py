@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -27,34 +29,41 @@ def scene_dir(tmp_path):
     return out
 
 
+def bound(algorithm, preset, overrides):
+    """The settings ``build_algorithm_config`` bound to the canceller it returns."""
+    return build_algorithm_config(algorithm, preset, overrides).keywords
+
+
 class TestBuildAlgorithmConfig:
     def test_paper_presets(self):
-        anc = build_algorithm_config("anc", "paper-v", {})
+        anc = bound("anc", "paper-v", {})["cfg"]
         assert (anc.taps, anc.mu, anc.prewhiten) == (1023, 0.10, False)
-        ancpw = build_algorithm_config("anc-pw", "paper-v", {})
+        ancpw = bound("anc-pw", "paper-v", {})["cfg"]
         assert (ancpw.taps, ancpw.mu, ancpw.lp_order, ancpw.prewhiten) == (
             1023, 0.01, 15, True,
         )
-        maw = build_algorithm_config("maw", "paper-v", {})
+        maw = bound("maw", "paper-v", {})["cfg"]
         assert (maw.taps, maw.block_size, maw.hop) == (1023, 16384, 64)
-        mawss, extra = build_algorithm_config("maw-ss", "paper-v", {})
+        extra = bound("maw-ss", "paper-v", {})
+        mawss = extra["cfg"]
         assert (mawss.taps, mawss.block_size, mawss.hop) == (1023, 16384, 64)
         assert (extra["fft_size"], extra["fft_hop"], extra["p"]) == (4096, 2048, 2.0)
-        sbw = build_algorithm_config("sbw", "paper-v", {})
+        sbw = bound("sbw", "paper-v", {})["cfg"]
         assert (sbw.fft_size, sbw.hop, sbw.num_bands) == (4096, 2048, 39)
-        simo_cfg, geom, kappa = build_algorithm_config("sbw-simo", "paper-v", {})
+        simo = bound("sbw-simo", "paper-v", {})
+        simo_cfg = simo["cfg"]
         assert (simo_cfg.fft_size, simo_cfg.hop, simo_cfg.num_bands) == (4096, 2048, 39)
-        assert geom["spacing"] == pytest.approx(0.0214)
-        assert kappa is None
+        assert simo["geometry"].spacing == pytest.approx(0.0214)
+        assert simo["kappa"] is None
 
     def test_overrides_applied(self):
-        cfg = build_algorithm_config("sbw", "none", {"fft_size": 1024, "p": 2.0})
+        cfg = bound("sbw", "none", {"fft_size": 1024, "p": 2.0})["cfg"]
         assert cfg.fft_size == 1024 and cfg.hop == 512 and cfg.p == 2.0
 
     @pytest.mark.parametrize("text,normalized", [("false", False), ("0", False), ("1", True)])
     def test_boolean_and_integer_settings_parse(self, text, normalized):
         overrides = cli._parse_overrides([f"normalized={text}", "taps=255"])
-        cfg = build_algorithm_config("anc", "none", overrides)
+        cfg = bound("anc", "none", overrides)["cfg"]
         assert (cfg.normalized, cfg.taps) == (normalized, 255)
         assert type(cfg.normalized) is bool and type(cfg.taps) is int
 
@@ -107,6 +116,8 @@ class TestBuildAlgorithmConfig:
         ("sbw-simo", {"spacing": "abc"}),
         ("sbw-simo", {"f_max": "abc"}),
         ("sbw-simo", {"kappa": "abc"}),
+        ("sbw-simo", {"kappa": np.nan}),
+        ("sbw-simo", {"kappa": np.inf}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
             "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
             "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
@@ -114,7 +125,8 @@ class TestBuildAlgorithmConfig:
             "anc-normalized-no", "anc-prewhiten-nope", "maw-interpolate-off", "anc-taps-1.7",
             "anc-mu-text", "maw-regularization-text", "maw-ss-window_shape-text",
             "maw-ss-p-text", "sbw-p-text", "sbw-wiener_exponent-text", "sbw-cutoff-text",
-            "sbw-simo-spacing-text", "sbw-simo-f_max-text", "sbw-simo-kappa-text"])
+            "sbw-simo-spacing-text", "sbw-simo-f_max-text", "sbw-simo-kappa-text",
+            "sbw-simo-kappa-nan", "sbw-simo-kappa-inf"])
     def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)
@@ -124,8 +136,10 @@ class TestBuildAlgorithmConfig:
             str(tmp_path / "no.wav"), str(tmp_path / "no2.wav"), str(tmp_path / "out.wav"),
         )
         assert code == EXIT_BAD_ARGS
-        if isinstance(value, str):  # a value of the wrong kind names its key
-            assert f"{key} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err), err  # every error names its key
+        if isinstance(value, str):  # a value of the wrong kind says what the key takes
+            assert f"{key} must be" in err
 
 
 class TestSimulate:
@@ -392,6 +406,43 @@ class TestCancelEvaluate:
             str(tmp_path / "out.wav"),
         )
         assert code == EXIT_BAD_ARGS
+
+    @pytest.mark.parametrize("algorithm", ["anc", "maw"])
+    def test_empty_take_rejected(self, algorithm, tmp_path, capsys):
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, np.zeros(0), 44100)
+        est = tmp_path / "est.wav"
+        code = run_cli("cancel", "--algo", algorithm, str(empty), str(empty), str(est))
+        assert code == EXIT_BAD_ARGS
+        assert "duration must be positive" in capsys.readouterr().err
+        assert not est.exists()
+
+    def test_one_channel_canceller_cancels_channel_1(self, tmp_path):
+        scene = tmp_path / "stereo"
+        assert run_cli(
+            "simulate", "--duration", "1", "--seed", "5", "--sido", "--out-dir", str(scene)
+        ) == 0
+        est, oracle = tmp_path / "est.wav", tmp_path / "oracle.wav"
+        code = run_cli(
+            "cancel", "--algo", "sbw", str(scene / "mixture.wav"), str(scene / "reference.wav"),
+            str(est),
+        )
+        assert code == 0
+        channel1 = read_channels(scene / "mixture.wav")[0]
+        expected = sbw_cancel(channel1, read_mono(scene / "reference.wav"))
+        write_wav(oracle, expected.samples, expected.sample_rate)
+        assert est.read_bytes() == oracle.read_bytes()
+
+        # sbw-simo takes exactly two channels
+        for width in (1, 3):
+            mixture = tmp_path / f"mixture{width}.wav"
+            write_wav(mixture, np.tile(channel1.samples[:, None], width), 44100)
+            assert len(read_channels(mixture)) == width
+            code = run_cli(
+                "cancel", "--algo", "sbw-simo", str(mixture), str(scene / "reference.wav"),
+                str(tmp_path / "out.wav"),
+            )
+            assert code == EXIT_BAD_ARGS
 
     def test_sample_rate_mismatch_rejected(self, scene_dir, tmp_path):
         other = tmp_path / "mismatch.wav"

@@ -418,6 +418,17 @@ class TestSbwSimoCancel:
         )
         assert combined >= single + 0.1, (combined, single)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fixed_delay_rejected(self, kappa, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the take was processed")
+
+        monkeypatch.setattr("solocancel.simo._wola", no_work)
+        fs = 44100
+        x1, x2, ref = (AudioBuffer(np.zeros(fs), fs) for _ in range(3))
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            sbw_simo_cancel(x1, x2, ref, kappa=kappa)
+
     def test_channel_length_mismatch_rejected(self):
         fs = 44100
         with pytest.raises(ValueError):
