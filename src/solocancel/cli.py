@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .anc import AncConfig, anc_cancel
-from .audio import AudioBuffer
+from .audio import AudioBuffer, require_matched
 from .erb import make_partition
 from .errors import NoSignalError, SolverError
 from .metrics import measure, rtf
@@ -176,6 +177,15 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _entry(algorithm: str, keys) -> _Algorithm:
+    """``algorithm``'s ``ALGORITHMS`` entry; ValueError on an unknown algorithm or key."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if unknown := sorted(set(keys) - set(ALGORITHMS[algorithm].defaults)):
+        raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(unknown)}")
+    return ALGORITHMS[algorithm]
+
+
 def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
     """Resolve an algorithm name + preset + overrides into its canceller, with every setting
     checked by its kind and bound, called as ``run(*channels, reference)``.
@@ -183,12 +193,7 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
     Raises ValueError on unknown keys or precondition violations, before any
     audio has been read.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    entry = ALGORITHMS[algorithm]
-    unknown = sorted(set(overrides) - set(entry.defaults))
-    if unknown:
-        raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(unknown)}")
+    entry = _entry(algorithm, overrides)
     params = {**entry.defaults, **(entry.paper_v if preset == "paper-v" else {}), **overrides}
     return entry.build({k: None if v is None else _KINDS[k](k, v) for k, v in params.items()})
 
@@ -198,22 +203,24 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
 # ---------------------------------------------------------------------------
 
 
-def _inputs(args, seed: int) -> tuple[AudioBuffer, AudioBuffer]:
-    """The solo and accompaniment, read or generated, cut to a common length."""
+def _inputs(args) -> tuple[AudioBuffer, AudioBuffer]:
+    """The solo and accompaniment, read or generated from ``args.seed``, cut to one length."""
     if args.solo_path:
         solo = read_mono(args.solo_path)
     else:
-        solo = noise_plus_tones(args.duration, 44100, seed=seed)
+        solo = noise_plus_tones(args.duration, 44100, seed=args.seed)
     fs = solo.sample_rate
     if args.accomp_path:
         accomp = read_mono(args.accomp_path)
     else:
-        accomp = broadband_accompaniment(args.duration, fs, seed=seed)
+        accomp = broadband_accompaniment(args.duration, fs, seed=args.seed)
     n = min(len(solo), len(accomp))
-    return AudioBuffer(solo.samples[:n], fs), AudioBuffer(accomp.samples[:n], accomp.sample_rate)
+    inputs = AudioBuffer(solo.samples[:n], fs), AudioBuffer(accomp.samples[:n], accomp.sample_rate)
+    require_matched(*inputs, "solo/accompaniment")  # here, so a sweep does not blame its value
+    return inputs
 
 
-def _scene(args, inputs, seed: int) -> SceneConfig:
+def _scene(args, inputs) -> SceneConfig:
     """The scene that the parsed flags describe on ``inputs`` from ``_inputs``: two-microphone
     with ``args.sido``, its ``f_max`` lowered to the array's half-wavelength frequency when that
     is below 8 kHz, so a wider array is accepted; ``args.gain``, when given, replaces
@@ -228,7 +235,7 @@ def _scene(args, inputs, seed: int) -> SceneConfig:
     return SceneConfig(
         solo=solo,
         accompaniment_reference=accomp,
-        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, seed=seed, sample_rate=solo.sample_rate),
+        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, args.seed, solo.sample_rate),
         channel_delay=args.kappa, accompaniment_gain=args.gain, sido=layout,
         level_diff_db=None if args.gain is not None else args.level_diff_db,
     )
@@ -239,7 +246,7 @@ def _synth(scene_cfg: SceneConfig):
 
 
 def _cmd_simulate(args) -> int:
-    scene = _synth(_scene(args, _inputs(args, args.seed), args.seed))
+    scene = _synth(_scene(args, _inputs(args)))
     fs = scene.reference.sample_rate
 
     out_dir = Path(args.out_dir)
@@ -342,7 +349,7 @@ def _sweep_value(param: str, value):
     raise ValueError(f"{param} must be a finite number, got {value!r}")
 
 
-def _sweep_point(args, overrides: dict, inputs, value, seed: int):
+def _sweep_point(args, overrides: dict, inputs, value):
     """The (SceneConfig, canceller) of the sweep point ``value`` on a scene's
     ``inputs``: ``args`` with the swept scene flag, or ``overrides`` with the swept ``--set``
     key, replaced. A two-microphone canceller takes the scene's array."""
@@ -351,7 +358,7 @@ def _sweep_point(args, overrides: dict, inputs, value, seed: int):
         setattr(point, _SWEEP_FLAGS[args.param], value)
     elif args.param in _SWEEP_SETS:
         overrides[_SWEEP_SETS[args.param]] = value
-    scene_cfg = _scene(point, inputs, seed)
+    scene_cfg = _scene(point, inputs)
     if layout := scene_cfg.sido:
         overrides.update(spacing=layout.spacing, f_max=layout.f_max)
         if args.param == "angle-mismatch":
@@ -376,14 +383,16 @@ def _cmd_sweep(args) -> int:
         if fixed:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
         args.algorithm = "sbw-simo"
+    _entry(args.algorithm, overrides)  # an unknown --set key is no swept value's fault
 
     reports = {}
     for si in range(args.num_scenes):
-        inputs = _inputs(args, args.seed + si)
+        scene_args = argparse.Namespace(**{**vars(args), "seed": args.seed + si})
+        inputs = _inputs(scene_args)
         points = []  # every point is built, and so checked, before the scene is synthesised
         for text, value in zip(given, values):
             try:
-                points.append(_sweep_point(args, overrides, inputs, value, args.seed + si))
+                points.append(_sweep_point(scene_args, overrides, inputs, value))
             except ValueError as exc:
                 raise ValueError(f"{args.param} {text}: {exc}") from exc
         for vi, (scene_cfg, run) in enumerate(points):
@@ -510,12 +519,18 @@ def main(argv=None) -> int:
         if args.command == "simulate" and args.config:
             # file values become defaults, so explicit flags still win
             args = _build_parser(_scene_file(args.config)).parse_args(argv)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, where it is handled
+        return status
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except BrokenPipeError:  # the reader closed stdout (`| head`): not a failure
+        with open(os.devnull, "wb") as devnull:  # so that the interpreter's last flush succeeds
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except (OSError, EOFError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

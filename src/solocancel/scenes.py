@@ -160,35 +160,33 @@ class Scene:
 
 
 def _recorded_parts(cfg: SceneConfig):
+    """The recorded solo h * d, the recorded accompaniment A h * s0(k - kappa), and A."""
     s0 = cfg.accompaniment_reference
     shifted = fractional_delay(s0.samples, cfg.channel_delay)
+    accomp = cfg.mic_ir.apply(AudioBuffer(shifted, s0.sample_rate))
+    del shifted  # dropped once filtered, before the solo is
     recorded_solo = cfg.mic_ir.apply(cfg.solo)
-    recorded_accomp_unit = cfg.mic_ir.apply(AudioBuffer(shifted, s0.sample_rate))
     if cfg.level_diff_db is not None:
         rms_solo = recorded_solo.rms()
         if rms_solo == 0.0:
             raise ValueError("level_diff_db is undefined for a silent solo")
-        rms_unit = recorded_accomp_unit.rms()
+        rms_unit = accomp.rms()
         if rms_unit == 0.0:
             raise ValueError("accompaniment reference is silent")
         gain = 10.0 ** (cfg.level_diff_db / 20.0) * rms_solo / rms_unit
     else:
         gain = float(cfg.accompaniment_gain)
-    return recorded_solo, recorded_accomp_unit, gain
+    accomp.samples *= gain
+    return recorded_solo, accomp, gain
 
 
 def synth_siso(cfg: SceneConfig) -> Scene:
     """Single-microphone scene: x = h * d + A h * s0(k - kappa)."""
-    recorded_solo, accomp_unit, gain = _recorded_parts(cfg)
-    mixture = AudioBuffer(
-        recorded_solo.samples + gain * accomp_unit.samples, cfg.solo.sample_rate
-    )
+    recorded_solo, accomp, gain = _recorded_parts(cfg)
+    accomp.samples += recorded_solo.samples  # now the mixture
     return Scene(
-        mixture=mixture,
-        reference=cfg.accompaniment_reference,
-        reference_solo=recorded_solo,
-        config=cfg,
-        accompaniment_gain=gain,
+        mixture=accomp, reference=cfg.accompaniment_reference, reference_solo=recorded_solo,
+        config=cfg, accompaniment_gain=gain,
     )
 
 
@@ -201,21 +199,15 @@ def synth_sido(cfg: SceneConfig) -> Scene:
     """
     if cfg.sido is None:
         raise ValueError("SceneConfig.sido geometry is required")
-    kappa_d = cfg.sido.solo_delay_samples(cfg.solo.sample_rate)
-    recorded_solo, accomp_unit, gain = _recorded_parts(cfg)
-    accomp = gain * accomp_unit.samples
     sr = cfg.solo.sample_rate
-    # d2 lives until the return: freed sooner, it raised the peak RSS of the
-    # benchmark's 60-s take from 639 to 691 MB.
-    d2 = fractional_delay(cfg.solo.samples, kappa_d)
-    solo2 = cfg.mic_ir.apply(AudioBuffer(d2, sr)).samples
+    kappa_d = cfg.sido.solo_delay_samples(sr)
+    recorded_solo, accomp, gain = _recorded_parts(cfg)
+    mixture2 = cfg.mic_ir.apply(AudioBuffer(fractional_delay(cfg.solo.samples, kappa_d), sr))
+    mixture2.samples += accomp.samples
+    accomp.samples += recorded_solo.samples  # now channel 1's mixture
     return Scene(
-        mixture=AudioBuffer(recorded_solo.samples + accomp, sr),
-        mixture2=AudioBuffer(solo2 + accomp, sr),
-        reference=cfg.accompaniment_reference,
-        reference_solo=recorded_solo,
-        config=cfg,
-        accompaniment_gain=gain,
+        mixture=accomp, mixture2=mixture2, reference=cfg.accompaniment_reference,
+        reference_solo=recorded_solo, config=cfg, accompaniment_gain=gain,
     )
 
 
@@ -279,7 +271,6 @@ def noise_plus_tones(duration: float, sample_rate: int = 44100, seed: int = 0) -
     n = _sample_count(duration, sample_rate)
     rng = np.random.default_rng(seed + 1)
     prog = _progression(duration, seed)
-    t = np.arange(n) / sample_rate
     out = np.zeros(n)
     slot = int(NOTE_SPAN * sample_rate)
     note_len = int(0.6 * slot)
@@ -290,7 +281,7 @@ def noise_plus_tones(duration: float, sample_rate: int = 44100, seed: int = 0) -
             break
         root = CHORD_ROOTS[prog[int(start / sample_rate / CHORD_SPAN)]]
         f0 = root * rng.choice((2.0, 3.0, 4.0))
-        phase = 2 * np.pi * f0 * t[start:stop]
+        phase = 2 * np.pi * f0 * (np.arange(start, stop) / sample_rate)
         tone = (
             np.sin(phase)
             + 0.5 * np.sin(2 * phase + rng.uniform(0, 2 * np.pi))
@@ -342,7 +333,6 @@ def broadband_accompaniment(
     n = _sample_count(duration, sample_rate)
     rng = np.random.default_rng(seed + 2)
     prog = _progression(duration, seed)
-    t = np.arange(n) / sample_rate
     out = np.zeros(n)
     chord_len = int(CHORD_SPAN * sample_rate)
     for j, start in enumerate(range(0, n, chord_len)):
@@ -360,12 +350,13 @@ def broadband_accompaniment(
                 if f0 * harm > sample_rate / 2 * 0.9:
                     break
                 coeffs[int(2 * mult) * harm] += cmath.exp(1j * rng.uniform(0, 2 * np.pi)) / harm
-        z = np.exp(1j * (2 * np.pi * (root / 2)) * t[start:stop])
+        z = np.exp(1j * (2 * np.pi * (root / 2)) * (np.arange(start, stop) / sample_rate))
         out[start:stop] += 0.5 * env * _phasor_polynomial(coeffs, z).imag
         bass = z * (cmath.exp(1j * rng.uniform(0, 2 * np.pi)) + 0.3 * z)
         out[start:stop] += 0.8 * bass.imag * np.exp(
             -1.0 * np.arange(span) / sample_rate / CHORD_SPAN
         )
+    del env, z, bass  # the last chord's span arrays, freed before the take-length steps
     hat_len = int(0.02 * sample_rate)
     hat_env = np.exp(-np.arange(hat_len) / (0.003 * sample_rate))
     b, a = scipy.signal.butter(2, min(6000 / (sample_rate / 2), 0.75), "high")
@@ -379,7 +370,7 @@ def broadband_accompaniment(
         out[start : start + kick_len] += 1.5 * np.exp(
             -np.arange(kick_len) / (0.01 * sample_rate)
         ) * np.sin(sweep)
-    out *= 1.0 + 0.6 * np.sin(2 * np.pi * 5.0 * t)
+    out *= 1.0 + 0.6 * np.sin(2 * np.pi * 5.0 * (np.arange(n) / sample_rate))
     out += 0.015 * scipy.signal.lfilter([1.0], [1.0, -0.7], rng.standard_normal(n))
     out *= 0.05 / np.sqrt(np.mean(out**2))
     return AudioBuffer(out, sample_rate)

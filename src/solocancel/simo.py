@@ -217,7 +217,8 @@ def sbw_simo_cancel(
 ) -> AudioBuffer:
     """Cancel both channels independently, then combine them with MRC.
 
-    When ``kappa`` is given (finite, else ``ValueError`` before any work) it is used for
+    When ``kappa`` is given (finite and within the ``max_delay_samples + 0.5`` that
+    :func:`estimate_delay` searches, else ``ValueError`` before any work) it is used for
     every frame; otherwise each frame takes the causal delay track's value
     (:func:`_delay_track`). Like ``sbw_cancel``, it holds one block of frames beyond its
     inputs and output. The output is aligned with channel 1. ``geometry`` None is the
@@ -236,6 +237,9 @@ def sbw_simo_cancel(
             f"geometry sample rate {geometry.sample_rate} differs from the mixture's "
             f"{mixture1.sample_rate}"
         )
+    kappa_max = geometry.max_delay_samples + 0.5
+    if kappa is not None and abs(kappa) > kappa_max:
+        raise ValueError(f"kappa {kappa} is beyond the array's delay bound {kappa_max:.6g}")
     partition = cfg.partition_for(mixture1.sample_rate)
     track = _delay_track(geometry)
 

@@ -1,4 +1,6 @@
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -491,6 +493,51 @@ def test_cancel_runs_every_algorithm(algorithm, scene_dir, stereo_scene_dir, tmp
     assert np.all(np.isfinite(estimate.samples))
 
 
+@pytest.mark.parametrize("kappa", ["1e20", "-1e300", "3.26"])
+def test_simo_fixed_delay_past_the_array_rejected(kappa, stereo_scene_dir, tmp_path, capsys):
+    # the 2.14-cm array at 44.1 kHz: at most 2.75 samples, searched to 3.25
+    est = tmp_path / "est.wav"
+    code = run_cli(
+        "cancel", "--algo", "sbw-simo", "--set", f"kappa={kappa}",
+        str(stereo_scene_dir / "mixture.wav"), str(stereo_scene_dir / "reference.wav"), str(est),
+    )
+    assert code == EXIT_BAD_ARGS
+    assert "kappa" in capsys.readouterr().err
+    assert not est.exists()
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises BrokenPipeError."""
+
+    def __init__(self, fd, failing):
+        self.fd, self.failing = fd, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_is_not_a_failure(failing, scene_dir, tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "wb") as held:  # stands in for the pipe's descriptor
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(held.fileno(), failing))
+        code = run_cli("evaluate", str(scene_dir / "mixture.wav"),
+                       str(scene_dir / "reference_solo.wav"))
+        monkeypatch.undo()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        # the descriptor now points at the null device, so a last flush cannot fail
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+
+
 class TestSweep:
     def test_subbands_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -611,6 +658,30 @@ class TestSweep:
             "--out", str(out),
         )
         assert code == EXIT_BAD_ARGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--solo", "{solo}", "--accomp", "{accomp22}"],
+         "solo/accompaniment must share a sample rate (44100 != 22050)"),
+        (["--set", "bogus=1"], "unknown parameter(s) for sbw: bogus"),
+    ], ids=["rate-mismatch", "unknown-key"])
+    def test_error_no_value_causes_names_no_value(self, flags, message, tmp_path, monkeypatch,
+                                                  capsys):
+        rng = np.random.default_rng(5)
+        paths = {"solo": tmp_path / "solo.wav", "accomp22": tmp_path / "accomp22.wav"}
+        write_wav(paths["solo"], 0.05 * rng.standard_normal(44100), 44100)
+        write_wav(paths["accomp22"], 0.05 * rng.standard_normal(22050), 22050)
+        synthesised = []
+        for name in ("synth_siso", "synth_sido"):
+            monkeypatch.setattr(cli, name, synthesised.append)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--param", "subbands", "--values", "8", "--num-scenes", "1",
+            "--duration", "0.5", *(flag.format(**paths) for flag in flags), "--out", str(out),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert capsys.readouterr().err == f"error: {message}\n"  # no "subbands 8:" prefix
+        assert synthesised == []
         assert not out.exists()
 
     @pytest.mark.parametrize("values", ["0", "0.02,-0.01"])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,107 @@ def loop_broadband_accompaniment(duration, sample_rate=44100, seed=0):
     out += 0.015 * scipy.signal.lfilter([1.0], [1.0, -0.7], rng.standard_normal(n))
     out *= 0.05 / np.sqrt(np.mean(out**2))
     return AudioBuffer(out, sample_rate)
+
+
+def parent_noise_plus_tones(duration, sample_rate=44100, seed=0):
+    """``noise_plus_tones`` as it was with a whole-take time axis; kept as its byte oracle."""
+    from solocancel.scenes import CHORD_ROOTS, CHORD_SPAN, NOTE_SPAN, _progression, _sample_count
+
+    n = _sample_count(duration, sample_rate)
+    rng = np.random.default_rng(seed + 1)
+    prog = _progression(duration, seed)
+    t = np.arange(n) / sample_rate
+    out = np.zeros(n)
+    slot = int(NOTE_SPAN * sample_rate)
+    note_len = int(0.6 * slot)
+    for start in range(0, n, slot):
+        stop = min(n, start + note_len)
+        span = stop - start
+        if span <= 0:
+            break
+        root = CHORD_ROOTS[prog[int(start / sample_rate / CHORD_SPAN)]]
+        f0 = root * rng.choice((2.0, 3.0, 4.0))
+        phase = 2 * np.pi * f0 * t[start:stop]
+        tone = (
+            np.sin(phase)
+            + 0.5 * np.sin(2 * phase + rng.uniform(0, 2 * np.pi))
+            + 0.25 * np.sin(3 * phase + rng.uniform(0, 2 * np.pi))
+        )
+        env = np.exp(-6.0 * np.arange(span) / sample_rate / NOTE_SPAN)
+        attack = min(int(0.005 * sample_rate), span)
+        env[:attack] *= np.linspace(0.0, 1.0, attack)
+        out[start:stop] += env * (tone + 0.08 * rng.standard_normal(span))
+        pick = min(int(0.008 * sample_rate), span)
+        out[start : start + pick] += (
+            4.0 * np.exp(-np.arange(pick) / (0.002 * sample_rate)) * rng.standard_normal(pick)
+        )
+    out *= 0.05 / np.sqrt(np.mean(out**2))
+    return AudioBuffer(out, sample_rate)
+
+
+def parent_recorded_parts(cfg):
+    """``scenes._recorded_parts`` as it was, holding the shifted reference to the end and
+    returning the unit-gain accompaniment; part of the synthesis byte oracles."""
+    s0 = cfg.accompaniment_reference
+    shifted = fractional_delay(s0.samples, cfg.channel_delay)
+    recorded_solo = cfg.mic_ir.apply(cfg.solo)
+    recorded_accomp_unit = cfg.mic_ir.apply(AudioBuffer(shifted, s0.sample_rate))
+    if cfg.level_diff_db is not None:
+        rms_solo = recorded_solo.rms()
+        if rms_solo == 0.0:
+            raise ValueError("level_diff_db is undefined for a silent solo")
+        rms_unit = recorded_accomp_unit.rms()
+        if rms_unit == 0.0:
+            raise ValueError("accompaniment reference is silent")
+        gain = 10.0 ** (cfg.level_diff_db / 20.0) * rms_solo / rms_unit
+    else:
+        gain = float(cfg.accompaniment_gain)
+    return recorded_solo, recorded_accomp_unit, gain
+
+
+def parent_synth_siso(cfg):
+    """``synth_siso`` as it was, out of place; kept as its byte oracle."""
+    recorded_solo, accomp_unit, gain = parent_recorded_parts(cfg)
+    mixture = AudioBuffer(
+        recorded_solo.samples + gain * accomp_unit.samples, cfg.solo.sample_rate
+    )
+    return Scene(
+        mixture=mixture,
+        reference=cfg.accompaniment_reference,
+        reference_solo=recorded_solo,
+        config=cfg,
+        accompaniment_gain=gain,
+    )
+
+
+def parent_synth_sido(cfg):
+    """``synth_sido`` as it was, out of place; kept as its byte oracle."""
+    if cfg.sido is None:
+        raise ValueError("SceneConfig.sido geometry is required")
+    kappa_d = cfg.sido.solo_delay_samples(cfg.solo.sample_rate)
+    recorded_solo, accomp_unit, gain = parent_recorded_parts(cfg)
+    accomp = gain * accomp_unit.samples
+    sr = cfg.solo.sample_rate
+    d2 = fractional_delay(cfg.solo.samples, kappa_d)
+    solo2 = cfg.mic_ir.apply(AudioBuffer(d2, sr)).samples
+    return Scene(
+        mixture=AudioBuffer(recorded_solo.samples + accomp, sr),
+        mixture2=AudioBuffer(solo2 + accomp, sr),
+        reference=cfg.accompaniment_reference,
+        reference_solo=recorded_solo,
+        config=cfg,
+        accompaniment_gain=gain,
+    )
+
+
+def traced_peak(build):
+    """The peak of the memory that ``build()`` allocates, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def generator_states(monkeypatch, generate, *args):
@@ -346,6 +448,64 @@ class TestGenerators:
         assert not np.array_equal(
             noise_plus_tones(1.0, seed=1).samples, noise_plus_tones(1.0, seed=2).samples
         )
+
+
+def scene_bytes(scene):
+    """Everything a scene holds, as bytes, and its gain."""
+    arrays = [scene.mixture, scene.reference, scene.reference_solo]
+    if scene.is_sido:
+        arrays.append(scene.mixture2)
+    return [a.samples.tobytes() for a in arrays], scene.accompaniment_gain
+
+
+class TestInPlaceSynthesis:
+    """The builders work in place; each must give the bytes of its out-of-place original and
+    hold no more take-length arrays at its peak than its result needs."""
+
+    #: Peak above the inputs: the take-length arrays each builder may hold, plus this slack.
+    SLACK = 2**20
+
+    @pytest.mark.parametrize("fs", [8000, 44100, 48000])
+    @pytest.mark.parametrize("duration,seed", [(0.37, 0), (1.013, 17), (2.0001, 5)])
+    def test_solo_matches_parent(self, fs, duration, seed):
+        fast = noise_plus_tones(duration, fs, seed=seed).samples
+        assert fast.tobytes() == parent_noise_plus_tones(duration, fs, seed=seed).samples.tobytes()
+
+    @pytest.mark.parametrize("fs", [8000, 44100, 48000])
+    @pytest.mark.parametrize("channel_delay", [0, 32, 7.5], ids=["none", "integer", "fraction"])
+    @pytest.mark.parametrize("solo_angle", [None, 0.0, 21.3, -40.0],
+                             ids=["siso", "sido-integer", "sido-fraction", "sido-negative"])
+    @pytest.mark.parametrize("gain", [None, 0.5], ids=["level-diff", "gain"])
+    def test_synthesis_matches_parent(self, fs, channel_delay, solo_angle, gain):
+        duration = 1.0213  # not a whole number of FIR blocks or chords
+        cfg = SceneConfig(
+            solo=noise_plus_tones(duration, fs, seed=3),
+            accompaniment_reference=broadband_accompaniment(duration, fs, seed=3),
+            mic_ir=make_mic_ir(13.7, 606, seed=1, sample_rate=fs),
+            channel_delay=channel_delay,
+            level_diff_db=None if gain is not None else 6.02,
+            accompaniment_gain=gain,
+            sido=None if solo_angle is None else SidoLayout(0.0214, solo_angle),
+        )
+        synth, parent = (synth_siso, parent_synth_siso) if cfg.sido is None else (
+            synth_sido, parent_synth_sido)
+        assert scene_bytes(synth(cfg)) == scene_bytes(parent(cfg))
+
+    def test_solo_peak(self):
+        n = 20 * 44100
+        assert traced_peak(lambda: noise_plus_tones(20.0, 44100, seed=1)) <= 2 * 8 * n + self.SLACK
+
+    def test_accompaniment_peak(self):
+        broadband_accompaniment(0.1, 44100, seed=1)  # scipy.signal is imported before tracing
+        n = 20 * 44100
+        peak = traced_peak(lambda: broadband_accompaniment(20.0, 44100, seed=1))
+        assert peak <= 3 * 8 * n + self.SLACK
+
+    @pytest.mark.parametrize("synth,arrays", [(synth_siso, 3), (synth_sido, 4)])
+    def test_synthesis_peak(self, synth, arrays):
+        n = 20 * 44100
+        cfg = basic_config(n, sido=SidoLayout(0.0214, 21.3))  # synth_siso ignores the layout
+        assert traced_peak(lambda: synth(cfg)) <= arrays * 8 * n + self.SLACK
 
 
 class TestKvFiles:

@@ -429,6 +429,32 @@ class TestSbwSimoCancel:
         with pytest.raises(ValueError, match="kappa must be finite"):
             sbw_simo_cancel(x1, x2, ref, kappa=kappa)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("past", ["far", "next-float"])
+    def test_fixed_delay_past_the_array_rejected(self, sign, past, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the take was processed")
+
+        monkeypatch.setattr("solocancel.simo._wola", no_work)
+        fs = 44100
+        geo = ArrayGeometry(spacing=0.0214, sample_rate=fs)
+        bound = geo.max_delay_samples + 0.5  # the kappa_max estimate_delay searches
+        kappa = sign * (1e20 if past == "far" else np.nextafter(bound, np.inf))
+        x1, x2, ref = (AudioBuffer(np.zeros(fs), fs) for _ in range(3))
+        with pytest.raises(ValueError, match="kappa .* beyond the array's delay bound"):
+            sbw_simo_cancel(x1, x2, ref, None, geo, kappa=kappa)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fixed_delay_at_the_bound_accepted(self, sign, monkeypatch):
+        ran = []
+        monkeypatch.setattr("solocancel.simo._wola", lambda *args: ran.append(args) or "estimate")
+        fs = 44100
+        geo = ArrayGeometry(spacing=0.0214, sample_rate=fs)
+        kappa = sign * (geo.max_delay_samples + 0.5)
+        x1, x2, ref = (AudioBuffer(np.zeros(fs), fs) for _ in range(3))
+        assert sbw_simo_cancel(x1, x2, ref, None, geo, kappa=kappa) == "estimate"
+        assert len(ran) == 1
+
     def test_channel_length_mismatch_rejected(self):
         fs = 44100
         with pytest.raises(ValueError):
