@@ -59,11 +59,40 @@ def _boolean(key: str, value) -> bool:
 
 
 def _real(key: str, value) -> float:
-    """``value`` of setting ``key`` as a float: a number, else ValueError naming it."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    """``value`` of setting ``key`` as a float: a number in its range, else ValueError naming it."""
+    try:
+        if isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
+
+#: The scene flags, by argparse destination: (flag, kind, default, help). The kind, a ``--set``
+#: rule or ``None`` for a path, types the flag and checks a swept value and a ``simulate
+#: --config`` value. ``simulate``'s manifest holds the ``_SCENE`` values, then the file names,
+#: then for two microphones the ``_ARRAY`` values; the take's flags give its samples.
+_SCENE = {
+    "kappa": ("--kappa", _integer, 32, "channel delay, samples (default %(default)s)"),
+    "level_diff_db": ("--level-diff", _real, 6.02,
+                      "recorded accompaniment minus solo RMS, dB (default %(default)s)"),
+    "gain": ("--gain", _real, None, "explicit accompaniment gain (overrides --level-diff)"),
+    "ir_length": ("--ir-length", _integer, 606, None),
+    "rt_ms": ("--rt-ms", _real, 13.7, None),
+    "seed": ("--seed", _integer, 0, None),
+    "sido": ("--sido", _boolean, False, "two-microphone scene"),
+}
+_ARRAY = {
+    "spacing": ("--spacing", _real, 0.0214, None),
+    "solo_angle": ("--solo-angle", _real, 21.3, None),
+    "accomp_angle": ("--accomp-angle", _real, 90.0, None),
+}
+_SCENE_FLAGS = {
+    "duration": ("--duration", _real, 5.0, "generated signal length, s"),
+    "solo": ("--solo", None, None, "solo WAV (generated if omitted)"),
+    "accomp": ("--accomp", None, None, "accompaniment WAV (generated if omitted)"),
+    **_SCENE, **_ARRAY,
+}
 
 #: The check of every canceller parameter, by key.
 _KINDS = {
@@ -112,10 +141,8 @@ def _simo(mixture1, mixture2, reference, cfg, geometry, kappa):
 
 
 def _sbw_simo(p: dict):
-    return partial(
-        _simo, cfg=_sbw_config(p), geometry=ArrayGeometry(p["spacing"], p["f_max"]),
-        kappa=_fixed_delay(p["kappa"]),
-    )
+    geometry = ArrayGeometry(p["spacing"], p["f_max"])
+    return partial(_simo, cfg=_sbw_config(p), geometry=geometry, kappa=_fixed_delay(p["kappa"]))
 
 
 @dataclass(frozen=True)
@@ -205,15 +232,10 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
 
 def _inputs(args) -> tuple[AudioBuffer, AudioBuffer]:
     """The solo and accompaniment, read or generated from ``args.seed``, cut to one length."""
-    if args.solo_path:
-        solo = read_mono(args.solo_path)
-    else:
-        solo = noise_plus_tones(args.duration, 44100, seed=args.seed)
+    solo = read_mono(args.solo) if args.solo else noise_plus_tones(args.duration, seed=args.seed)
     fs = solo.sample_rate
-    if args.accomp_path:
-        accomp = read_mono(args.accomp_path)
-    else:
-        accomp = broadband_accompaniment(args.duration, fs, seed=args.seed)
+    accomp = (read_mono(args.accomp) if args.accomp
+              else broadband_accompaniment(args.duration, fs, seed=args.seed))
     n = min(len(solo), len(accomp))
     inputs = AudioBuffer(solo.samples[:n], fs), AudioBuffer(accomp.samples[:n], accomp.sample_rate)
     require_matched(*inputs, "solo/accompaniment")  # here, so a sweep does not blame its value
@@ -233,9 +255,7 @@ def _scene(args, inputs) -> SceneConfig:
         f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * args.spacing))
         layout = SidoLayout(args.spacing, args.solo_angle, args.accomp_angle, f_max)
     return SceneConfig(
-        solo=solo,
-        accompaniment_reference=accomp,
-        mic_ir=make_mic_ir(args.rt_ms, args.ir_length, args.seed, solo.sample_rate),
+        solo, accomp, make_mic_ir(args.rt_ms, args.ir_length, args.seed, solo.sample_rate),
         channel_delay=args.kappa, accompaniment_gain=args.gain, sido=layout,
         level_diff_db=None if args.gain is not None else args.level_diff_db,
     )
@@ -258,19 +278,14 @@ def _cmd_simulate(args) -> int:
     write_wav(out_dir / "reference.wav", scene.reference.samples, fs, args.bit_depth)
     write_wav(out_dir / "reference_solo.wav", scene.reference_solo.samples, fs, args.bit_depth)
 
-    level_diff = scene.config.level_diff_db
-    manifest = {
-        "sample_rate": fs, "samples": len(scene.reference), "kappa": args.kappa,
-        "level_diff_db": "" if level_diff is None else level_diff,
-        "accompaniment_gain": f"{scene.accompaniment_gain:.12g}",
-        "ir_length": args.ir_length, "rt_ms": args.rt_ms, "seed": args.seed, "sido": int(args.sido),
-        "mixture": "mixture.wav", "reference": "reference.wav",
-        "reference_solo": "reference_solo.wav",
-    }
+    # the flags' values, with the gain and level difference the scene was made with
+    values = {**vars(args), "gain": f"{scene.accompaniment_gain:.12g}", "sido": int(args.sido),
+              "level_diff_db": "" if args.gain is not None else args.level_diff_db}
+    manifest = {"sample_rate": fs, "samples": len(scene.reference)}
+    manifest.update(("accompaniment_gain" if d == "gain" else d, values[d]) for d in _SCENE)
+    manifest.update((name, f"{name}.wav") for name in ("mixture", "reference", "reference_solo"))
     if args.sido:
-        manifest.update(
-            spacing=args.spacing, solo_angle=args.solo_angle, accomp_angle=args.accomp_angle
-        )
+        manifest.update((d, values[d]) for d in _ARRAY)
     write_kv(out_dir / "scene.manifest", manifest)
     print(f"scene written to {out_dir}")
     return 0
@@ -320,11 +335,9 @@ _SWEEP_SETS = {
     "wiener-exponent": "wiener_exponent",
     "p-norm": "p",
 }
-#: Sweep parameters that set a scene flag: name -> flag. For the others the scene depends on
-#: the scene index alone.
+#: Sweep parameters that set a scene flag: name -> destination, whose kind checks the value.
+#: For the others the scene depends on the scene index alone.
 _SWEEP_FLAGS = {"level-diff": "level_diff_db", "delay-mismatch": "kappa", "mic-spacing": "spacing"}
-#: Sweep parameters whose values must be integral; the others take finite numbers.
-_SWEEP_INTEGERS = ("fft-size", "subbands", "delay-mismatch")
 #: Sweep parameters that run the two-microphone pipeline whatever the algorithm.
 _SWEEP_TWO_MIC = ("mic-spacing", "angle-mismatch")
 SWEEP_PARAMS = (*_SWEEP_SETS, *_SWEEP_FLAGS, "angle-mismatch")
@@ -336,32 +349,22 @@ _SWEEP_FIXED = {
 }
 
 
-def _sweep_value(param: str, value):
-    """A parsed ``--values`` entry as ``param`` takes it: an int by the ``--set`` rule for the
-    ``_SWEEP_INTEGERS``, else a finite float; ValueError naming ``param`` otherwise."""
-    if param in _SWEEP_INTEGERS:
-        return _integer(param, value)
-    try:
-        if np.isfinite(number := float(value)):
-            return number
-    except (ValueError, OverflowError):  # text, or an integer beyond the float range
-        pass
-    raise ValueError(f"{param} must be a finite number, got {value!r}")
-
-
 def _sweep_point(args, overrides: dict, inputs, value):
     """The (SceneConfig, canceller) of the sweep point ``value`` on a scene's
     ``inputs``: ``args`` with the swept scene flag, or ``overrides`` with the swept ``--set``
-    key, replaced. A two-microphone canceller takes the scene's array."""
+    key, replaced, and so checked by its kind. A two-microphone canceller takes the scene's
+    array; a mismatch angle must be a finite number."""
     point, overrides = argparse.Namespace(**vars(args)), dict(overrides)
-    if args.param in _SWEEP_FLAGS:
-        setattr(point, _SWEEP_FLAGS[args.param], value)
+    if dest := _SWEEP_FLAGS.get(args.param):
+        setattr(point, dest, _SCENE_FLAGS[dest][1](dest, value))
     elif args.param in _SWEEP_SETS:
         overrides[_SWEEP_SETS[args.param]] = value
     scene_cfg = _scene(point, inputs)
     if layout := scene_cfg.sido:
         overrides.update(spacing=layout.spacing, f_max=layout.f_max)
         if args.param == "angle-mismatch":
+            if not np.isfinite(value := _real(args.param, value)):
+                raise ValueError(f"{args.param} must be a finite number, got {value!r}")
             geometry = layout.geometry(scene_cfg.solo.sample_rate)
             overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + value, geometry)
     return scene_cfg, build_algorithm_config(args.algorithm, args.preset, overrides)
@@ -369,18 +372,16 @@ def _sweep_point(args, overrides: dict, inputs, value):
 
 def _cmd_sweep(args) -> int:
     overrides = _parse_overrides(args.overrides)
-    given = [_parse_value(v) for v in args.values.split(",") if v.strip()]
-    if not given:
+    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    if not values:
         raise ValueError("--values is required")
-    values = [_sweep_value(args.param, value) for value in given]
     if args.num_scenes < 1:
         raise ValueError("--num-scenes must be >= 1")
     args.sido = args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
     if args.sido:
         if args.algorithm not in ("sbw", "sbw-simo"):
             raise ValueError(f"{args.param} sweeps run the two-microphone pipeline")
-        fixed = [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]
-        if fixed:
+        if fixed := [f"{key} ({why})" for key, why in _SWEEP_FIXED.items() if key in overrides]:
             raise ValueError(f"unknown parameter(s) for sbw-simo sweeps: {', '.join(fixed)}")
         args.algorithm = "sbw-simo"
     _entry(args.algorithm, overrides)  # an unknown --set key is no swept value's fault
@@ -390,11 +391,11 @@ def _cmd_sweep(args) -> int:
         scene_args = argparse.Namespace(**{**vars(args), "seed": args.seed + si})
         inputs = _inputs(scene_args)
         points = []  # every point is built, and so checked, before the scene is synthesised
-        for text, value in zip(given, values):
+        for value in values:
             try:
                 points.append(_sweep_point(scene_args, overrides, inputs, value))
             except ValueError as exc:
-                raise ValueError(f"{args.param} {text}: {exc}") from exc
+                raise ValueError(f"{args.param} {value}: {exc}") from exc
         for vi, (scene_cfg, run) in enumerate(points):
             if vi == 0 or args.param in _SWEEP_FLAGS:
                 scene = _synth(scene_cfg)
@@ -403,7 +404,7 @@ def _cmd_sweep(args) -> int:
             reports[vi, si] = measure(estimate, scene.reference_solo)
 
     rows = []
-    for vi, value in enumerate(given):
+    for vi, value in enumerate(values):
         for metric in ("rmsd_db", "snrf_db"):
             samples = [getattr(reports[vi, si], metric) for si in range(args.num_scenes)]
             summary = [np.median(samples), *np.percentile(samples, [25, 75])]
@@ -417,44 +418,32 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-#: Keys a ``simulate --config`` file may set: key -> (argument, check); paths are unchecked.
-_SCENE_FILE_KEYS = {
-    "level_diff": ("level_diff_db", _real), "level_diff_db": ("level_diff_db", _real),
-    "gain": ("gain", _real), "kappa": ("kappa", _integer), "ir_length": ("ir_length", _integer),
-    "rt_ms": ("rt_ms", _real), "seed": ("seed", _integer), "duration": ("duration", _real),
-    "spacing": ("spacing", _real), "solo_angle": ("solo_angle", _real),
-    "accomp_angle": ("accomp_angle", _real), "sido": ("sido", _boolean),
-    "solo": ("solo_path", None), "accomp": ("accomp_path", None),
-}
-
-
 def _scene_file(path) -> dict:
-    """The parser defaults a ``simulate --config`` file sets, each parsed as a ``--set``
-    value and checked by its key's rule (a ValueError naming the key)."""
+    """The parser defaults a ``simulate --config`` file sets, keyed by a scene flag's name or
+    destination, each parsed as a ``--set`` value and checked by its kind (a ValueError naming
+    the key)."""
+    dests = {name: dest for dest, (flag, *_) in _SCENE_FLAGS.items()
+             for name in (dest, flag[2:].replace("-", "_"))}
     out = {}
     for key, raw in read_kv(path).items():
-        if key not in _SCENE_FILE_KEYS:
+        if key not in dests:
             raise ValueError(f"unknown scene parameter {key!r} in {path}")
-        dest, check = _SCENE_FILE_KEYS[key]
-        out[dest] = raw if check is None else check(key, _parse_value(raw))
+        kind = _SCENE_FLAGS[dests[key]][1]
+        out[dests[key]] = raw if kind is None else kind(key, _parse_value(raw))
     return out
 
 
-def _add_scene_flags(p: argparse.ArgumentParser):
-    """The flags that describe a scene, shared by ``simulate`` and ``sweep``."""
-    p.add_argument("--duration", type=float, default=5.0, help="generated signal length, s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solo", dest="solo_path", help="solo WAV (generated if omitted)")
-    p.add_argument("--accomp", dest="accomp_path", help="accompaniment WAV (generated if omitted)")
-    p.add_argument("--level-diff", dest="level_diff_db", type=float, default=6.02,
-                   help="recorded accompaniment minus solo RMS, dB (default %(default)s)")
-    p.add_argument("--kappa", type=int, default=32,
-                   help="channel delay, samples (default %(default)s)")
-    p.add_argument("--ir-length", type=int, default=606)
-    p.add_argument("--rt-ms", type=float, default=13.7)
-    p.add_argument("--spacing", type=float, default=0.0214)
-    p.add_argument("--solo-angle", type=float, default=21.3)
-    p.add_argument("--accomp-angle", type=float, default=90.0)
+def _add_scene_flags(p: argparse.ArgumentParser, omit=()):
+    """The ``_SCENE_FLAGS``, typed by their kind, but the ``omit``ted ones, which keep their
+    defaults."""
+    for dest, (flag, kind, default, text) in _SCENE_FLAGS.items():
+        if dest in omit:
+            p.set_defaults(**{dest: default})
+        elif kind is _boolean:
+            p.add_argument(flag, dest=dest, action="store_true", help=text)
+        else:
+            p.add_argument(flag, dest=dest, type={_integer: int, _real: float}.get(kind),
+                           default=default, help=text)
 
 
 def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -469,9 +458,6 @@ def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser
     sim = sub.add_parser("simulate", help="synthesize a test scene")
     _add_scene_flags(sim)
     sim.add_argument("--config", help="key=value file with scene parameters")
-    sim.add_argument("--gain", type=float,
-                     help="explicit accompaniment gain (overrides --level-diff)")
-    sim.add_argument("--sido", action="store_true", help="two-microphone scene")
     sim.add_argument("--bit-depth", choices=bit_depths, default="float32")
     sim.add_argument("--out-dir", default=".")
     sim.set_defaults(handler=_cmd_simulate, **(scene_defaults or {}))
@@ -506,9 +492,9 @@ def _build_parser(scene_defaults: dict | None = None) -> argparse.ArgumentParser
     sw.add_argument("--preset", choices=("paper-v", "none"), default="none")
     sw.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     sw.add_argument("--num-scenes", type=int, default=4)
-    _add_scene_flags(sw)
+    _add_scene_flags(sw, omit=("gain", "sido"))  # a sweep sets these itself
     sw.add_argument("--out", dest="output", default="sweep.csv")
-    sw.set_defaults(handler=_cmd_sweep, gain=None)
+    sw.set_defaults(handler=_cmd_sweep)
     return parser
 
 
