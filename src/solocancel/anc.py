@@ -33,8 +33,8 @@ class LmsState:
     def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
         if taps < 1:
             raise ValueError("taps must be >= 1")
-        if not mu >= 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= mu < np.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {mu}")
         return cls(np.zeros(taps), np.zeros(taps), float(mu), normalized)
 
     @property
@@ -148,8 +148,8 @@ class AncConfig:
     def __post_init__(self):
         if self.taps < 1:
             raise ValueError("taps must be >= 1")
-        if not self.mu >= 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.prewhiten:
             if self.lp_order < 1:
                 raise ValueError("lp_order must be >= 1")

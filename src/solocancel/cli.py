@@ -85,7 +85,6 @@ _SCENE = {
 _ARRAY = {
     "spacing": ("--spacing", _real, 0.0214, None),
     "solo_angle": ("--solo-angle", _real, 21.3, None),
-    "accomp_angle": ("--accomp-angle", _real, 90.0, None),
 }
 _SCENE_FLAGS = {
     "duration": ("--duration", _real, 5.0, "generated signal length, s"),
@@ -123,8 +122,8 @@ def _anc(p: dict):
 def _maw_ss(p: dict):
     cfg = BlockWienerConfig(**{key: p[key] for key in _BLOCK})
     framing = _stft_framing(p, "fft_hop")
-    if not p["p"] > 0:
-        raise ValueError("p must be > 0")
+    if not 0 < p["p"] < np.inf:
+        raise ValueError(f"p must be finite and > 0, got {p['p']}")
     return partial(maw_ss_cancel, cfg=cfg, fft_size=p["fft_size"], p=p["p"], **framing)
 
 
@@ -253,7 +252,7 @@ def _scene(args, inputs) -> SceneConfig:
         if not args.spacing > 0:
             raise ValueError("microphone spacing must be > 0")
         f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * args.spacing))
-        layout = SidoLayout(args.spacing, args.solo_angle, args.accomp_angle, f_max)
+        layout = SidoLayout(args.spacing, args.solo_angle, f_max=f_max)
     return SceneConfig(
         solo, accomp, make_mic_ir(args.rt_ms, args.ir_length, args.seed, solo.sample_rate),
         channel_delay=args.kappa, accompaniment_gain=args.gain, sido=layout,

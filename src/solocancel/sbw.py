@@ -53,10 +53,10 @@ class SbwConfig:
         self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
         if self.num_bands < 1:
             raise ValueError("num_bands must be >= 1")
-        if not self.p > 0:
-            raise ValueError("p must be > 0")
-        if not self.wiener_exponent >= 0:
-            raise ValueError("wiener_exponent must be >= 0")
+        if not 0 < self.p < np.inf:
+            raise ValueError(f"p must be finite and > 0, got {self.p}")
+        if not 0 <= self.wiener_exponent < np.inf:
+            raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")
         if self.cross_cov not in ("magnitude", "complex"):
             raise ValueError("cross_cov must be 'magnitude' or 'complex'")
         if self.cutoff is not None and not self.cutoff > 0:

@@ -85,7 +85,9 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
 
 @dataclass
 class SidoLayout:
-    """Two-microphone scene geometry: the array's spacing and the source angles."""
+    """Two-microphone scene geometry: the array's spacing and the source angles. The
+    accompaniment's angle is stored but not yet modelled: ``synth_sido`` gives both
+    microphones the same accompaniment."""
 
     spacing: float
     solo_angle_deg: float

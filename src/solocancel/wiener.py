@@ -55,8 +55,8 @@ class BlockWienerConfig:
             raise ValueError("taps must be smaller than block_size")
         if not 0 < self.hop <= self.block_size:
             raise ValueError("hop must satisfy 0 < hop <= block_size")
-        if not self.regularization >= 0:
-            raise ValueError("regularization must be >= 0")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
 
 
 #: Bytes of packed Cholesky factors, 4 M (M + 1) per block, that
@@ -251,8 +251,8 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
     |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of
     X is kept. Works on single frames or stacks of frames.
     """
-    if not p > 0:
-        raise ValueError("p must be > 0")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and > 0, got {p}")
     spec_x = np.asarray(spec_x, dtype=np.complex128)
     spec_y = np.asarray(spec_y, dtype=np.complex128)
     if spec_x.shape != spec_y.shape:
@@ -291,7 +291,7 @@ def maw_ss_cancel(
     the block-Wiener match runs.
     """
     window, fft_hop = _framing(fft_size, fft_hop, window)
-    if not p > 0:
-        raise ValueError("p must be > 0")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and > 0, got {p}")
     y = matched_accompaniment(mixture, reference, cfg)
     return _wola(partial(spectral_subtract, p=p), (mixture, y), window, fft_hop)

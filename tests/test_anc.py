@@ -156,7 +156,7 @@ class TestLmsStep:
         with pytest.raises(ValueError):
             lms_step(state, 0.0, np.inf)
 
-    @pytest.mark.parametrize("mu", [-0.1, np.nan])
+    @pytest.mark.parametrize("mu", [-0.1, np.nan, np.inf])
     def test_invalid_step_size_rejected(self, mu):
         with pytest.raises(ValueError):
             LmsState.create(4, mu)
@@ -479,3 +479,15 @@ class TestBlockExactRecursion:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(anc_module, "_BLOCK_SAMPLES", block)
                 assert_matches_loop(mix, ref, cfg)
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: AncConfig(taps=0, mu=0.1), "taps"),
+    (lambda: AncConfig(taps=4, mu=0.1, prewhiten=True, lp_order=0), "lp_order"),
+    (lambda: AncConfig(taps=4, mu=0.1, prewhiten=True, refresh_interval=150), "refresh_interval"),
+    (lambda: LmsState.create(0, 0.1), "taps"),
+    (lambda: fit_whitener(AudioBuffer(np.ones(1000)), 0), "order"),
+], ids=["taps", "lp_order", "refresh_interval", "lms-taps", "whitener-order"])
+def test_bad_setting_rejected(build, key):
+    with pytest.raises(ValueError, match=key):
+        build()

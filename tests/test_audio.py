@@ -109,3 +109,16 @@ class TestFirFilterApply:
         finally:
             tracemalloc.stop()
         assert peak <= 1 * 8 * n + 16 * 8 * size
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: AudioBuffer(np.zeros((4, 2))), "mono"),
+    (lambda: AudioBuffer(np.zeros(4), 0), "sample_rate"),
+    (lambda: sc.FirFilter(np.zeros(0)), "non-empty"),
+    (lambda: sc.FirFilter(np.ones((2, 2))), "non-empty"),
+    (lambda: sc.FirFilter([1.0, np.nan]), "finite"),
+], ids=["two-dimensional-buffer", "zero-rate", "no-taps", "two-dimensional-taps",
+        "non-finite-taps"])
+def test_bad_buffer_or_filter_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -80,6 +80,8 @@ class TestBuildAlgorithmConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             build_algorithm_config("sbw", "none", {"bogus": 1})
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            build_algorithm_config("bogus", "none", {})
 
     def test_invalid_values_rejected_before_audio(self):
         with pytest.raises(ValueError):
@@ -120,6 +122,15 @@ class TestBuildAlgorithmConfig:
         ("sbw-simo", {"kappa": "abc"}),
         ("sbw-simo", {"kappa": np.nan}),
         ("sbw-simo", {"kappa": np.inf}),
+        ("sbw", {"window_shape": 300.0}),
+        ("sbw", {"window_shape": np.inf}),
+        ("maw-ss", {"window_shape": 300.0}),
+        ("sbw", {"p": np.inf}),
+        ("sbw", {"wiener_exponent": np.inf}),
+        ("maw-ss", {"p": np.inf}),
+        ("maw", {"regularization": np.inf}),
+        ("anc", {"mu": np.inf}),
+        ("anc-pw", {"mu": np.inf}),
     ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
             "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
             "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
@@ -128,7 +139,10 @@ class TestBuildAlgorithmConfig:
             "anc-mu-text", "maw-regularization-text", "maw-ss-window_shape-text",
             "maw-ss-p-text", "sbw-p-text", "sbw-wiener_exponent-text", "sbw-cutoff-text",
             "sbw-simo-spacing-text", "sbw-simo-f_max-text", "sbw-simo-kappa-text",
-            "sbw-simo-kappa-nan", "sbw-simo-kappa-inf"])
+            "sbw-simo-kappa-nan", "sbw-simo-kappa-inf", "sbw-window_shape-300",
+            "sbw-window_shape-inf", "maw-ss-window_shape-300", "sbw-p-inf",
+            "sbw-wiener_exponent-inf", "maw-ss-p-inf", "maw-regularization-inf", "anc-mu-inf",
+            "anc-pw-mu-inf"])
     def test_config_checks_run_before_audio(self, algorithm, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
             build_algorithm_config(algorithm, "none", overrides)
@@ -238,6 +252,27 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == 0
         manifest = read_kv(out / "scene.manifest")
         assert (manifest["sido"], manifest["kappa"]) == (sido, kappa)
+
+    @pytest.mark.parametrize("line", ["accomp_angle=45", "bogus=1"])
+    def test_unknown_config_key_rejected(self, line, tmp_path, capsys):
+        # the accompaniment's angle is not modelled, so no file sets it
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"duration=0.3\nsido=1\n{line}\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == EXIT_BAD_ARGS
+        assert f"unknown scene parameter {line.split('=')[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sido", "--out-dir", "{out}"],
+        ["sweep", "--param", "mic-spacing", "--values", "0.02", "--num-scenes", "1",
+         "--out", "{out}/s.csv"],
+    ], ids=["simulate", "sweep"])
+    def test_accomp_angle_flag_rejected(self, argv, tmp_path):
+        # the accompaniment's angle is not modelled, so no flag sets it
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        assert run_cli(*argv, "--duration", "0.3", "--accomp-angle", "45") == EXIT_BAD_ARGS
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_from_wav_inputs(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -664,7 +699,11 @@ class TestSweep:
         (["--solo", "{solo}", "--accomp", "{accomp22}"],
          "solo/accompaniment must share a sample rate (44100 != 22050)"),
         (["--set", "bogus=1"], "unknown parameter(s) for sbw: bogus"),
-    ], ids=["rate-mismatch", "unknown-key"])
+        (["--set", "fft_size"], "--set expects key=value, got 'fft_size'"),
+        (["--values", " , "], "--values is required"),
+        (["--param", "mic-spacing", "--algo", "maw"],
+         "mic-spacing sweeps run the two-microphone pipeline"),
+    ], ids=["rate-mismatch", "unknown-key", "set-without-equals", "no-values", "two-mic-maw"])
     def test_error_no_value_causes_names_no_value(self, flags, message, tmp_path, monkeypatch,
                                                   capsys):
         rng = np.random.default_rng(5)
@@ -740,9 +779,11 @@ class TestSweep:
         ("fft-size", "1024", "maw"),
         ("level-diff", "6,1e5", "sbw"),
         ("delay-mismatch", "5,22050", "sbw"),  # the 0.5-s take is 22050 samples
+        ("angle-mismatch", "0,inf", "sbw"),
+        ("p-norm", "1,inf", "sbw"),
     ], ids=["fraction", "fraction-bands", "fraction-delay", "negative-bands", "odd-frame",
             "negative-delay", "nan", "text", "not-a-maw-parameter", "gain-overflow",
-            "delay-past-take"])
+            "delay-past-take", "angle-inf", "p-inf"])
     def test_bad_value_rejected_before_any_scene(self, param, values, algorithm, tmp_path,
                                                  monkeypatch, capsys):
         synthesised = []

@@ -91,3 +91,17 @@ class TestMakePartition:
     def test_bad_band_count_rejected(self):
         with pytest.raises(ValueError):
             make_partition(4096, 44100, 16000.0, 0)
+
+
+@pytest.mark.parametrize("fft_size", [1023, 0])
+def test_odd_or_empty_fft_size_rejected(fft_size):
+    with pytest.raises(ValueError, match="fft_size"):
+        make_partition(fft_size, 44100, None, 39)
+
+
+@pytest.mark.parametrize("band", [0, 40])
+def test_band_slice_out_of_range_rejected(band):
+    partition = make_partition(4096, 44100, None, 39)
+    assert partition.band_slice(1).start == 0
+    with pytest.raises(ValueError, match="out of range"):
+        partition.band_slice(band)

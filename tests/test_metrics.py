@@ -183,3 +183,14 @@ class TestMeasure:
         rep = measure(est, ref, fft_size=512, hop=256)
         assert rep.rtf is None
         assert rep.csv_row()[2] == ""
+
+
+@pytest.mark.parametrize("measure_it,message", [
+    (lambda x: rmsd(x, x, block_size=0), "block_size"),
+    (lambda x: rmsd(AudioBuffer(x.samples[:1000]), AudioBuffer(x.samples[:1000])), "one block"),
+    (lambda x: snrf(x, x, make_partition(2048, 44100, None, 39)), "partition"),
+], ids=["block-size", "shorter-than-a-block", "partition-size"])
+def test_bad_measurement_setting_rejected(measure_it, message):
+    take = AudioBuffer(np.random.default_rng(4).standard_normal(8192))
+    with pytest.raises(ValueError, match=message):
+        measure_it(take)

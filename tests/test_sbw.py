@@ -4,7 +4,7 @@ import pytest
 from solocancel import (
     AudioBuffer, SbwConfig, make_partition, make_window, sbw_cancel, subband_wiener_gains,
 )
-from solocancel.sbw import cancel_frames
+from solocancel.sbw import cancel_frames, subband_gains_frames
 
 
 def random_frame(rng, bins):
@@ -160,8 +160,10 @@ class TestSbwCancel:
         {"fft_size": 1024, "hop": 512, "window": make_window("kbd", 2048)},
         {"p": np.nan},
         {"wiener_exponent": np.nan},
+        {"p": np.inf},
+        {"wiener_exponent": np.inf},
     ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent", "cross_cov", "window-length",
-            "p-nan", "wiener_exponent-nan"])
+            "p-nan", "wiener_exponent-nan", "p-inf", "wiener_exponent-inf"])
     def test_config_checked_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             SbwConfig(**kwargs)
@@ -190,3 +192,18 @@ class TestSbwCancel:
         sbw_cancel(mix, ref)
         elapsed = time.perf_counter() - start
         assert elapsed / 20.0 < 0.5
+
+
+@pytest.mark.parametrize("bins,other_bins,cross_cov,message", [
+    (2049, 2048, "magnitude", "equal length"),
+    (1025, 1025, "magnitude", "partition"),
+    (2049, 2049, "median", "cross_cov"),
+], ids=["unequal-frames", "frames-off-the-partition", "cross_cov"])
+def test_bad_gain_inputs_rejected(bins, other_bins, cross_cov, message):
+    partition = make_partition(4096, 44100, None, 39)
+    ref, mix = np.ones(bins, dtype=complex), np.ones(other_bins, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        subband_wiener_gains(ref, mix, partition, cross_cov)
+    if bins == other_bins == partition.num_bins:  # the stacked form checks cross_cov too
+        with pytest.raises(ValueError, match=message):
+            subband_gains_frames(ref[None], mix[None], partition, cross_cov)

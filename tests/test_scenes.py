@@ -270,7 +270,7 @@ class TestSynthSiso:
         scene = synth_siso(cfg)
         assert np.array_equal(scene.mixture.samples, scene.reference_solo.samples)
 
-    @pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0, None])
     def test_bad_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="accompaniment_gain"):
             basic_config(level_diff_db=None, accompaniment_gain=gain)
@@ -539,3 +539,14 @@ class TestStartUp:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def test_mic_response_without_taps_rejected():
+    with pytest.raises(ValueError, match="length"):
+        make_mic_ir(13.7, 0)
+
+
+def test_silent_accompaniment_reference_rejected():
+    cfg = basic_config(accompaniment_reference=AudioBuffer(np.zeros(44100), 44100))
+    with pytest.raises(ValueError, match="accompaniment reference is silent"):
+        synth_siso(cfg)

@@ -524,3 +524,13 @@ class TestDelayTrack:
         delays = _delay_track(geometry())(est1, est1, est2)  # every bin solo-dominant
         assert delays[:2].tolist() == [0.0, 0.0]
         assert np.allclose(delays[2:], 1.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("combine,message", [
+    (lambda: estimate_delay(np.ones(9), np.ones(8), geometry()), "equal-length 1-D"),
+    (lambda: estimate_delay(np.ones((2, 9)), np.ones((2, 9)), geometry()), "equal-length 1-D"),
+    (lambda: mrc_combine(np.ones(9), np.ones(8), 0.5), "equal length"),
+], ids=["delay-unequal", "delay-stacked", "mrc-unequal"])
+def test_mismatched_frames_rejected(combine, message):
+    with pytest.raises(ValueError, match=message):
+        combine()

@@ -64,6 +64,13 @@ class TestMakeWindow:
         with pytest.raises(ValueError):
             make_window("kbd", 64, np.nan)
 
+    @pytest.mark.parametrize("shape", [226.0, 300.0, np.inf])
+    def test_shape_with_non_finite_window_rejected(self, shape):
+        # np.kaiser overflows from about 226 up; that window would zero every estimate
+        with pytest.raises(ValueError, match="non-finite window"):
+            make_window("kbd", 4096, shape)
+        assert np.all(np.isfinite(make_window("kbd", 4096, 225.0).coefficients))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_window("gauss", 64)
@@ -158,3 +165,8 @@ class TestIstft:
             SpectralFrameSeq(np.zeros((5, 30), dtype=complex), 64, 32, 44100, w)
         with pytest.raises(ValueError):
             SpectralFrameSeq(np.zeros((5, 33), dtype=complex), 64, 96, 44100, w)
+
+
+def test_frames_must_be_a_stack():
+    with pytest.raises(ValueError, match="2-D"):
+        SpectralFrameSeq(np.zeros(3), 4, 2, 44100, make_window("kbd", 4))

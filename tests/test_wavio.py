@@ -132,6 +132,8 @@ class TestHelpers:
         tmp, data = mono
         with pytest.raises(ValueError):
             write_wav(tmp / "x.wav", data, 44100, "pcm32")
+        with pytest.raises(ValueError):
+            write_wav(tmp / "x.wav", np.zeros((4, 2, 2)), 44100)
 
     def test_non_wav_rejected(self, tmp_path):
         path = tmp_path / "not.wav"
@@ -209,7 +211,14 @@ class TestDamagedAndExtensible:
              (b"data", b"\x00" * 24)),
         riff((b"fmt ", struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
              (b"data", b"\x00" * 4)),
-    ], ids=["float16", "float24", "no-channels"])
+        riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 12)),
+             (b"data", b"\x00" * 4)),
+        riff((b"fmt ", struct.pack("<HHIIHH", 2, 1, 44100, 88200, 2, 16)),
+             (b"data", b"\x00" * 4)),
+        riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16))),
+        riff((b"data", b"\x00" * 4)),
+    ], ids=["float16", "float24", "no-channels", "pcm12", "adpcm", "no-data-chunk",
+            "no-fmt-chunk"])
     def test_impossible_format_rejected(self, tmp_path, content):
         path = tmp_path / "bad.wav"
         path.write_bytes(content)

@@ -488,6 +488,10 @@ class TestMawCancel:
             BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=-1.0)
         with pytest.raises(ValueError):
             BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=np.nan)
+        with pytest.raises(ValueError):
+            BlockWienerConfig(taps=16, block_size=1024, hop=64, regularization=np.inf)
+        with pytest.raises(ValueError):
+            BlockWienerConfig(taps=0, block_size=1024, hop=64)
 
 
 def where_spectral_subtract(spec_x, spec_y, p):
@@ -583,6 +587,8 @@ class TestSpectralSubtract:
             spectral_subtract(x, x, -1.0)
         with pytest.raises(ValueError):
             spectral_subtract(x, x, np.nan)
+        with pytest.raises(ValueError):
+            spectral_subtract(x, x, np.inf)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -648,8 +654,8 @@ class TestMawSsCancel:
             )
 
     @pytest.mark.parametrize(
-        "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}],
-        ids=["p", "hop-zero", "hop-past-frame", "p-nan"],
+        "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}, {"p": np.inf}],
+        ids=["p", "hop-zero", "hop-past-frame", "p-nan", "p-inf"],
     )
     def test_stft_settings_checked_before_the_match(self, stft_kw, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -704,3 +710,11 @@ class TestMatchedAccompaniment:
         y = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg)
         e = maw_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
         assert np.allclose(mix - y.samples, e.samples, atol=1e-15)
+
+
+@pytest.mark.parametrize("taps", [0, 64])
+def test_block_wiener_taps_outside_the_block_rejected(taps):
+    # the mixture block holds 64 samples, so 1 <= taps <= 63
+    block = AudioBuffer(np.ones(64))
+    with pytest.raises(ValueError, match="taps"):
+        block_wiener(AudioBuffer(np.ones(max(taps, 1) + 63)), block, taps)

@@ -2,9 +2,11 @@
 
 ``sbw_cancel``, ``sbw_simo_cancel`` and ``maw_ss_cancel`` run their frame maps
 through ``stft._wola``. The oracles below are the pipelines each canceller
-wrote out by hand before that: ``stft`` of each input, the frame map,
-``istft`` of a frame sequence with the first input's framing, and a cut to
-the input length. The outputs must agree bit for bit, also when the engine
+wrote out by hand before that, with each input given ``ceil(fft_size / hop) - 1``
+hops of zeros before and after it as the engine frames a take: ``stft`` of
+each padded input, the frame map, ``istft`` of a frame sequence with the
+first input's framing, and a cut to the input's own samples. The outputs
+must agree bit for bit, also when the engine
 runs its frames in blocks of any size; ``istft`` itself must agree bit for
 bit with a frame-by-frame overlap-add loop.
 """
@@ -22,13 +24,19 @@ from solocancel import (
     AudioBuffer,
     BlockWienerConfig,
     SbwConfig,
+    SceneConfig,
+    SidoLayout,
+    broadband_accompaniment,
+    make_mic_ir,
     make_partition,
     make_window,
     maw_ss_cancel,
+    noise_plus_tones,
     sbw_cancel,
     sbw_simo_cancel,
     snrf,
     spectral_subtract,
+    synth_sido,
 )
 from solocancel.sbw import cancel_frames
 from solocancel.simo import half_wavelength_spacing, mrc_combine
@@ -47,18 +55,31 @@ def resynthesize(spec: SpectralFrameSeq, frames: np.ndarray) -> AudioBuffer:
     return istft(SpectralFrameSeq(frames, spec.fft_size, spec.hop, spec.sample_rate, spec.window))
 
 
+def edge_padded(fft_size, hop, *signals):
+    """The lead, ``ceil(fft_size / hop) - 1`` hops, and ``signals`` with that many zeros
+    before and after each: a take as the engine frames it."""
+    lead = (-(-fft_size // hop) - 1) * hop
+    pad = np.zeros(lead)
+    return lead, [AudioBuffer(np.concatenate((pad, s.samples, pad)), s.sample_rate) for s in signals]
+
+
+def unpadded(out: AudioBuffer, lead: int, take: AudioBuffer) -> AudioBuffer:
+    """The samples of ``out`` that belong to ``take``, past the ``lead`` zeros."""
+    return AudioBuffer(out.samples[lead : lead + len(take)], take.sample_rate)
+
+
 def hand_built_sbw_cancel(mixture, reference, cfg, hop):
     """Oracle: ``sbw_cancel`` before the shared pipeline, framed with ``hop`` or, when
     it is None, half the frame."""
     window = cfg.window
     hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture.sample_rate)
+    lead, (padded_x, padded_ref) = edge_padded(cfg.fft_size, hop, mixture, reference)
 
-    spec_x = stft(mixture, window, hop)
-    spec_ref = stft(reference, window, hop)
+    spec_x = stft(padded_x, window, hop)
+    spec_ref = stft(padded_ref, window, hop)
     est = cancel_frames(spec_x.frames, spec_ref.frames, partition, cfg)
-    out = resynthesize(spec_x, est)
-    return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
+    return unpadded(resynthesize(spec_x, est), lead, mixture)
 
 
 def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry, kappa):
@@ -67,10 +88,9 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
     window = cfg.window
     hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture1.sample_rate)
+    lead, padded = edge_padded(cfg.fft_size, hop, mixture1, mixture2, reference)
 
-    spec1 = stft(mixture1, window, hop)
-    spec2 = stft(mixture2, window, hop)
-    spec_ref = stft(reference, window, hop)
+    spec1, spec2, spec_ref = (stft(signal, window, hop) for signal in padded)
     est1 = cancel_frames(spec1.frames, spec_ref.frames, partition, cfg)
     est2 = cancel_frames(spec2.frames, spec_ref.frames, partition, cfg)
 
@@ -78,8 +98,7 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
         delays = np.full(est1.shape[0], float(kappa))
     else:
         delays = causal_track(spec1.frames, est1, est2, geometry)
-    out = resynthesize(spec1, mrc_combine(est1, est2, delays))
-    return AudioBuffer(out.samples[: len(mixture1)], mixture1.sample_rate)
+    return unpadded(resynthesize(spec1, mrc_combine(est1, est2, delays)), lead, mixture1)
 
 
 def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window, p):
@@ -89,11 +108,11 @@ def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window,
     if fft_hop is None:
         fft_hop = fft_size // 2
     y = matched_accompaniment(mixture, reference, cfg)
-    spec_x = stft(mixture, window, fft_hop)
-    spec_y = stft(y, window, fft_hop)
+    lead, (padded_x, padded_y) = edge_padded(fft_size, fft_hop, mixture, y)
+    spec_x = stft(padded_x, window, fft_hop)
+    spec_y = stft(padded_y, window, fft_hop)
     est = spectral_subtract(spec_x.frames, spec_y.frames, p)
-    out = resynthesize(spec_x, est)
-    return AudioBuffer(out.samples[: len(mixture)], mixture.sample_rate)
+    return unpadded(resynthesize(spec_x, est), lead, mixture)
 
 
 def frame_by_frame_istft(seq: SpectralFrameSeq) -> AudioBuffer:
@@ -271,7 +290,8 @@ class TestEveryBlockSize:
             ),
         }
         want_snrf = whole_file_snrf(mix1, mix2, fft_size, hop, cfg.window)
-        for block in range(1, num_frames(n, fft_size, hop) + 1):
+        lead, _ = edge_padded(fft_size, hop)  # the cancellers frame the padded take
+        for block in range(1, num_frames(n + 2 * lead, fft_size, hop) + 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(stft_module, "_BLOCK_FRAMES", block)
                 got = {
@@ -337,3 +357,33 @@ class TestBoundedMemory:
             return peak - 8 * n
 
         assert peak_beyond_output(16.0) <= peak_beyond_output(4.0) + 2 * 2**20
+
+
+class TestTakeEdges:
+    @pytest.mark.parametrize("past", [0, 777], ids=["ends-on-a-frame", "ends-mid-frame"])
+    def test_estimates_stay_bounded_at_both_ends(self, past):
+        """A take cut out of a scene's middle, whose last frame ends at its last sample or
+        not: in the first and last frame every estimate stays within twice the mixture's
+        peak. Framed without the zeros before and after the take, a sample there was divided
+        by one window's edge, and the estimates peaked 10-100 times above the mixture."""
+        scene = synth_sido(SceneConfig(
+            noise_plus_tones(3.0, FS, seed=3), broadband_accompaniment(3.0, FS, seed=3),
+            make_mic_ir(13.7, 606, seed=3), sido=SidoLayout(0.0214, 21.3),
+        ))
+        fft_size, n = 4096, 4096 + 40 * 2048 + past  # default frame and hop
+        take = slice(FS // 2, FS // 2 + n)
+        mix1, mix2, ref = (
+            AudioBuffer(part.samples[take], FS)
+            for part in (scene.mixture, scene.mixture2, scene.reference)
+        )
+        estimates = {
+            "sbw": sbw_cancel(mix1, ref),
+            "sbw p=2": sbw_cancel(mix1, ref, SbwConfig(p=2.0)),
+            "sbw-simo": sbw_simo_cancel(mix1, mix2, ref),
+            "maw-ss": maw_ss_cancel(mix1, ref, BlockWienerConfig(255, 4096, 1024)),
+        }
+        bound = 2 * np.abs(mix1.samples).max()
+        for name, estimate in estimates.items():
+            for end in (slice(0, fft_size), slice(n - fft_size, n)):
+                peak = np.abs(estimate.samples[end]).max()
+                assert peak <= bound, (name, end, peak, bound)
