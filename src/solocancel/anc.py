@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dtrsv
 
 from .audio import AudioBuffer, require_matched
 
@@ -232,6 +231,8 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
     (I + B A) e = d + B h gives the block's errors, then
     w = w0 + sum_j g_j e_u,j u_j. A whitener refit starts a new block.
     """
+    from scipy.linalg import blas  # here, not at the top: importing it dominates package start-up
+
     require_matched(mixture, reference)
     x = mixture.samples
     ref = reference.samples
@@ -291,7 +292,7 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
             h = -(carry @ ep[k0 : k0 + p])
             # (I + B A) e = d + B h, the unit diagonal implied; read in Fortran order the
             # C-ordered B A is its transpose, so solve with that one transposed.
-            e = dtrsv((b @ lower).T, d + b @ h, lower=0, trans=1, diag=1)
+            e = blas.dtrsv((b @ lower).T, d + b @ h, lower=0, trans=1, diag=1)
             e_u = lower @ e - h
             ep[p + k0 : p + k0 + live] = e[:live]
             w += np.correlate(u[: live + m - 1], g[:live] * e_u[:live], "valid")

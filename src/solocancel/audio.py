@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 #: Smallest FFT of :meth:`FirFilter.apply`'s blocks; longer filters take the power of
 #: two at or above four filter lengths.
@@ -77,6 +76,8 @@ class FirFilter:
         sum|taps| * max|x|. The input is taken as finite: a NaN or inf spreads over its
         whole block. An empty buffer raises ValueError.
         """
+        import scipy.fft  # here, not at the top: importing it dominates package start-up
+
         x = buf.samples
         n = len(x)
         if n == 0:

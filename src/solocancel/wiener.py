@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpptrs
 
 from .audio import AudioBuffer, FirFilter, require_matched
 from .errors import SolverError
@@ -111,6 +109,9 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     step runs for the whole stack at once, and LAPACK's ``dpptrs`` solves
     with each packed factor.
     """
+    import scipy.fft  # here, not at the top: importing it dominates package start-up
+    from scipy.linalg.lapack import dpptrs  # here too, for the same reason
+
     windows = np.atleast_2d(ref_window)
     blocks = np.atleast_2d(block)
     count, n = blocks.shape
@@ -248,8 +249,8 @@ def maw_cancel(
 def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.ndarray:
     """Per-bin magnitude subtraction with half-wave rectification.
 
-    |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of
-    X is kept. Works on single frames or stacks of frames.
+    |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of X is
+    kept. Works on single frames or stacks of frames; finite spectra give a finite E.
     """
     if not 0 < p < np.inf:
         raise ValueError(f"p must be finite and > 0, got {p}")
@@ -259,17 +260,24 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
         raise ValueError("spectra must have identical shapes")
     ax = np.abs(spec_x)
     ay = np.abs(spec_y)
-    # Computed in place on every bin, then overwritten: the bins where |X| <= |Y|
-    # may give NaN or negative magnitudes here, and all of them are zeroed.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Computed in place on every bin, then overwritten: bins where |X| <= |Y| may give NaN
+    # or negative magnitudes, all zeroed. A subnormal |X| or overflowing powers leave a bin
+    # (and so the sum) non-finite; it is redone on X, Y scaled by a power of two (exact).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mag = ax**p
         mag -= ay**p
         mag **= 1.0 / p
         np.minimum(mag, ax, out=mag)  # guard rounding above |X|
         out = spec_x / ax
         out *= mag
-    out[~(ax > ay)] = 0.0
-    np.copyto(out, spec_x, where=ay == 0.0)
+        out[~(ax > ay)] = 0.0
+        np.copyto(out, spec_x, where=ay == 0.0)
+        if not np.isfinite(out.sum()):
+            redo = ~np.isfinite(out) & np.isfinite(spec_x)
+            top = np.maximum(abs(spec_x.real), abs(spec_x.imag))[redo]
+            shift = np.repeat(np.frexp(top)[1] + 1, 2)  # per part: X's larger into [1/4, 1/2)
+            x, y = (np.ldexp(z[redo].view(float), -shift).view(complex) for z in (spec_x, spec_y))
+            out[redo] = np.ldexp(spectral_subtract(x, y, p).view(float), shift).view(complex)
     return out
 
 

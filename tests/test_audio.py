@@ -102,6 +102,7 @@ class TestFirFilterApply:
         ir = sc.make_mic_ir()
         size = sc.audio._FIR_MIN_FFT
         assert 4 * len(ir) <= size
+        ir.apply(AudioBuffer(x[:64]))  # scipy.fft is imported before tracing
         tracemalloc.start()
         try:
             ir.apply(AudioBuffer(x))

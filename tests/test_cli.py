@@ -528,6 +528,27 @@ def test_cancel_runs_every_algorithm(algorithm, scene_dir, stereo_scene_dir, tmp
     assert np.all(np.isfinite(estimate.samples))
 
 
+def test_frame_commands_load_no_scipy(scene_dir, stereo_scene_dir, tmp_path, fresh_python):
+    """``cancel --algo sbw``, ``cancel --algo sbw-simo`` and ``evaluate`` need numpy only:
+    a fresh interpreter that runs them loads no scipy module."""
+    est, est_simo = tmp_path / "est.wav", tmp_path / "est_simo.wav"
+    runs = [
+        ["cancel", "--algo", "sbw", "--set", "fft_size=1024",
+         str(scene_dir / "mixture.wav"), str(scene_dir / "reference.wav"), str(est)],
+        ["cancel", "--algo", "sbw-simo", "--set", "fft_size=1024",
+         str(stereo_scene_dir / "mixture.wav"), str(stereo_scene_dir / "reference.wav"),
+         str(est_simo)],
+        ["evaluate", str(est), str(scene_dir / "reference_solo.wav")],
+    ]
+    lines = fresh_python(
+        "from solocancel.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])\n"
+        "print(scipy_modules())"
+    )
+    assert lines[-2:] == ["[0, 0, 0]", "[]"]
+    assert est.exists() and est_simo.exists()
+
+
 @pytest.mark.parametrize("kappa", ["1e20", "-1e300", "3.26"])
 def test_simo_fixed_delay_past_the_array_rejected(kappa, stereo_scene_dir, tmp_path, capsys):
     # the 2.14-cm array at 44.1 kHz: at most 2.75 samples, searched to 3.25

@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-
-import solocancel
 
 from solocancel import (
     AudioBuffer,
@@ -505,6 +500,7 @@ class TestInPlaceSynthesis:
     def test_synthesis_peak(self, synth, arrays):
         n = 20 * 44100
         cfg = basic_config(n, sido=SidoLayout(0.0214, 21.3))  # synth_siso ignores the layout
+        synth(basic_config(4410, sido=cfg.sido))  # scipy.fft is imported before tracing
         assert traced_peak(lambda: synth(cfg)) <= arrays * 8 * n + self.SLACK
 
 
@@ -527,18 +523,40 @@ class TestKvFiles:
             read_kv(path)
 
 
+#: Inputs for the calls of ``TestStartUp``, in a script that a fresh interpreter runs too.
+START_UP_INPUTS = """
+import hashlib
+import numpy as np
+import solocancel as sc
+rng = np.random.default_rng(4)
+mix = sc.AudioBuffer(rng.standard_normal(4000))
+ref = sc.AudioBuffer(rng.standard_normal(4000))
+"""
+
+
 class TestStartUp:
-    def test_import_leaves_scipy_signal_unloaded(self):
-        """Only the generators and calibrate_latency need scipy.signal, which dominates
-        the package's import time; a fresh interpreter must not load it on import."""
-        package_root = os.path.dirname(os.path.dirname(solocancel.__file__))
-        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, solocancel; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    """scipy dominates the package's import time and only some calls need it: a fresh
+    interpreter must not load it on ``import solocancel``, and each call that needs it
+    imports it on first use."""
+
+    def test_import_loads_no_scipy(self, fresh_python):
+        assert fresh_python("import solocancel\nprint(scipy_modules())") == ["[]"]
+
+    @pytest.mark.parametrize("call", [
+        "sc.anc_cancel(mix, ref, sc.AncConfig(16, 0.1)).samples",
+        "sc.maw_cancel(mix, ref, sc.BlockWienerConfig(31, 512, 256)).samples",
+        "sc.block_wiener(sc.AudioBuffer(ref.samples[:542]), sc.AudioBuffer(mix.samples[:512]),"
+        " 31).taps",
+        "sc.make_mic_ir().apply(mix).samples",
+    ])
+    def test_call_works_before_scipy_is_loaded(self, call, fresh_python):
+        """A fresh interpreter that has not loaded scipy gives the bytes this one gives."""
+        digest = f"hashlib.sha256({call}.tobytes()).hexdigest()"
+        namespace = {}
+        exec(START_UP_INPUTS, namespace)
+        expected = eval(digest, namespace)
+        lines = fresh_python(f"{START_UP_INPUTS}print(scipy_modules())\nprint({digest})")
+        assert lines == ["[]", expected]
 
 
 def test_mic_response_without_taps_rejected():

@@ -496,14 +496,28 @@ class TestMawCancel:
 
 def where_spectral_subtract(spec_x, spec_y, p):
     """Oracle: the subtraction computed on every bin, then selected by two nested
-    ``np.where``."""
-    ax = np.abs(spec_x)
-    ay = np.abs(spec_y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    ``np.where``; where that is not finite, the same on X and Y scaled by the power of
+    two that brings X's larger part into [1/4, 1/2), scaled back."""
+
+    def ldexp(z, shift):
+        out = np.empty_like(z)
+        out.real = np.ldexp(z.real, shift)
+        out.imag = np.ldexp(z.imag, shift)
+        return out
+
+    def subtract(spec_x, spec_y):
+        ax = np.abs(spec_x)
+        ay = np.abs(spec_y)
         mag = (ax**p - ay**p) ** (1.0 / p)
         np.minimum(mag, ax, out=mag)
         subtracted = mag * (spec_x / ax)
-    return np.where(ay == 0.0, spec_x, np.where(ax > ay, subtracted, 0.0))
+        return np.where(ay == 0.0, spec_x, np.where(ax > ay, subtracted, 0.0))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = subtract(spec_x, spec_y)
+        shift = 1 + np.frexp(np.maximum(np.abs(spec_x.real), np.abs(spec_x.imag)))[1]
+        scaled = ldexp(subtract(ldexp(spec_x, -shift), ldexp(spec_y, -shift)), shift)
+    return np.where(np.isfinite(out), out, scaled)
 
 
 #: Real and imaginary parts for the oracle test: signed zeros and values whose
@@ -542,6 +556,37 @@ class TestSpectralSubtract:
         stack = np.stack([x, y[::-1]])
         got = spectral_subtract(stack, stack[::-1], p)
         assert got.tobytes() == where_spectral_subtract(stack, stack[::-1], p).tobytes()
+
+    @pytest.mark.parametrize("x,y", [
+        (1e-320, 5e-321), (3e-310 + 1e-310j, 1e-310), (1e300, 5e299), (3e160, 1e160),
+    ])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_extreme_magnitudes_stay_finite(self, x, y, p):
+        # a subnormal |X|, and |X|^2 and |Y|^2 past the float range, once gave NaN
+        got = spectral_subtract(np.array([x]), np.array([y]), p)[0]
+        expected = abs(x) * (1 - (abs(y) / abs(x)) ** p) ** (1 / p)
+        assert np.isfinite(got)
+        assert abs(got) == pytest.approx(expected, rel=1e-12, abs=1e-323)
+        assert np.angle(got) == pytest.approx(np.angle(x), abs=1e-12)
+
+    @pytest.mark.parametrize("p,expected", [(1.0, 0.5e308), (2.0, 1.25**0.5 * 1e308)])
+    def test_overflowing_sum_redoes_only_non_finite_bins(self, p, expected):
+        # the output's sum overflows, which sends every bin to the exact check
+        x = np.full(2, 1.5e308 + 0j)
+        got = spectral_subtract(x, np.array([0.0, 1e308 + 0j]), p)
+        assert got[0] == x[0]
+        assert got[1].real == pytest.approx(expected, rel=1e-15) and got[1].imag == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                          max_size=4), p=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    def test_finite_input_gives_finite_output(self, parts, p):
+        x, y = np.array([complex(*parts[:2])]), np.array([complex(*parts[2:])])
+        got = spectral_subtract(x, y, p)
+        assert np.isfinite(got).all()
+        # |E| <= |X| up to the rounding of E's parts; |X| of a finite X may overflow
+        with np.errstate(over="ignore"):
+            assert np.abs(got) <= np.abs(x) * (1 + 4 * np.finfo(float).eps)
 
     def test_equal_magnitudes_cancel(self):
         rng = np.random.default_rng(8)
