@@ -8,6 +8,8 @@ ERB-band Wiener filtering, and a two-microphone MRC variant), together with
 a scene simulator and the matching objective metrics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audio import AudioBuffer, FirFilter
 from .erb import ErbPartition, erbs, make_partition
 from .errors import NoSignalError, SolverError
@@ -41,6 +43,7 @@ from .stft import SpectralFrameSeq, Window, istft, make_window, stft
 from .wavio import read_channels, read_mono, read_wav, write_wav
 from .wiener import (
     BlockWienerConfig,
+    MawSsConfig,
     block_wiener,
     matched_accompaniment,
     maw_cancel,
@@ -50,60 +53,6 @@ from .wiener import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AudioBuffer",
-    "FirFilter",
-    "AncConfig",
-    "LmsState",
-    "Whitener",
-    "anc_cancel",
-    "fit_whitener",
-    "lms_step",
-    "ErbPartition",
-    "erbs",
-    "make_partition",
-    "NoSignalError",
-    "SolverError",
-    "MetricsReport",
-    "measure",
-    "rmsd",
-    "rtf",
-    "snrf",
-    "SbwConfig",
-    "sbw_cancel",
-    "subband_wiener_gains",
-    "Scene",
-    "SceneConfig",
-    "SidoLayout",
-    "broadband_accompaniment",
-    "calibrate_latency",
-    "fractional_delay",
-    "make_mic_ir",
-    "noise_plus_tones",
-    "spl_delta",
-    "synth_sido",
-    "synth_siso",
-    "ArrayGeometry",
-    "DelayEstimate",
-    "angle_from_delay",
-    "delay_from_angle",
-    "estimate_delay",
-    "half_wavelength_spacing",
-    "mrc_combine",
-    "sbw_simo_cancel",
-    "SpectralFrameSeq",
-    "Window",
-    "istft",
-    "make_window",
-    "stft",
-    "read_channels",
-    "read_mono",
-    "read_wav",
-    "write_wav",
-    "BlockWienerConfig",
-    "block_wiener",
-    "matched_accompaniment",
-    "maw_cancel",
-    "maw_ss_cancel",
-    "spectral_subtract",
-]
+#: The names imported above: every public attribute but the submodules.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

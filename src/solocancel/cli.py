@@ -10,10 +10,9 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .scenes import (
 from .simo import (
     SPEED_OF_SOUND, ArrayGeometry, _fixed_delay, delay_from_angle, sbw_simo_cancel,
 )
-from .stft import _framing, make_window
+from .stft import make_window
 from .wavio import read_channels, read_mono, write_wav
-from .wiener import BlockWienerConfig, maw_cancel, maw_ss_cancel
+from .wiener import BlockWienerConfig, MawSsConfig, maw_cancel, maw_ss_cancel
 
 EXIT_BAD_ARGS = 2
 EXIT_IO = 3
@@ -93,91 +92,63 @@ _SCENE_FLAGS = {
     **_SCENE, **_ARRAY,
 }
 
-#: The check of every canceller parameter, by key.
-_KINDS = {
-    **dict.fromkeys(("taps", "lp_order", "refresh_interval", "block_size", "hop", "fft_size",
-                     "fft_hop", "num_bands"), _integer),
-    **dict.fromkeys(("normalized", "prewhiten", "interpolate"), _boolean),
-    **dict.fromkeys(("mu", "regularization", "p", "window_shape", "cutoff", "wiener_exponent",
-                     "spacing", "f_max", "kappa"), _real),
-    "cross_cov": lambda key, value: str(value),  # text, which SbwConfig checks
-}
+#: The ``--set`` kind of a config field's annotation, ``| None`` removed; the config checks text.
+_KIND_OF = {"int": _integer, "float": _real, "bool": _boolean, "str": lambda key, value: str(value)}
 
 
-def _stft_framing(p: dict, hop_key: str) -> dict:
-    """Keyword arguments ``window``, the KBD window of ``p``'s ``fft_size`` and ``window_shape``,
-    and ``hop_key``, its hop by the framing rule; a ValueError is prefixed with these keys."""
-    try:
-        window = make_window("kbd", p["fft_size"], p["window_shape"])
-        window, hop = _framing(p["fft_size"], p[hop_key], window)
-    except ValueError as exc:
-        raise ValueError(f"fft_size/window_shape/{hop_key}: {exc}") from exc
-    return {"window": window, hop_key: hop}
+@dataclass(kw_only=True)
+class _SimoConfig(SbwConfig):
+    """``SbwConfig`` plus ``sbw_simo_cancel``'s array and fixed delay, checked without a rate."""
+
+    spacing: float
+    f_max: float = ArrayGeometry.f_max
+    kappa: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        ArrayGeometry(self.spacing, self.f_max)
+        _fixed_delay(self.kappa)
 
 
-def _anc(p: dict):
-    return partial(anc_cancel, cfg=AncConfig(**p))
-
-
-def _maw_ss(p: dict):
-    cfg = BlockWienerConfig(**{key: p[key] for key in _BLOCK})
-    framing = _stft_framing(p, "fft_hop")
-    if not 0 < p["p"] < np.inf:
-        raise ValueError(f"p must be finite and > 0, got {p['p']}")
-    return partial(maw_ss_cancel, cfg=cfg, fft_size=p["fft_size"], p=p["p"], **framing)
-
-
-def _sbw_config(p: dict) -> SbwConfig:
-    fields = {key: p[key] for key in _SBW if key not in ("window_shape", "hop")}
-    return SbwConfig(**fields, **_stft_framing(p, "hop"))
-
-
-def _simo(mixture1, mixture2, reference, cfg, geometry, kappa):
-    """``sbw_simo_cancel`` with ``geometry``, whose check does not depend on the sample rate,
-    at the mixture's sample rate."""
-    geometry = replace(geometry, sample_rate=mixture1.sample_rate)
-    return sbw_simo_cancel(mixture1, mixture2, reference, cfg, geometry, kappa=kappa)
-
-
-def _sbw_simo(p: dict):
-    geometry = ArrayGeometry(p["spacing"], p["f_max"])
-    return partial(_simo, cfg=_sbw_config(p), geometry=geometry, kappa=_fixed_delay(p["kappa"]))
+def _simo(*inputs, cfg: _SimoConfig):
+    """``sbw_simo_cancel`` of two channels and the reference with ``cfg``'s array at their rate."""
+    geometry = ArrayGeometry(cfg.spacing, cfg.f_max, inputs[0].sample_rate)
+    return sbw_simo_cancel(*inputs, cfg, geometry, kappa=cfg.kappa)
 
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One canceller: its parameters with their defaults, its paper-v preset and ``build``,
-    which binds the checked parameters to the canceller, taken by its module-level name so a
-    rebound module attribute is what runs; the result is called as ``run(*channels, reference)``."""
+    """One canceller: the module-level name of the function run as ``canceller(*channels,
+    reference, cfg)``, looked up when it is built so that a rebound module attribute is what
+    runs; the dataclass of ``cfg``; the defaults that differ from its fields'; paper-v's."""
 
+    canceller: str
+    config: type
     defaults: dict
     paper_v: dict
-    build: Callable[[dict], Callable[..., AudioBuffer]]
+
+    def keys(self) -> dict:
+        """Each ``--set`` key's (kind, default): the config's fields, of the kinds their
+        annotations name, with ``window`` set as ``window_shape``, the shape of its KBD window."""
+        keys = {f.name: (_KIND_OF.get(f.type.removesuffix(" | None")),
+                         self.defaults.get(f.name, f.default)) for f in fields(self.config)}
+        if keys.pop("window", None) is not None:
+            keys["window_shape"] = (_real, 4.0)
+        return keys
 
 
-_ANC = {"taps": 256, "normalized": True, "lp_order": 15, "refresh_interval": 16384}
-_BLOCK = {"taps": 255, "block_size": 4096, "hop": 1024, "regularization": 1e-8, "interpolate": True}
-_ANC_PAPER = {"taps": 1023}
+_BLOCK = {"taps": 255, "block_size": 4096, "hop": 1024}
 _BLOCK_PAPER = {"taps": 1023, "block_size": 16384, "hop": 64}
-_SBW = {
-    "window_shape": 4.0, "fft_size": 4096, "hop": None, "num_bands": 39, "cutoff": None,
-    "p": 1.0, "wiener_exponent": 1.0, "cross_cov": "magnitude",
-}
 
 ALGORITHMS = {
-    "anc": _Algorithm({**_ANC, "mu": 0.1, "prewhiten": False}, _ANC_PAPER, _anc),
-    "anc-pw": _Algorithm({**_ANC, "mu": 0.01, "prewhiten": True}, _ANC_PAPER, _anc),
-    "maw": _Algorithm(
-        _BLOCK, _BLOCK_PAPER, lambda p: partial(maw_cancel, cfg=BlockWienerConfig(**p))
+    "anc": _Algorithm("anc_cancel", AncConfig, {"taps": 256, "mu": 0.1}, {"taps": 1023}),
+    "anc-pw": _Algorithm(
+        "anc_cancel", AncConfig, {"taps": 256, "mu": 0.01, "prewhiten": True}, {"taps": 1023}
     ),
-    "maw-ss": _Algorithm(
-        {**_BLOCK, "fft_size": 4096, "fft_hop": None, "p": 2.0, "window_shape": 4.0},
-        _BLOCK_PAPER, _maw_ss,
-    ),
-    "sbw": _Algorithm(_SBW, {}, lambda p: partial(sbw_cancel, cfg=_sbw_config(p))),
-    "sbw-simo": _Algorithm(
-        {**_SBW, "spacing": 0.0214, "f_max": 8000.0, "kappa": None}, {}, _sbw_simo
-    ),
+    "maw": _Algorithm("maw_cancel", BlockWienerConfig, _BLOCK, _BLOCK_PAPER),
+    "maw-ss": _Algorithm("maw_ss_cancel", MawSsConfig, _BLOCK, _BLOCK_PAPER),
+    "sbw": _Algorithm("sbw_cancel", SbwConfig, {}, {}),
+    "sbw-simo": _Algorithm("_simo", _SimoConfig, {"spacing": 0.0214}, {}),
 }
 
 
@@ -207,21 +178,25 @@ def _entry(algorithm: str, keys) -> _Algorithm:
     """``algorithm``'s ``ALGORITHMS`` entry; ValueError on an unknown algorithm or key."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if unknown := sorted(set(keys) - set(ALGORITHMS[algorithm].defaults)):
+    if unknown := sorted(set(keys) - set(ALGORITHMS[algorithm].keys())):
         raise ValueError(f"unknown parameter(s) for {algorithm}: {', '.join(unknown)}")
     return ALGORITHMS[algorithm]
 
 
 def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
-    """Resolve an algorithm name + preset + overrides into its canceller, with every setting
-    checked by its kind and bound, called as ``run(*channels, reference)``.
-
-    Raises ValueError on unknown keys or precondition violations, before any
-    audio has been read.
-    """
+    """Resolve an algorithm name + preset + overrides into its canceller, called as
+    ``run(*channels, reference)``, with every setting checked by its kind and bound: a
+    ValueError on an unknown key or a violated precondition comes before any audio is read."""
     entry = _entry(algorithm, overrides)
-    params = {**entry.defaults, **(entry.paper_v if preset == "paper-v" else {}), **overrides}
-    return entry.build({k: None if v is None else _KINDS[k](k, v) for k, v in params.items()})
+    given = {**(entry.paper_v if preset == "paper-v" else {}), **overrides}
+    settings = {key: None if (value := given.get(key, default)) is None else kind(key, value)
+                for key, (kind, default) in entry.keys().items()}
+    if (shape := settings.pop("window_shape", None)) is not None:
+        try:
+            settings["window"] = make_window("kbd", settings["fft_size"], shape)
+        except ValueError as exc:
+            raise ValueError(f"fft_size/window_shape: {exc}") from exc
+    return partial(globals()[entry.canceller], cfg=entry.config(**settings))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .stft import Window, _framing, _wola
-from .wiener import spectral_subtract
+from .wiener import _check_p, spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
 #: bin power get a zero gain instead of a divide-by-silence.
@@ -53,17 +53,20 @@ class SbwConfig:
         self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
         if self.num_bands < 1:
             raise ValueError("num_bands must be >= 1")
-        if not 0 < self.p < np.inf:
-            raise ValueError(f"p must be finite and > 0, got {self.p}")
+        _check_p(self.p)
         if not 0 <= self.wiener_exponent < np.inf:
             raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")
-        if self.cross_cov not in ("magnitude", "complex"):
-            raise ValueError("cross_cov must be 'magnitude' or 'complex'")
+        _check_cross_cov(self.cross_cov)
         if self.cutoff is not None and not self.cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
         return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)
+
+
+def _check_cross_cov(cross_cov: str) -> None:
+    if cross_cov not in ("magnitude", "complex"):
+        raise ValueError("cross_cov must be 'magnitude' or 'complex'")
 
 
 def subband_gains_frames(
@@ -77,17 +80,16 @@ def subband_gains_frames(
     Gain = band cross-covariance / band auto-covariance of the reference,
     with silent reference bands forced to zero.
     """
+    _check_cross_cov(cross_cov)
     power = np.abs(ref_frames) ** 2
     auto = partition.band_mean(power)
     prod = np.conj(ref_frames) * mix_frames
     if cross_cov == "magnitude":
         cross = partition.band_mean(np.abs(prod))
-    elif cross_cov == "complex":
+    else:
         # |band sum| / size, not |band mean|: the two round differently.
         edges = partition.band_edges
         cross = np.abs(np.add.reduceat(prod, edges[:-1], axis=-1)) / partition.band_sizes()
-    else:
-        raise ValueError("cross_cov must be 'magnitude' or 'complex'")
 
     frame_power = np.mean(power, axis=-1, keepdims=True)
     guard = auto <= ZERO_REFERENCE_GUARD * frame_power

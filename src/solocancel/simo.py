@@ -200,11 +200,10 @@ def _delay_track(geometry: ArrayGeometry):
     return extend
 
 
-def _fixed_delay(kappa: float | None) -> float | None:
-    """``kappa``, checked to be None or finite (ValueError), as :func:`sbw_simo_cancel` takes it."""
+def _fixed_delay(kappa: float | None) -> None:
+    """Check ``kappa`` to be None or finite (ValueError), as :func:`sbw_simo_cancel` takes it."""
     if kappa is not None and not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    return kappa
 
 
 def sbw_simo_cancel(

@@ -57,6 +57,26 @@ class BlockWienerConfig:
             raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
 
 
+@dataclass
+class MawSsConfig(BlockWienerConfig):
+    """Settings for :func:`maw_ss_cancel`: the block Wiener match, then the framing and the
+    p-norm of the STFT-domain subtraction, checked at construction (``ValueError``).
+    ``fft_hop`` None becomes half of ``fft_size`` and ``window`` None KBD(4)."""
+
+    fft_size: int = 4096
+    fft_hop: int | None = None
+    window: Window | None = None
+    p: float = 2.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            self.window, self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window)
+        except ValueError as exc:  # named apart from the block hop
+            raise ValueError(f"fft_size/fft_hop/window: {exc}") from exc
+        _check_p(self.p)
+
+
 #: Bytes of packed Cholesky factors, 4 M (M + 1) per block, that
 #: ``matched_accompaniment`` computes in one stack: four 1023-tap or sixteen
 #: 511-tap factors, about the two M x M matrices a one-block solve by LAPACK's
@@ -246,14 +266,19 @@ def maw_cancel(
     return AudioBuffer(mixture.samples - y.samples, mixture.sample_rate)
 
 
+def _check_p(p: float) -> None:
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and > 0, got {p}")
+
+
 def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.ndarray:
     """Per-bin magnitude subtraction with half-wave rectification.
 
     |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of X is
-    kept. Works on single frames or stacks of frames; finite spectra give a finite E.
+    kept. Works on single frames or stacks of frames; finite spectra give a finite E. The
+    magnitude is clamped to |X|, but E's parts round again: |E| can exceed |X| by an ulp.
     """
-    if not 0 < p < np.inf:
-        raise ValueError(f"p must be finite and > 0, got {p}")
+    _check_p(p)
     spec_x = np.asarray(spec_x, dtype=np.complex128)
     spec_y = np.asarray(spec_y, dtype=np.complex128)
     if spec_x.shape != spec_y.shape:
@@ -267,7 +292,7 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
         mag = ax**p
         mag -= ay**p
         mag **= 1.0 / p
-        np.minimum(mag, ax, out=mag)  # guard rounding above |X|
+        np.minimum(mag, ax, out=mag)  # the magnitude, not |E|, is at most |X|
         out = spec_x / ax
         out *= mag
         out[~(ax > ay)] = 0.0
@@ -282,24 +307,16 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
 
 
 def maw_ss_cancel(
-    mixture: AudioBuffer,
-    reference: AudioBuffer,
-    cfg: BlockWienerConfig,
-    fft_size: int = 4096,
-    fft_hop: int | None = None,
-    window: Window | None = None,
-    p: float = 2.0,
+    mixture: AudioBuffer, reference: AudioBuffer, cfg: BlockWienerConfig
 ) -> AudioBuffer:
     """Block Wiener matching with subtraction performed in the STFT domain.
 
     The matched accompaniment is computed exactly as in :func:`maw_cancel`,
     then removed per frame with :func:`spectral_subtract` and resynthesized
-    by weighted overlap-add. ``fft_hop`` None is half of ``fft_size`` and ``window``
-    None the default window. The STFT settings are checked (``ValueError``) before
-    the block-Wiener match runs.
+    by weighted overlap-add. A plain ``BlockWienerConfig`` runs with
+    ``MawSsConfig``'s STFT defaults.
     """
-    window, fft_hop = _framing(fft_size, fft_hop, window)
-    if not 0 < p < np.inf:
-        raise ValueError(f"p must be finite and > 0, got {p}")
+    if not isinstance(cfg, MawSsConfig):
+        cfg = MawSsConfig(**vars(cfg))
     y = matched_accompaniment(mixture, reference, cfg)
-    return _wola(partial(spectral_subtract, p=p), (mixture, y), window, fft_hop)
+    return _wola(partial(spectral_subtract, p=cfg.p), (mixture, y), cfg.window, cfg.fft_hop)

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,12 +19,17 @@ RUNNERS = {
     ),
     "maw": lambda x, r: sc.maw_cancel(x, r, sc.BlockWienerConfig(15, 256, 64)),
     "maw-ss": lambda x, r: sc.maw_ss_cancel(
-        x, r, sc.BlockWienerConfig(15, 256, 64), fft_size=256, fft_hop=128
+        x, r, sc.MawSsConfig(15, 256, 64, fft_size=256, fft_hop=128)
     ),
     "sbw": lambda x, r: sc.sbw_cancel(x, r, sc.SbwConfig(fft_size=256, hop=128)),
     "sbw-simo": lambda x, r: sc.sbw_simo_cancel(x, x.copy(), r, sc.SbwConfig(fft_size=256, hop=128)),
     "measure": lambda x, r: sc.measure(x, r, block_size=256, fft_size=256, hop=128),
 }
+
+
+def test_all_is_the_public_names_but_the_submodules():
+    assert "MawSsConfig" in sc.__all__ and len(set(sc.__all__)) == len(sc.__all__)
+    assert not [name for name in sc.__all__ if isinstance(getattr(sc, name), types.ModuleType)]
 
 
 @pytest.mark.parametrize("runner", list(RUNNERS))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import re
 import sys
@@ -6,7 +8,10 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from solocancel import AudioBuffer, read_channels, read_mono, write_wav
+from solocancel import (
+    AncConfig, ArrayGeometry, AudioBuffer, BlockWienerConfig, MawSsConfig, SbwConfig, read_channels,
+    read_mono, write_wav,
+)
 from solocancel import cli
 from solocancel.cli import (
     ALGORITHMS, EXIT_BAD_ARGS, EXIT_IO, EXIT_NUMERIC, build_algorithm_config, main,
@@ -46,17 +51,15 @@ class TestBuildAlgorithmConfig:
         )
         maw = bound("maw", "paper-v", {})["cfg"]
         assert (maw.taps, maw.block_size, maw.hop) == (1023, 16384, 64)
-        extra = bound("maw-ss", "paper-v", {})
-        mawss = extra["cfg"]
+        mawss = bound("maw-ss", "paper-v", {})["cfg"]
         assert (mawss.taps, mawss.block_size, mawss.hop) == (1023, 16384, 64)
-        assert (extra["fft_size"], extra["fft_hop"], extra["p"]) == (4096, 2048, 2.0)
+        assert (mawss.fft_size, mawss.fft_hop, mawss.p) == (4096, 2048, 2.0)
         sbw = bound("sbw", "paper-v", {})["cfg"]
         assert (sbw.fft_size, sbw.hop, sbw.num_bands) == (4096, 2048, 39)
-        simo = bound("sbw-simo", "paper-v", {})
-        simo_cfg = simo["cfg"]
-        assert (simo_cfg.fft_size, simo_cfg.hop, simo_cfg.num_bands) == (4096, 2048, 39)
-        assert simo["geometry"].spacing == pytest.approx(0.0214)
-        assert simo["kappa"] is None
+        simo = bound("sbw-simo", "paper-v", {})["cfg"]
+        assert (simo.fft_size, simo.hop, simo.num_bands) == (4096, 2048, 39)
+        assert simo.spacing == pytest.approx(0.0214)
+        assert simo.kappa is None
 
     def test_overrides_applied(self):
         cfg = bound("sbw", "none", {"fft_size": 1024, "p": 2.0})["cfg"]
@@ -156,6 +159,34 @@ class TestBuildAlgorithmConfig:
         assert re.search(rf"\b{key}\b", err), err  # every error names its key
         if isinstance(value, str):  # a value of the wrong kind says what the key takes
             assert f"{key} must be" in err
+
+
+#: The library config whose fields are each canceller's ``--set`` keys.
+LIBRARY_CONFIGS = {"anc": AncConfig, "anc-pw": AncConfig, "maw": BlockWienerConfig,
+                   "maw-ss": MawSsConfig, "sbw": SbwConfig, "sbw-simo": SbwConfig}
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_set_keys_are_the_library_config_fields(algorithm):
+    """The ``--set`` keys are the config's fields, ``window`` set as ``window_shape``, and for
+    ``sbw-simo`` the array's and the fixed delay's too; each default is the library's unless
+    the entry lists it, so no field can be missed."""
+    entry = ALGORITHMS[algorithm]
+    keys = entry.keys()
+    library = {f.name: f.default for f in dataclasses.fields(LIBRARY_CONFIGS[algorithm])}
+    if algorithm == "sbw-simo":  # the array, at the mixture's rate, and the fixed delay
+        library.update((f.name, f.default) for f in dataclasses.fields(ArrayGeometry)
+                       if f.name != "sample_rate")
+        library["kappa"] = inspect.signature(sbw_simo_cancel).parameters["kappa"].default
+    assert set(keys) == {"window_shape" if name == "window" else name for name in library}
+    assert set(entry.defaults) | set(entry.paper_v) <= set(keys)
+    for name, default in library.items():
+        if name != "window":
+            assert keys[name][1] == entry.defaults.get(name, default), name
+    for key, (kind, default) in keys.items():
+        assert callable(kind) and default is not dataclasses.MISSING, key
+    if "window_shape" in keys:  # a KBD window, KBD(4) by default as in the library
+        assert keys["window_shape"] == (cli._real, 4.0)
 
 
 class TestSimulate:
@@ -644,9 +675,9 @@ class TestSweep:
     def test_maw_ss_fft_size_sweep_sets_the_stft_hop(self, tmp_path, monkeypatch):
         calls = []
 
-        def recording(mixture, reference, cfg, **kwargs):
-            calls.append((cfg.hop, kwargs["fft_size"], kwargs["fft_hop"]))
-            return maw_ss_cancel(mixture, reference, cfg, **kwargs)
+        def recording(mixture, reference, cfg):
+            calls.append((cfg.hop, cfg.fft_size, cfg.fft_hop))
+            return maw_ss_cancel(mixture, reference, cfg)
 
         monkeypatch.setattr(cli, "maw_ss_cancel", recording)
         code = run_cli(

@@ -13,6 +13,7 @@ import solocancel as sc
 from solocancel import (
     AudioBuffer,
     BlockWienerConfig,
+    MawSsConfig,
     SolverError,
     block_wiener,
     make_window,
@@ -646,9 +647,7 @@ class TestMawSsCancel:
         n = 20_000
         mix = AudioBuffer(rng.standard_normal(n))
         out = maw_ss_cancel(
-            mix, AudioBuffer(np.zeros(n)),
-            BlockWienerConfig(16, 2048, 1024),
-            fft_size=1024, fft_hop=512,
+            mix, AudioBuffer(np.zeros(n)), MawSsConfig(16, 2048, 1024, fft_size=1024, fft_hop=512)
         )
         inner = slice(1024, n - 1024)
         err = np.linalg.norm(out.samples[inner] - mix.samples[inner])
@@ -660,8 +659,7 @@ class TestMawSsCancel:
         ref = rng.standard_normal(n)
         mix = np.convolve(ref, [0.5])[:n]
         out = maw_ss_cancel(
-            AudioBuffer(mix), AudioBuffer(ref), BlockWienerConfig(8, 1024, 512),
-            fft_size=512, fft_hop=256,
+            AudioBuffer(mix), AudioBuffer(ref), MawSsConfig(8, 1024, 512, fft_size=512, fft_hop=256)
         )
         assert len(out) == n
 
@@ -670,49 +668,42 @@ class TestMawSsCancel:
         n = 6000
         ref = AudioBuffer(rng.standard_normal(n))
         mix = AudioBuffer(np.convolve(ref.samples, [0.5])[:n] + 0.1 * rng.standard_normal(n))
-        cfg = BlockWienerConfig(8, 1024, 512)
-        default = maw_ss_cancel(mix, ref, cfg, fft_size=1024)
-        half = maw_ss_cancel(mix, ref, cfg, fft_size=1024, fft_hop=512)
+        default = maw_ss_cancel(mix, ref, MawSsConfig(8, 1024, 512, fft_size=1024))
+        half = maw_ss_cancel(mix, ref, MawSsConfig(8, 1024, 512, fft_size=1024, fft_hop=512))
         assert default.samples.tobytes() == half.samples.tobytes()
+
+    def test_block_wiener_config_runs_with_the_stft_defaults(self):
+        # the benchmark's call form: a plain BlockWienerConfig takes MawSsConfig's defaults
+        rng = np.random.default_rng(16)
+        n = 12000
+        ref = AudioBuffer(rng.standard_normal(n))
+        mix = AudioBuffer(np.convolve(ref.samples, [0.5, 0.2])[:n] + 0.1 * rng.standard_normal(n))
+        plain = maw_ss_cancel(mix, ref, BlockWienerConfig(8, 1024, 512, interpolate=False))
+        full = maw_ss_cancel(mix, ref, MawSsConfig(8, 1024, 512, interpolate=False))
+        assert plain.samples.tobytes() == full.samples.tobytes()
 
     def test_window_override(self):
         rng = np.random.default_rng(14)
         n = 6000
         ref = rng.standard_normal(n)
         mix = np.convolve(ref, [0.5])[:n]
-        win = make_window("hann", 512)
-        out = maw_ss_cancel(
-            AudioBuffer(mix), AudioBuffer(ref), BlockWienerConfig(8, 1024, 512),
-            fft_size=512, fft_hop=256, window=win,
-        )
+        cfg = MawSsConfig(8, 1024, 512, fft_size=512, fft_hop=256, window=make_window("hann", 512))
+        out = maw_ss_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
         assert np.all(np.isfinite(out.samples))
 
     def test_window_length_must_match_fft_size(self):
-        rng = np.random.default_rng(14)
-        n = 6000
-        ref = rng.standard_normal(n)
-        mix = np.convolve(ref, [0.5])[:n]
-        with pytest.raises(ValueError):
-            maw_ss_cancel(
-                AudioBuffer(mix), AudioBuffer(ref), BlockWienerConfig(8, 1024, 512),
-                fft_size=1024, fft_hop=256, window=make_window("hann", 512),
-            )
+        with pytest.raises(ValueError, match="fft_size"):
+            MawSsConfig(8, 1024, 512, fft_size=1024, fft_hop=256, window=make_window("hann", 512))
 
     @pytest.mark.parametrize(
         "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}, {"p": np.inf}],
         ids=["p", "hop-zero", "hop-past-frame", "p-nan", "p-inf"],
     )
-    def test_stft_settings_checked_before_the_match(self, stft_kw, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the block-Wiener match ran before the settings were checked")
-
-        monkeypatch.setattr(wiener, "matched_accompaniment", unexpected)
-        n = 6000
-        with pytest.raises(ValueError):
-            maw_ss_cancel(
-                AudioBuffer(np.zeros(n)), AudioBuffer(np.ones(n)), BlockWienerConfig(8, 1024, 512),
-                fft_size=1024, **{"fft_hop": 512, **stft_kw},
-            )
+    def test_stft_settings_checked_before_the_match(self, stft_kw):
+        # checked when the config is built, so before maw_ss_cancel can run the match
+        key = "p" if "p" in stft_kw else "fft_hop"
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            MawSsConfig(8, 1024, 512, fft_size=1024, **{"fft_hop": 512, **stft_kw})
 
 
 class TestSpectralVsTimeDomain:

@@ -23,6 +23,7 @@ from solocancel import (
     ArrayGeometry,
     AudioBuffer,
     BlockWienerConfig,
+    MawSsConfig,
     SbwConfig,
     SceneConfig,
     SidoLayout,
@@ -238,11 +239,12 @@ class TestMawSsCancel:
     ):
         fft_size, fft_hop, n, window = framing
         block_size = taps + block_extra
-        cfg = BlockWienerConfig(
-            taps, block_size, max(1, int(hop_fraction * block_size)), interpolate=interpolate
+        cfg = MawSsConfig(
+            taps, block_size, max(1, int(hop_fraction * block_size)), interpolate=interpolate,
+            fft_size=fft_size, fft_hop=fft_hop, window=window, p=p,
         )
         mix, _, ref = two_mic_take(seed, n)
-        got = maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, window, p)
+        got = maw_ss_cancel(mix, ref, cfg)
         want = hand_built_maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, window, p)
         assert same_bytes(got, want)
 
@@ -280,7 +282,9 @@ class TestEveryBlockSize:
         fft_size, hop, n, window = framing
         cfg = data.draw(sbw_configs(fft_size, hop, window))
         geometry = ArrayGeometry(spacing=half_wavelength_spacing(8000.0), sample_rate=FS)
-        maw_cfg = BlockWienerConfig(maw_taps, maw_taps + 16, 8)
+        maw_cfg = MawSsConfig(
+            maw_taps, maw_taps + 16, 8, fft_size=fft_size, fft_hop=hop, window=window, p=maw_p
+        )
         mix1, mix2, ref = two_mic_take(seed, n)
         want = {
             "sbw": hand_built_sbw_cancel(mix1, ref, cfg, hop),
@@ -297,7 +301,7 @@ class TestEveryBlockSize:
                 got = {
                     "sbw": sbw_cancel(mix1, ref, cfg),
                     "sbw-simo": sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa=kappa),
-                    "maw-ss": maw_ss_cancel(mix1, ref, maw_cfg, fft_size, hop, window, maw_p),
+                    "maw-ss": maw_ss_cancel(mix1, ref, maw_cfg),
                 }
                 value = snrf(mix1, mix2, None, fft_size, hop, cfg.window)
             for name, buf in got.items():
