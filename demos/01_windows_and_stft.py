@@ -11,7 +11,7 @@ fs = 44100
 
 # The KBD window is power-complementary at 50 % overlap: w^2[i] + w^2[i+N/2]
 # is constant, which makes weighted overlap-add exact on the interior.
-window = sc.make_window("kbd", 4096, 4.0)
+window = sc.make_window(4096, 4.0)
 half = 2048
 pb = window.coefficients[:half] ** 2 + window.coefficients[half:] ** 2
 print(f"KBD power-complementarity spread: {np.ptp(pb):.3e}")

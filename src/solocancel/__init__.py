@@ -13,9 +13,9 @@ from types import ModuleType as _ModuleType
 from .audio import AudioBuffer, FirFilter
 from .erb import ErbPartition, erbs, make_partition
 from .errors import NoSignalError, SolverError
-from .anc import AncConfig, LmsState, Whitener, anc_cancel, fit_whitener, lms_step
+from .anc import AncConfig, LmsState, anc_cancel, fit_whitener, lms_step
 from .metrics import MetricsReport, measure, rmsd, rtf, snrf
-from .sbw import SbwConfig, sbw_cancel, subband_wiener_gains
+from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
     Scene,
     SceneConfig,
@@ -25,7 +25,6 @@ from .scenes import (
     fractional_delay,
     make_mic_ir,
     noise_plus_tones,
-    spl_delta,
     synth_sido,
     synth_siso,
 )

@@ -66,30 +66,6 @@ def lms_step(state: LmsState, x_k: float, n0_k: float) -> tuple[LmsState, float]
     return state, e
 
 
-@dataclass
-class Whitener:
-    """Linear-prediction inverse filter v = [1, -a_1, ..., -a_P].
-
-    ``coeffs`` holds the predictor coefficients a_1..a_P as a 1-D vector; the
-    prediction order P is its length.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.ndim != 1:
-            raise ValueError("coeffs must be a 1-D vector")
-
-    @property
-    def inverse_filter(self) -> np.ndarray:
-        return np.concatenate(([1.0], -self.coeffs))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Filter a sequence through the inverse (whitening) filter."""
-        return np.convolve(x, self.inverse_filter)[: len(x)]
-
-
 def _levinson(r: np.ndarray, order: int) -> np.ndarray:
     """Levinson-Durbin solve of the autocorrelation normal equations.
 
@@ -108,8 +84,9 @@ def _levinson(r: np.ndarray, order: int) -> np.ndarray:
     return a
 
 
-def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
-    """Fit a prediction-error (whitening) filter on an analysis frame.
+def fit_whitener(frame: AudioBuffer, order: int) -> np.ndarray:
+    """Fit the prediction-error (whitening) filter [1, -a_1, ..., -a_P] on an analysis
+    frame and return its predictor coefficients a_1..a_P (P = ``order``), a 1-D array.
 
     Uses the biased sample autocorrelation, so the resulting synthesis filter
     is minimum phase. An all-zero frame yields the identity whitener (a = 0).
@@ -124,7 +101,7 @@ def fit_whitener(frame: AudioBuffer, order: int) -> Whitener:
     n = len(x)
     # The biased autocorrelation at lags 0..order only, one dot product per lag.
     r = np.array([np.dot(x[lag:], x[: n - lag]) for lag in range(order + 1)]) / n
-    return Whitener(_levinson(r, order))
+    return _levinson(r, order)
 
 
 @dataclass
@@ -267,13 +244,13 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
     for s0 in range(0, n, span):  # one whitener per span
         s1 = min(s0 + span, n)
         if pw and s0 > 0:
-            a = fit_whitener(AudioBuffer(ref[s0 - span : s0], reference.sample_rate), p).coeffs
-        whitener = Whitener(a)
-        if pw:
-            up[pad + s0 : pad + s1] = whitener.apply(rp[pad + s0 - p : pad + s1])[p:]
+            a = fit_whitener(AudioBuffer(ref[s0 - span : s0], reference.sample_rate), p)
+        inverse = np.concatenate(([1.0], -a))  # the whitening filter
+        if pw:  # p >= 1: [p:-p] drops the p-sample warm-up and tail of the full convolution
+            up[pad + s0 : pad + s1] = np.convolve(rp[pad + s0 - p : pad + s1], inverse)[p:-p]
         # Row k of [-H | A] whitens the errors k0 - p .. k0 + k, so h = H e_{k0-p..k0-1}.
         zeros = np.zeros(block - 1)
-        coeffs = np.concatenate((zeros, whitener.inverse_filter[::-1], zeros))
+        coeffs = np.concatenate((zeros, inverse[::-1], zeros))
         rows = np.ascontiguousarray(sliding_window_view(coeffs, p + block)[::-1])
         carry, lower = rows[:, :p], rows[:, p:]
         for k0 in range(s0, s1, block):

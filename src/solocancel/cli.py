@@ -193,7 +193,7 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
                 for key, (kind, default) in entry.keys().items()}
     if (shape := settings.pop("window_shape", None)) is not None:
         try:
-            settings["window"] = make_window("kbd", settings["fft_size"], shape)
+            settings["window"] = make_window(settings["fft_size"], shape)
         except ValueError as exc:
             raise ValueError(f"fft_size/window_shape: {exc}") from exc
     return partial(globals()[entry.canceller], cfg=entry.config(**settings))
@@ -224,8 +224,8 @@ def _scene(args, inputs) -> SceneConfig:
     solo, accomp = inputs
     layout = None
     if args.sido:
-        if not args.spacing > 0:
-            raise ValueError("microphone spacing must be > 0")
+        if not 0 < args.spacing < np.inf:
+            raise ValueError(f"microphone spacing must be finite and > 0, got {args.spacing}")
         f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * args.spacing))
         layout = SidoLayout(args.spacing, args.solo_angle, f_max=f_max)
     return SceneConfig(

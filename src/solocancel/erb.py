@@ -25,26 +25,18 @@ class ErbPartition:
 
     Bands are indexed 1..num_bands in ``band_of_bin``; ``band_edges`` holds
     the start bin of each band plus the total bin count, so band z covers
-    bins ``band_edges[z-1]:band_edges[z]``. Bins whose center frequency lies
-    above ``cutoff`` belong to the top band.
+    bins ``band_edges[z-1]:band_edges[z]``. :func:`make_partition` puts the
+    bins above its cutoff in the top band.
     """
 
     num_bands: int
     band_of_bin: np.ndarray
     band_edges: np.ndarray
-    sample_rate: int
-    cutoff: float
     fft_size: int
 
     @property
     def num_bins(self) -> int:
         return self.band_of_bin.shape[0]
-
-    def band_slice(self, band: int) -> slice:
-        """Bin range of band ``band`` (1-based)."""
-        if not 1 <= band <= self.num_bands:
-            raise ValueError(f"band index {band} out of range 1..{self.num_bands}")
-        return slice(int(self.band_edges[band - 1]), int(self.band_edges[band]))
 
     def band_sizes(self) -> np.ndarray:
         return np.diff(self.band_edges)
@@ -92,4 +84,4 @@ def make_partition(
     z = realized.shape[0]
 
     edges = np.searchsorted(band_of_bin, np.arange(1, z + 2))
-    return ErbPartition(z, band_of_bin, edges, sample_rate, float(cutoff), fft_size)
+    return ErbPartition(z, band_of_bin, edges, fft_size)

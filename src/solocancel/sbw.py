@@ -98,22 +98,6 @@ def subband_gains_frames(
     return gains
 
 
-def subband_wiener_gains(
-    ref_frame: np.ndarray,
-    mix_frame: np.ndarray,
-    partition: ErbPartition,
-    cross_cov: str = "magnitude",
-) -> np.ndarray:
-    """Band gains for a single pair of half-spectrum frames."""
-    ref_frame = np.atleast_2d(np.asarray(ref_frame, dtype=np.complex128))
-    mix_frame = np.atleast_2d(np.asarray(mix_frame, dtype=np.complex128))
-    if ref_frame.shape != mix_frame.shape:
-        raise ValueError("frames must have equal length")
-    if ref_frame.shape[-1] != partition.num_bins:
-        raise ValueError("frame length inconsistent with partition")
-    return subband_gains_frames(ref_frame, mix_frame, partition, cross_cov)[0]
-
-
 def cancel_frames(
     mix_frames: np.ndarray,
     ref_frames: np.ndarray,

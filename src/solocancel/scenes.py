@@ -26,12 +26,12 @@ def make_mic_ir(
     """Synthetic microphone impulse response.
 
     Seeded Gaussian noise under an exponential envelope whose energy falls
-    60 dB over ``rt_ms``, a unit first tap (direct path), normalized to unit
+    60 dB over ``rt_ms`` (finite, > 0), a unit first tap (direct path), normalized to unit
     energy. Only the decay rate and length matter to the cancellers; the
     response of any particular capsule is not modeled.
     """
-    if rt_ms <= 0:
-        raise ValueError("rt_ms must be positive")
+    if not 0 < rt_ms < np.inf:
+        raise ValueError(f"rt_ms must be finite and > 0, got {rt_ms}")
     if length < 1:
         raise ValueError("length must be >= 1")
     rt_samples = rt_ms / 1000.0 * sample_rate
@@ -40,13 +40,6 @@ def make_mic_ir(
     h = envelope * np.random.default_rng(seed).standard_normal(length)
     h[0] = 1.0
     return FirFilter(h / np.linalg.norm(h))
-
-
-def spl_delta(r1: float, r2: float) -> float:
-    """Sound-pressure-level difference of the distance law, 20 log10(r1/r2)."""
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("radii must be positive")
-    return 20.0 * math.log10(r1 / r2)
 
 
 #: Length of the windowed-sinc interpolator of :func:`fractional_delay` (odd).
@@ -85,14 +78,18 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
 
 @dataclass
 class SidoLayout:
-    """Two-microphone scene geometry: the array's spacing and the source angles. The
-    accompaniment's angle is stored but not yet modelled: ``synth_sido`` gives both
-    microphones the same accompaniment."""
+    """Two-microphone scene geometry: the array's spacing and the source angles, the
+    solo's finite. The accompaniment's angle is stored but not yet modelled:
+    ``synth_sido`` gives both microphones the same accompaniment."""
 
     spacing: float
     solo_angle_deg: float
     accomp_angle_deg: float = 90.0
     f_max: float = 8000.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.solo_angle_deg):
+            raise ValueError(f"solo_angle_deg must be finite, got {self.solo_angle_deg}")
 
     def geometry(self, sample_rate: int) -> ArrayGeometry:
         """The array at ``sample_rate``; ValueError past the half-wavelength limit."""

@@ -64,12 +64,10 @@ class ArrayGeometry:
 
 @dataclass
 class DelayEstimate:
-    """Inter-channel delay in fractional samples with its angle of arrival."""
+    """Inter-channel delay in fractional samples; :func:`angle_from_delay` gives its
+    angle of arrival."""
 
     kappa: float
-    #: Angle of arrival in degrees from broadside, ``angle_from_delay(kappa)``:
-    #: arcsin of kappa over the array's ``max_delay_samples``.
-    theta_deg: float
     confidence: float  # fraction of usable bins that passed the threshold
 
 
@@ -133,11 +131,7 @@ def estimate_delay(frame1: np.ndarray, frame2: np.ndarray, geometry: ArrayGeomet
     # single low bins can produce out-of-range observations; the estimate
     # itself stays within the physical bound
     kappa = float(min(max(median, -kappa_max), kappa_max))
-    return DelayEstimate(
-        kappa=kappa,
-        theta_deg=angle_from_delay(kappa, geometry),
-        confidence=bins.size / (n_bins - 1),
-    )
+    return DelayEstimate(kappa=kappa, confidence=bins.size / (n_bins - 1))
 
 
 def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ _BLOCK_FRAMES = 64
 @dataclass
 class Window:
     """Analysis/synthesis window coefficients, of even length; :func:`make_window`
-    builds them."""
+    builds the KBD window the cancellers use by default."""
 
     coefficients: np.ndarray
 
@@ -62,36 +62,20 @@ def _kbd(length: int, shape: float) -> np.ndarray:
     return w
 
 
-def make_window(kind: str, length: int, shape: float = 4.0) -> Window:
-    """Build a window of the given kind.
-
-    Parameters
-    ----------
-    kind : {"kbd", "hann", "rect"}
-        KBD satisfies the Princen-Bradley power-complementarity condition,
-        so 50 %-overlap WOLA has a flat envelope.
-    length : int
-        Even, >= 2.
-    shape : float
-        KBD shape parameter (>= 0); 4.0 is the customary value. A shape whose
-        window overflows to non-finite values (about 226 and up) is rejected.
-    """
+def make_window(length: int, shape: float = 4.0) -> Window:
+    """The Kaiser-Bessel-derived (KBD) window of even ``length`` >= 2. It is
+    power-complementary (Princen-Bradley), so 50 %-overlap WOLA has a flat envelope.
+    ``shape`` must be >= 0 (4.0 is customary), and one whose window overflows to
+    non-finite values (about 226 and up) is rejected. Any other window is a
+    :class:`Window` of its coefficients."""
     if length < 2 or length % 2 != 0:
         raise ValueError(f"window length must be even and >= 2, got {length}")
-    kind = kind.lower()
-    if kind == "rect":
-        coeffs = np.ones(length)
-    elif kind == "hann":
-        coeffs = np.hanning(length)
-    elif kind == "kbd":
-        if not shape >= 0:
-            raise ValueError(f"KBD shape must be >= 0, got {shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # np.kaiser overflows
-            coeffs = _kbd(length, shape)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"KBD shape {shape} gives a non-finite window")
-    else:
-        raise ValueError(f"unknown window kind {kind!r}")
+    if not shape >= 0:
+        raise ValueError(f"KBD shape must be >= 0, got {shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # np.kaiser overflows
+        coeffs = _kbd(length, shape)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"KBD shape {shape} gives a non-finite window")
     return Window(coeffs)
 
 
@@ -100,7 +84,7 @@ def _framing(fft_size: int, hop: int | None, window: Window | None) -> tuple[Win
     KBD(4); ``hop``, checked to satisfy 0 < hop <= fft_size, or half the frame, the
     50 % overlap at which the KBD window's WOLA envelope is flat."""
     if window is None:
-        window = make_window("kbd", fft_size)
+        window = make_window(fft_size)
     elif len(window) != fft_size:
         raise ValueError("window length must equal fft_size")
     if hop is None:

@@ -228,11 +228,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--gain", "nan"), ("--gain", "inf"), ("--level-diff", "nan"), ("--level-diff", "inf"),
+        ("--solo-angle", "nan"), ("--solo-angle", "inf"), ("--rt-ms", "nan"), ("--rt-ms", "inf"),
+        ("--spacing", "inf"),
     ])
-    def test_non_finite_gain_rejected(self, flag, value, tmp_path):
+    def test_non_finite_gain_rejected(self, flag, value, tmp_path, capsys):
         out = tmp_path / "scene"
-        code = run_cli("simulate", "--duration", "0.5", f"{flag}={value}", "--out-dir", str(out))
+        sido = ("--sido",) if flag in ("--solo-angle", "--spacing") else ()  # the array's flags
+        code = run_cli(
+            "simulate", "--duration", "0.5", *sido, f"{flag}={value}", "--out-dir", str(out)
+        )
         assert code == EXIT_BAD_ARGS
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out / "mixture.wav").exists()
 
     def test_overflowing_level_diff_rejected(self, tmp_path):

@@ -57,18 +57,19 @@ class TestMakePartition:
     def test_full_coverage_and_uniqueness(self):
         part = make_partition(4096, 44100, 16000.0, 39)
         # every bin in exactly one band; edges partition the whole axis
+        assert part.band_edges[0] == 0 and part.band_edges[-1] == part.num_bins
         assert part.band_sizes().sum() == part.num_bins
         for band in range(1, part.num_bands + 1):
-            sl = part.band_slice(band)
-            assert np.all(part.band_of_bin[sl] == band)
+            start, stop = part.band_edges[band - 1 : band + 1]
+            assert np.all(part.band_of_bin[start:stop] == band)
 
     def test_bins_below_cutoff_covered(self):
         part = make_partition(4096, 44100, 16000.0, 39)
         freqs = np.arange(part.num_bins) * 44100 / 4096
         below = int(np.count_nonzero(freqs <= 16000.0))
+        edges = part.band_edges
         covered = sum(
-            min(part.band_slice(b).stop, below) - min(part.band_slice(b).start, below)
-            for b in range(1, part.num_bands + 1)
+            min(edges[b], below) - min(edges[b - 1], below) for b in range(1, part.num_bands + 1)
         )
         assert covered == below
 
@@ -97,11 +98,3 @@ class TestMakePartition:
 def test_odd_or_empty_fft_size_rejected(fft_size):
     with pytest.raises(ValueError, match="fft_size"):
         make_partition(fft_size, 44100, None, 39)
-
-
-@pytest.mark.parametrize("band", [0, 40])
-def test_band_slice_out_of_range_rejected(band):
-    partition = make_partition(4096, 44100, None, 39)
-    assert partition.band_slice(1).start == 0
-    with pytest.raises(ValueError, match="out of range"):
-        partition.band_slice(band)

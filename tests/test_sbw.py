@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from solocancel import (
-    AudioBuffer, SbwConfig, make_partition, make_window, sbw_cancel, subband_wiener_gains,
-)
+from solocancel import AudioBuffer, SbwConfig, make_partition, make_window, sbw_cancel
 from solocancel.sbw import cancel_frames, subband_gains_frames
 
 
@@ -11,19 +9,29 @@ def random_frame(rng, bins):
     return rng.standard_normal(bins) + 1j * rng.standard_normal(bins)
 
 
+def frame_gains(ref, mix, part, cross_cov="magnitude"):
+    """The band gains of one frame pair, as the one-row stack they form."""
+    return subband_gains_frames(ref[None], mix[None], part, cross_cov)[0]
+
+
+def band_bins(part, band):
+    """The bin range of band ``band`` (1-based), from the partition's edges."""
+    return slice(*part.band_edges[band - 1 : band + 1])
+
+
 class TestSubbandGains:
     def test_identical_frames_give_unit_gain(self):
         rng = np.random.default_rng(0)
         part = make_partition(64, 44100, 16000.0, 4)
         s0 = random_frame(rng, part.num_bins)
-        gains = subband_wiener_gains(s0, s0.copy(), part)
+        gains = frame_gains(s0, s0.copy(), part)
         assert np.allclose(gains, 1.0, atol=1e-12)
 
     def test_scaled_mixture_scales_gain(self):
         rng = np.random.default_rng(1)
         part = make_partition(64, 44100, 16000.0, 4)
         s0 = random_frame(rng, part.num_bins)
-        gains = subband_wiener_gains(s0, 2.0 * s0, part)
+        gains = frame_gains(s0, 2.0 * s0, part)
         assert np.allclose(gains, 2.0, atol=1e-12)
 
     def test_brute_force_band_sums(self):
@@ -31,9 +39,10 @@ class TestSubbandGains:
         part = make_partition(16, 44100, 16000.0, 4)
         s0 = random_frame(rng, part.num_bins)
         x = random_frame(rng, part.num_bins)
-        gains = subband_wiener_gains(s0, x, part)
+        gains = frame_gains(s0, x, part)
         for band in range(1, part.num_bands + 1):
-            bins = range(part.band_slice(band).start, part.band_slice(band).stop)
+            sl = band_bins(part, band)
+            bins = range(sl.start, sl.stop)
             auto = sum(abs(s0[w]) ** 2 for w in bins) / len(bins)
             cross = sum(abs(np.conj(s0[w]) * x[w]) for w in bins) / len(bins)
             assert gains[band - 1] == pytest.approx(cross / auto, abs=1e-12)
@@ -42,15 +51,15 @@ class TestSubbandGains:
         rng = np.random.default_rng(3)
         part = make_partition(64, 44100, 16000.0, 4)
         s0 = random_frame(rng, part.num_bins)
-        s0[part.band_slice(2)] = 0.0
-        gains = subband_wiener_gains(s0, random_frame(rng, part.num_bins), part)
+        s0[band_bins(part, 2)] = 0.0
+        gains = frame_gains(s0, random_frame(rng, part.num_bins), part)
         assert gains[1] == 0.0
         assert np.all(gains >= 0.0) and np.all(np.isfinite(gains))
 
     def test_all_zero_reference_frame(self):
         part = make_partition(64, 44100, 16000.0, 4)
         zero = np.zeros(part.num_bins, dtype=complex)
-        gains = subband_wiener_gains(zero, random_frame(np.random.default_rng(4), 33), part)
+        gains = frame_gains(zero, random_frame(np.random.default_rng(4), 33), part)
         assert np.all(gains == 0.0)
 
     def test_gain_homogeneity_leaves_match_unchanged(self):
@@ -59,8 +68,8 @@ class TestSubbandGains:
         s0 = random_frame(rng, part.num_bins)
         x = random_frame(rng, part.num_bins)
         c = 3.7
-        g1 = subband_wiener_gains(s0, x, part)
-        g2 = subband_wiener_gains(c * s0, x, part)
+        g1 = frame_gains(s0, x, part)
+        g2 = frame_gains(c * s0, x, part)
         assert np.allclose(g2, g1 / c, rtol=1e-12)
         y1 = g1[part.band_of_bin - 1] * s0
         y2 = g2[part.band_of_bin - 1] * (c * s0)
@@ -71,9 +80,9 @@ class TestSubbandGains:
         part = make_partition(16, 44100, 16000.0, 4)
         s0 = random_frame(rng, part.num_bins)
         x = random_frame(rng, part.num_bins)
-        gains = subband_wiener_gains(s0, x, part, cross_cov="complex")
+        gains = frame_gains(s0, x, part, cross_cov="complex")
         for band in range(1, part.num_bands + 1):
-            sl = part.band_slice(band)
+            sl = band_bins(part, band)
             cross = abs(np.sum(np.conj(s0[sl]) * x[sl])) / (sl.stop - sl.start)
             auto = np.mean(np.abs(s0[sl]) ** 2)
             assert gains[band - 1] == pytest.approx(cross / auto, rel=1e-12)
@@ -157,7 +166,7 @@ class TestSbwCancel:
         {"p": 0.0},
         {"wiener_exponent": -1.0},
         {"cross_cov": "median"},
-        {"fft_size": 1024, "hop": 512, "window": make_window("kbd", 2048)},
+        {"fft_size": 1024, "hop": 512, "window": make_window(2048)},
         {"p": np.nan},
         {"wiener_exponent": np.nan},
         {"p": np.inf},
@@ -178,7 +187,7 @@ class TestSbwCancel:
         assert SbwConfig(fft_size=1024).hop == 512
 
     def test_config_default_window(self):
-        default = make_window("kbd", 1024, 4.0).coefficients
+        default = make_window(1024, 4.0).coefficients
         assert SbwConfig(fft_size=1024, hop=512).window.coefficients.tobytes() == default.tobytes()
 
     def test_runtime_budget(self):
@@ -194,16 +203,8 @@ class TestSbwCancel:
         assert elapsed / 20.0 < 0.5
 
 
-@pytest.mark.parametrize("bins,other_bins,cross_cov,message", [
-    (2049, 2048, "magnitude", "equal length"),
-    (1025, 1025, "magnitude", "partition"),
-    (2049, 2049, "median", "cross_cov"),
-], ids=["unequal-frames", "frames-off-the-partition", "cross_cov"])
-def test_bad_gain_inputs_rejected(bins, other_bins, cross_cov, message):
+def test_bad_cross_cov_rejected():
     partition = make_partition(4096, 44100, None, 39)
-    ref, mix = np.ones(bins, dtype=complex), np.ones(other_bins, dtype=complex)
-    with pytest.raises(ValueError, match=message):
-        subband_wiener_gains(ref, mix, partition, cross_cov)
-    if bins == other_bins == partition.num_bins:  # the stacked form checks cross_cov too
-        with pytest.raises(ValueError, match=message):
-            subband_gains_frames(ref[None], mix[None], partition, cross_cov)
+    frames = np.ones((1, partition.num_bins), dtype=complex)
+    with pytest.raises(ValueError, match="cross_cov"):
+        subband_gains_frames(frames, frames, partition, "median")

@@ -14,7 +14,6 @@ from solocancel import (
     fractional_delay,
     make_mic_ir,
     noise_plus_tones,
-    spl_delta,
     synth_sido,
     synth_siso,
 )
@@ -234,21 +233,9 @@ class TestMakeMicIr:
         assert np.array_equal(make_mic_ir(seed=7).taps, make_mic_ir(seed=7).taps)
 
     def test_invalid_rt_rejected(self):
-        with pytest.raises(ValueError):
-            make_mic_ir(0.0, 100)
-
-
-class TestSplDelta:
-    def test_equal_radii(self):
-        assert spl_delta(1.0, 1.0) == 0.0
-
-    def test_reference_values(self):
-        assert spl_delta(1.0, 0.25) == pytest.approx(12.04, abs=0.01)
-        assert spl_delta(2.0, 1.0) == pytest.approx(6.02, abs=0.01)
-
-    def test_non_positive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            spl_delta(0.0, 1.0)
+        for rt_ms in (0.0, -1.0, np.inf, np.nan):  # inf would never decay
+            with pytest.raises(ValueError, match="rt_ms"):
+                make_mic_ir(rt_ms, 100)
 
 
 class TestSynthSiso:
@@ -335,6 +322,11 @@ class TestSynthSido:
     def test_half_wavelength_violation_rejected(self):
         with pytest.raises(ValueError):
             synth_sido(self.sido_config(spacing=0.05))
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_solo_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="solo_angle_deg"):
+            SidoLayout(spacing=0.0214, solo_angle_deg=angle)
 
     def test_missing_geometry_rejected(self):
         with pytest.raises(ValueError):

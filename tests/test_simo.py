@@ -80,7 +80,7 @@ def loop_mrc_combine(frame1, frame2, kappa):
 
 def median_estimate_delay(frame1, frame2, geometry):
     """Oracle: the delay estimate with ``np.median`` and ``np.clip``, returned as
-    (kappa, theta_deg, confidence), or the ``NoSignalError`` message."""
+    (kappa, angle of arrival, confidence), or the ``NoSignalError`` message."""
     n_bins = frame1.shape[0]
     fft_size = 2 * (n_bins - 1)
     kappa_max = geometry.max_delay_samples + 0.5
@@ -104,7 +104,7 @@ def estimate_or_message(frame1, frame2, geometry):
         est = estimate_delay(frame1, frame2, geometry)
     except NoSignalError as err:
         return str(err)
-    return est.kappa, est.theta_deg, est.confidence
+    return est.kappa, angle_from_delay(est.kappa, geometry), est.confidence
 
 
 def same_bits(a, b):
@@ -177,9 +177,10 @@ class TestEstimateDelay:
     def test_identical_frames_zero_delay(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(2049) + 1j * rng.standard_normal(2049)
-        est = estimate_delay(x, x.copy(), geometry())
+        geo = geometry()
+        est = estimate_delay(x, x.copy(), geo)
         assert est.kappa == pytest.approx(0.0, abs=1e-12)
-        assert est.theta_deg == pytest.approx(0.0, abs=1e-12)
+        assert angle_from_delay(est.kappa, geo) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_synthesized_rotation(self):
         rng = np.random.default_rng(1)
@@ -194,7 +195,7 @@ class TestEstimateDelay:
         sig = rng.standard_normal(fs)
         delayed = np.zeros(fs)
         delayed[3:] = sig[:-3]
-        win = make_window("kbd", 4096, 4.0)
+        win = make_window(4096, 4.0)
         f1 = stft(AudioBuffer(sig, fs), win, 2048).frames[4]
         f2 = stft(AudioBuffer(delayed, fs), win, 2048).frames[4]
         geo = ArrayGeometry(spacing=0.03, f_max=5000.0, sample_rate=fs)
@@ -256,11 +257,13 @@ class TestEstimateDelay:
         frame2 = rng.standard_normal(129) + 1j * rng.standard_normal(129)
         if nan_observation:
             frame2[1] = np.nan
-        got = estimate_delay(frame1, frame2, geometry())
+        geo = geometry()
+        got = estimate_delay(frame1, frame2, geo)
         assert got.confidence == count / 128
         assert np.isnan(got.kappa) == nan_observation
         assert same_bits(
-            (got.kappa, got.theta_deg, got.confidence), median_estimate_delay(frame1, frame2, geometry())
+            (got.kappa, angle_from_delay(got.kappa, geo), got.confidence),
+            median_estimate_delay(frame1, frame2, geo),
         )
 
     def test_estimate_respects_physical_bound(self):

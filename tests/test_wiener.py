@@ -15,8 +15,8 @@ from solocancel import (
     BlockWienerConfig,
     MawSsConfig,
     SolverError,
+    Window,
     block_wiener,
-    make_window,
     maw_cancel,
     maw_ss_cancel,
     spectral_subtract,
@@ -687,13 +687,16 @@ class TestMawSsCancel:
         n = 6000
         ref = rng.standard_normal(n)
         mix = np.convolve(ref, [0.5])[:n]
-        cfg = MawSsConfig(8, 1024, 512, fft_size=512, fft_hop=256, window=make_window("hann", 512))
+        hann = Window(np.hanning(512))
+        cfg = MawSsConfig(8, 1024, 512, fft_size=512, fft_hop=256, window=hann)
         out = maw_ss_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
         assert np.all(np.isfinite(out.samples))
 
     def test_window_length_must_match_fft_size(self):
         with pytest.raises(ValueError, match="fft_size"):
-            MawSsConfig(8, 1024, 512, fft_size=1024, fft_hop=256, window=make_window("hann", 512))
+            MawSsConfig(
+                8, 1024, 512, fft_size=1024, fft_hop=256, window=Window(np.hanning(512))
+            )
 
     @pytest.mark.parametrize(
         "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}, {"p": np.inf}],

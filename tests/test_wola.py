@@ -27,6 +27,7 @@ from solocancel import (
     SbwConfig,
     SceneConfig,
     SidoLayout,
+    Window,
     broadband_accompaniment,
     make_mic_ir,
     make_partition,
@@ -105,7 +106,7 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
 def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window, p):
     """Oracle: ``maw_ss_cancel`` before the shared pipeline."""
     if window is None:
-        window = make_window("kbd", fft_size)
+        window = make_window(fft_size)
     if fft_hop is None:
         fft_hop = fft_size // 2
     y = matched_accompaniment(mixture, reference, cfg)
@@ -161,7 +162,7 @@ def framings(draw):
     fft_size = 2 * draw(st.integers(32, 1024))
     hop = draw(st.none() | st.integers(max(1, fft_size // 8), fft_size))
     n = draw(st.integers(fft_size, 4 * fft_size + 1))
-    window = draw(st.sampled_from([None, make_window("hann", fft_size)]))
+    window = draw(st.sampled_from([None, Window(np.hanning(fft_size))]))
     return fft_size, hop, n, window
 
 
@@ -257,7 +258,7 @@ def small_framings(draw):
     fft_size = draw(st.sampled_from([8, 16, 32, 64]))
     hop = fft_size * draw(st.sampled_from([1, 2, 3, 4])) // 4
     past = draw(st.integers(0, hop - 1) | st.integers(0, 12 * hop))
-    window = draw(st.sampled_from([None, make_window("hann", fft_size)]))
+    window = draw(st.sampled_from([None, Window(np.hanning(fft_size))]))
     return fft_size, hop, fft_size + past, window
 
 
@@ -314,7 +315,7 @@ class TestIstft:
     @given(framing=small_framings(), seed=st.integers(0, 2**32 - 1))
     def test_matches_frame_by_frame_loop(self, framing, seed):
         fft_size, hop, n, window = framing
-        window = make_window("kbd", fft_size) if window is None else window
+        window = make_window(fft_size) if window is None else window
         rng = np.random.default_rng(seed)
         frames = stft(AudioBuffer(rng.standard_normal(n), FS), window, hop).frames
         # a modified spectrum, as the cancellers hand to the overlap-add
