@@ -203,6 +203,11 @@ class TestFitWhitener:
         with pytest.raises(ValueError):
             fit_whitener(AudioBuffer(np.ones(100)), 15)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="order"):
+            fit_whitener(AudioBuffer(np.ones(100)), order)
+
     @settings(max_examples=60, deadline=None)
     @given(
         order=st.integers(1, 40),

@@ -229,7 +229,7 @@ class TestSimulate:
     @pytest.mark.parametrize("flag,value", [
         ("--gain", "nan"), ("--gain", "inf"), ("--level-diff", "nan"), ("--level-diff", "inf"),
         ("--solo-angle", "nan"), ("--solo-angle", "inf"), ("--rt-ms", "nan"), ("--rt-ms", "inf"),
-        ("--spacing", "inf"),
+        ("--spacing", "nan"), ("--spacing", "inf"),
     ])
     def test_non_finite_gain_rejected(self, flag, value, tmp_path, capsys):
         out = tmp_path / "scene"

@@ -130,6 +130,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(spacing=0.05, f_max=8000.0)
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            ArrayGeometry(spacing=spacing, f_max=8000.0)
+
     def test_angle_delay_round_trip(self):
         geo = geometry()
         bound = (44100 / 2) / 8000.0
