@@ -92,8 +92,8 @@ _SCENE_FLAGS = {
     **_SCENE, **_ARRAY,
 }
 
-#: The ``--set`` kind of a config field's annotation, ``| None`` removed; the config checks text.
-_KIND_OF = {"int": _integer, "float": _real, "bool": _boolean, "str": lambda key, value: str(value)}
+#: The ``--set`` kind of a config field's annotation, ``| None`` removed.
+_KIND_OF = {"int": _integer, "float": _real, "bool": _boolean}
 
 
 @dataclass(kw_only=True)
@@ -289,7 +289,7 @@ def _cmd_cancel(args) -> int:
 def _cmd_evaluate(args) -> int:
     est = read_mono(args.estimate)
     ref = read_mono(args.reference_solo)
-    partition = make_partition(args.fft_size, est.sample_rate, None, args.bands)
+    partition = make_partition(args.fft_size, est.sample_rate, args.bands)
     report = measure(
         est, ref, block_size=args.block_size, partition=partition, fft_size=args.fft_size,
         hop=args.hop, elapsed=args.elapsed,

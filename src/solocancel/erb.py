@@ -21,22 +21,21 @@ def erbs(f_khz):
 
 @dataclass
 class ErbPartition:
-    """Assignment of FFT bins (0..fft_size/2) to contiguous auditory bands.
+    """Contiguous auditory bands over the FFT bins 0..fft_size/2.
 
-    Bands are indexed 1..num_bands in ``band_of_bin``; ``band_edges`` holds
-    the start bin of each band plus the total bin count, so band z covers
-    bins ``band_edges[z-1]:band_edges[z]``. :func:`make_partition` puts the
-    bins above its cutoff in the top band.
+    ``band_edges`` holds the start bin of each band plus the total bin count,
+    so band z (1-based) covers bins ``band_edges[z-1]:band_edges[z]``.
     """
 
-    num_bands: int
-    band_of_bin: np.ndarray
     band_edges: np.ndarray
-    fft_size: int
+
+    @property
+    def num_bands(self) -> int:
+        return len(self.band_edges) - 1
 
     @property
     def num_bins(self) -> int:
-        return self.band_of_bin.shape[0]
+        return int(self.band_edges[-1])
 
     def band_sizes(self) -> np.ndarray:
         return np.diff(self.band_edges)
@@ -46,14 +45,11 @@ class ErbPartition:
         return np.add.reduceat(values, self.band_edges[:-1], axis=-1) / self.band_sizes()
 
 
-def make_partition(
-    fft_size: int, sample_rate: int, cutoff: float | None, num_bands: int
-) -> ErbPartition:
+def make_partition(fft_size: int, sample_rate: int, num_bands: int = 39) -> ErbPartition:
     """Partition the half-spectrum bin axis into ERB-rate-uniform bands.
 
-    ``cutoff=None`` means 16 kHz, or Nyquist for sample rates below 32 kHz.
-
-    A bin with center frequency f (<= cutoff) lands in band
+    The bands span 0 Hz to the cutoff: 16 kHz, or Nyquist for sample rates
+    below 32 kHz. A bin with center frequency f (<= cutoff) lands in band
     ``min(Z, floor(Z * erbs(f) / erbs(cutoff)) + 1)``; bins above the cutoff
     join the top band so spectral processing still reaches them. Bands that
     come out empty (tiny FFT sizes) are merged downward and ``num_bands``
@@ -63,25 +59,15 @@ def make_partition(
         raise ValueError("fft_size must be even and >= 2")
     if num_bands < 1:
         raise ValueError("num_bands must be >= 1")
-    nyquist = sample_rate / 2.0
-    if cutoff is None:
-        cutoff = min(16000.0, nyquist)
-    if not 0.0 < cutoff <= nyquist:
-        raise ValueError(f"cutoff must lie in (0, {nyquist}], got {cutoff}")
+    if not 0 < sample_rate < np.inf:
+        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    cutoff = min(16000.0, sample_rate / 2.0)
 
-    n_bins = fft_size // 2 + 1
-    f_khz = np.arange(n_bins) * (sample_rate / fft_size) / 1000.0
-    scale_top = erbs(cutoff / 1000.0)
-
+    f_khz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size) / 1000.0
     raw = np.minimum(
-        num_bands, np.floor(num_bands * erbs(f_khz) / scale_top).astype(int) + 1
+        num_bands, np.floor(num_bands * erbs(f_khz) / erbs(cutoff / 1000.0)).astype(int) + 1
     )
     raw[f_khz * 1000.0 > cutoff] = num_bands
 
-    # Merge empty bands downward by compressing the realized labels.
-    realized = np.unique(raw)
-    band_of_bin = np.searchsorted(realized, raw) + 1
-    z = realized.shape[0]
-
-    edges = np.searchsorted(band_of_bin, np.arange(1, z + 2))
-    return ErbPartition(z, band_of_bin, edges, fft_size)
+    # Each realized band starts at its label's first bin; the top edge is the bin count.
+    return ErbPartition(np.searchsorted(raw, np.append(np.unique(raw), num_bands + 1)))

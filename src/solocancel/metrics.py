@@ -10,15 +10,10 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import Window, _framing, _map_blocks, _num_frames
+from .stft import _framing, _map_blocks, _num_frames
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
-
-
-def _default_partition(fft_size: int, sample_rate: int) -> ErbPartition:
-    """39 bands up to 16 kHz, or up to Nyquist for lower sample rates."""
-    return make_partition(fft_size, sample_rate, None, 39)
 
 
 def rmsd(
@@ -53,22 +48,23 @@ def snrf(
     partition: ErbPartition | None = None,
     fft_size: int = 4096,
     hop: int | None = None,
-    window: Window | None = None,
 ) -> float:
     """Frequency-weighted segmental SNR over auditory bands, in dB.
 
     Per STFT segment and band: signal power is the band mean of the reference
     magnitude squared, noise power the band mean of the squared magnitude
     difference. Each cell's ratio is clamped to +-100 dB, cells with zero
-    signal power are skipped, and the kept cells are averaged. ``hop`` None is
-    half of ``fft_size`` and ``window`` None the default window.
+    signal power are skipped, and the kept cells are averaged. Segments are
+    KBD(4)-windowed, ``fft_size`` long, ``hop`` apart (None: half of
+    ``fft_size``). ``partition`` None is ``make_partition(fft_size, rate)``:
+    39 bands up to 16 kHz, or up to Nyquist below 32 kHz.
     """
     require_matched(estimate, ref_solo)
-    window, hop = _framing(fft_size, hop, window)
+    window, hop = _framing(fft_size, hop, None)
     if partition is None:
-        partition = _default_partition(fft_size, estimate.sample_rate)
-    if partition.fft_size != fft_size:
-        raise ValueError("partition fft_size inconsistent with fft_size")
+        partition = make_partition(fft_size, estimate.sample_rate)
+    if partition.num_bins != fft_size // 2 + 1:
+        raise ValueError(f"partition of {partition.num_bins} bins does not fit fft_size {fft_size}")
 
     def band_powers(est, ref):
         mag_est, mag_ref = np.abs(est), np.abs(ref)
@@ -152,16 +148,15 @@ def measure(
     partition: ErbPartition | None = None,
     fft_size: int = 4096,
     hop: int | None = None,
-    window: Window | None = None,
     elapsed: float | None = None,
 ) -> MetricsReport:
-    """Evaluate an estimate against the recorded-solo ground truth; the SNRF is
-    framed as in :func:`snrf`, so ``hop`` None is half of ``fft_size``."""
+    """Evaluate an estimate against the recorded-solo ground truth; the SNRF and
+    its ``partition`` None are :func:`snrf`'s, so ``hop`` None is half of ``fft_size``."""
     rmsd_db = rmsd(estimate, ref_solo, block_size)
     if partition is None:
-        partition = _default_partition(fft_size, estimate.sample_rate)
-    window, hop = _framing(fft_size, hop, window)
-    snrf_db = snrf(estimate, ref_solo, partition, fft_size, hop, window)
+        partition = make_partition(fft_size, estimate.sample_rate)
+    _, hop = _framing(fft_size, hop, None)
+    snrf_db = snrf(estimate, ref_solo, partition, fft_size, hop)
     return MetricsReport(
         rmsd_db=rmsd_db,
         snrf_db=snrf_db,

@@ -29,14 +29,11 @@ class SbwConfig:
 
     ``wiener_exponent`` raises the per-band gain to a power (1.0 is the
     classical Wiener gain, 0.5 the square-root variant, 0.0 degenerates to
-    plain spectral subtraction of the raw reference). ``cross_cov`` selects
-    how the band cross-covariance is pooled: ``"magnitude"`` averages
-    per-bin magnitudes |S0* X|, ``"complex"`` takes the magnitude of the
-    complex band mean.
+    plain spectral subtraction of the raw reference). The bands are
+    :func:`~solocancel.erb.make_partition`'s, up to 16 kHz (Nyquist below
+    32 kHz).
 
-    Checked at construction (``ValueError``), the cutoff's sign included; its
-    Nyquist bound needs the sample rate and is checked by
-    :func:`~solocancel.erb.make_partition`. ``hop`` None becomes half of
+    Checked at construction (``ValueError``). ``hop`` None becomes half of
     ``fft_size`` and ``window`` None the KBD(4) window of length ``fft_size``.
     """
 
@@ -44,10 +41,8 @@ class SbwConfig:
     hop: int | None = None
     window: Window | None = None
     num_bands: int = 39
-    cutoff: float | None = None  # None: 16 kHz, or Nyquist below 32 kHz
     p: float = 1.0
     wiener_exponent: float = 1.0
-    cross_cov: str = "magnitude"
 
     def __post_init__(self):
         self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
@@ -56,40 +51,22 @@ class SbwConfig:
         _check_p(self.p)
         if not 0 <= self.wiener_exponent < np.inf:
             raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")
-        _check_cross_cov(self.cross_cov)
-        if self.cutoff is not None and not self.cutoff > 0:
-            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
-        return make_partition(self.fft_size, sample_rate, self.cutoff, self.num_bands)
-
-
-def _check_cross_cov(cross_cov: str) -> None:
-    if cross_cov not in ("magnitude", "complex"):
-        raise ValueError("cross_cov must be 'magnitude' or 'complex'")
+        return make_partition(self.fft_size, sample_rate, self.num_bands)
 
 
 def subband_gains_frames(
-    ref_frames: np.ndarray,
-    mix_frames: np.ndarray,
-    partition: ErbPartition,
-    cross_cov: str = "magnitude",
+    ref_frames: np.ndarray, mix_frames: np.ndarray, partition: ErbPartition
 ) -> np.ndarray:
     """Per-frame, per-band Wiener gains for stacked half-spectra.
 
-    Gain = band cross-covariance / band auto-covariance of the reference,
-    with silent reference bands forced to zero.
+    Gain = band mean of the cross-covariance magnitudes |S0* X| over band mean
+    of the reference power |S0|^2, with silent reference bands forced to zero.
     """
-    _check_cross_cov(cross_cov)
     power = np.abs(ref_frames) ** 2
     auto = partition.band_mean(power)
-    prod = np.conj(ref_frames) * mix_frames
-    if cross_cov == "magnitude":
-        cross = partition.band_mean(np.abs(prod))
-    else:
-        # |band sum| / size, not |band mean|: the two round differently.
-        edges = partition.band_edges
-        cross = np.abs(np.add.reduceat(prod, edges[:-1], axis=-1)) / partition.band_sizes()
+    cross = partition.band_mean(np.abs(np.conj(ref_frames) * mix_frames))
 
     frame_power = np.mean(power, axis=-1, keepdims=True)
     guard = auto <= ZERO_REFERENCE_GUARD * frame_power
@@ -105,8 +82,8 @@ def cancel_frames(
     cfg: SbwConfig,
 ) -> np.ndarray:
     """Cancelled spectra for stacked frames; shared by the 1- and 2-mic paths."""
-    gains = subband_gains_frames(ref_frames, mix_frames, partition, cfg.cross_cov)
-    per_bin = (gains**cfg.wiener_exponent)[..., partition.band_of_bin - 1]
+    gains = subband_gains_frames(ref_frames, mix_frames, partition)
+    per_bin = np.repeat(gains**cfg.wiener_exponent, partition.band_sizes(), axis=-1)
     matched = per_bin * ref_frames
     return spectral_subtract(mix_frames, matched, cfg.p)
 

@@ -35,8 +35,8 @@ class ArrayGeometry:
 
     A source at angle theta from broadside reaches the second element
     ``spacing * sin(theta) * sample_rate / SPEED_OF_SOUND`` samples after the
-    first (:func:`delay_from_angle`). The spacing must be positive and must
-    not exceed half the wavelength at ``f_max`` (spatial sampling theorem);
+    first (:func:`delay_from_angle`). The spacing must be finite and positive, and
+    must not exceed half the wavelength at ``f_max`` (spatial sampling theorem);
     past that the per-bin delay of content up to ``f_max`` is ambiguous.
     ``f_max`` enters nothing else, so one above Nyquist only tightens the
     bound.
@@ -47,8 +47,10 @@ class ArrayGeometry:
     sample_rate: int = 44100
 
     def __post_init__(self):
-        if not (self.spacing > 0 and self.f_max > 0):
-            raise ValueError("spacing and f_max must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        if not self.f_max > 0:
+            raise ValueError(f"f_max must be > 0, got {self.f_max}")
         limit = half_wavelength_spacing(self.f_max)
         if not self.spacing <= limit * (1.0 + 1e-6):
             raise ValueError(

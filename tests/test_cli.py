@@ -93,13 +93,10 @@ class TestBuildAlgorithmConfig:
             build_algorithm_config("sbw", "none", {"p": 0.0})
 
     @pytest.mark.parametrize("algorithm,overrides", [
-        ("sbw", {"cross_cov": "bogus"}),
         ("sbw", {"wiener_exponent": -1.0}),
         ("sbw", {"hop": 99999}),
-        ("sbw-simo", {"cross_cov": "bogus"}),
         ("maw-ss", {"fft_size": 1023}),
         ("maw-ss", {"window_shape": -1.0}),
-        ("sbw", {"cutoff": -1.0}),
         ("sbw-simo", {"spacing": -1.0}),
         ("sbw-simo", {"f_max": 0.0}),
         ("maw-ss", {"fft_hop": 0}),
@@ -119,7 +116,6 @@ class TestBuildAlgorithmConfig:
         ("maw-ss", {"p": "abc"}),
         ("sbw", {"p": "abc"}),
         ("sbw", {"wiener_exponent": "abc"}),
-        ("sbw", {"cutoff": "abc"}),
         ("sbw-simo", {"spacing": "abc"}),
         ("sbw-simo", {"f_max": "abc"}),
         ("sbw-simo", {"kappa": "abc"}),
@@ -134,13 +130,12 @@ class TestBuildAlgorithmConfig:
         ("maw", {"regularization": np.inf}),
         ("anc", {"mu": np.inf}),
         ("anc-pw", {"mu": np.inf}),
-    ], ids=["sbw-cross_cov", "sbw-wiener_exponent", "sbw-hop", "sbw-simo-cross_cov",
-            "maw-ss-fft_size", "maw-ss-window_shape", "sbw-cutoff", "sbw-simo-spacing",
-            "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
+    ], ids=["sbw-wiener_exponent", "sbw-hop", "maw-ss-fft_size", "maw-ss-window_shape",
+            "sbw-simo-spacing", "sbw-simo-f_max", "maw-ss-fft_hop", "sbw-p-nan", "sbw-wiener_exponent-nan",
             "sbw-window_shape-nan", "maw-ss-p-nan", "maw-regularization-nan", "anc-mu-nan",
             "anc-normalized-no", "anc-prewhiten-nope", "maw-interpolate-off", "anc-taps-1.7",
             "anc-mu-text", "maw-regularization-text", "maw-ss-window_shape-text",
-            "maw-ss-p-text", "sbw-p-text", "sbw-wiener_exponent-text", "sbw-cutoff-text",
+            "maw-ss-p-text", "sbw-p-text", "sbw-wiener_exponent-text",
             "sbw-simo-spacing-text", "sbw-simo-f_max-text", "sbw-simo-kappa-text",
             "sbw-simo-kappa-nan", "sbw-simo-kappa-inf", "sbw-window_shape-300",
             "sbw-window_shape-inf", "maw-ss-window_shape-300", "sbw-p-inf",
@@ -159,6 +154,24 @@ class TestBuildAlgorithmConfig:
         assert re.search(rf"\b{key}\b", err), err  # every error names its key
         if isinstance(value, str):  # a value of the wrong kind says what the key takes
             assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("algorithm,key,value", [
+        ("sbw", "cross_cov", "bogus"),
+        ("sbw-simo", "cross_cov", "magnitude"),
+        ("sbw", "cutoff", "-1.0"),
+        ("sbw", "cutoff", "16000"),
+    ], ids=["sbw-cross_cov", "sbw-simo-cross_cov", "sbw-cutoff", "sbw-cutoff-16k"])
+    def test_fixed_spectral_settings_are_unknown_keys(
+        self, algorithm, key, value, scene_dir, tmp_path, capsys
+    ):
+        """The band cutoff and the cross-covariance rule are fixed, so no value sets them."""
+        out = tmp_path / "out.wav"
+        code = run_cli(
+            "cancel", "--algo", algorithm, "--set", f"{key}={value}",
+            str(scene_dir / "mixture.wav"), str(scene_dir / "reference.wav"), str(out),
+        )
+        assert code == EXIT_BAD_ARGS and not out.exists()
+        assert f"unknown parameter(s) for {algorithm}: {key}" in capsys.readouterr().err
 
 
 #: The library config whose fields are each canceller's ``--set`` keys.

@@ -1,7 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from solocancel import erbs, make_partition
+
+
+def band_of_bin(part):
+    """Each bin's band (1-based), read from the partition's edges."""
+    return np.repeat(np.arange(1, part.num_bands + 1), part.band_sizes())
 
 
 class TestErbs:
@@ -27,44 +34,44 @@ class TestErbs:
 
 class TestMakePartition:
     def test_reference_configuration(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
+        part = make_partition(4096, 44100, 39)
         assert part.num_bands == 39
         sizes = part.band_sizes()
         assert np.all(sizes >= 1)
         assert sizes[0] < sizes[-1]  # low bands narrow, high bands wide
 
     def test_single_band(self):
-        part = make_partition(8, 44100, 22050.0, 1)
+        part = make_partition(8, 44100, 1)
         assert part.num_bands == 1
-        assert np.all(part.band_of_bin == 1)
+        assert np.array_equal(part.band_edges, [0, 5])
         assert part.band_sizes()[0] == 5  # all bins of an 8-point FFT
 
     def test_brute_force_assignment(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
+        part = make_partition(4096, 44100, 39)
         top = erbs(16.0)
+        bands = band_of_bin(part)
         for b in range(part.num_bins):
             f_khz = b * 44100 / 4096 / 1000.0
             if f_khz * 1000.0 > 16000.0:
                 expected = 39
             else:
                 expected = min(39, int(np.floor(39 * erbs(f_khz) / top)) + 1)
-            assert part.band_of_bin[b] == expected
+            assert bands[b] == expected
 
     def test_band_index_non_decreasing(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
-        assert np.all(np.diff(part.band_of_bin) >= 0)
+        # the band index of the bins rises with the edges, none of them repeated
+        part = make_partition(4096, 44100, 39)
+        assert np.all(np.diff(part.band_edges) > 0)
 
     def test_full_coverage_and_uniqueness(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
+        part = make_partition(4096, 44100, 39)
         # every bin in exactly one band; edges partition the whole axis
-        assert part.band_edges[0] == 0 and part.band_edges[-1] == part.num_bins
-        assert part.band_sizes().sum() == part.num_bins
-        for band in range(1, part.num_bands + 1):
-            start, stop = part.band_edges[band - 1 : band + 1]
-            assert np.all(part.band_of_bin[start:stop] == band)
+        assert part.band_edges[0] == 0 and part.band_edges[-1] == 4096 // 2 + 1
+        assert part.num_bins == 4096 // 2 + 1 and part.band_sizes().sum() == part.num_bins
+        assert part.band_edges.shape == (part.num_bands + 1,)
 
     def test_bins_below_cutoff_covered(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
+        part = make_partition(4096, 44100, 39)
         freqs = np.arange(part.num_bins) * 44100 / 4096
         below = int(np.count_nonzero(freqs <= 16000.0))
         edges = part.band_edges
@@ -74,27 +81,38 @@ class TestMakePartition:
         assert covered == below
 
     def test_bins_above_cutoff_join_top_band(self):
-        part = make_partition(4096, 44100, 16000.0, 39)
+        part = make_partition(4096, 44100, 39)
         freqs = np.arange(part.num_bins) * 44100 / 4096
-        assert np.all(part.band_of_bin[freqs > 16000.0] == part.num_bands)
+        assert np.all(band_of_bin(part)[freqs > 16000.0] == part.num_bands)
+
+    @pytest.mark.parametrize("fs,fft_size", [(22050, 1024), (16000, 512), (8000, 4096)])
+    def test_cutoff_is_nyquist_below_32_khz(self, fs, fft_size):
+        part = make_partition(fft_size, fs, 39)
+        f_khz = np.arange(fft_size // 2 + 1) * fs / fft_size / 1000.0
+        raw = np.minimum(39, np.floor(39 * erbs(f_khz) / erbs(fs / 2000.0)).astype(int) + 1)
+        # realized bands are numbered in order, empty ones merged away
+        assert np.array_equal(band_of_bin(part), np.searchsorted(np.unique(raw), raw) + 1)
 
     def test_empty_bands_merged_for_tiny_fft(self):
-        part = make_partition(16, 44100, 16000.0, 39)
+        part = make_partition(16, 44100, 39)
         # 9 bins cannot fill 39 bands; realized count shrinks, bands stay valid
         assert part.num_bands <= 9
         assert np.all(part.band_sizes() >= 1)
-        assert part.band_sizes().sum() == part.num_bins
-
-    def test_cutoff_above_nyquist_rejected(self):
-        with pytest.raises(ValueError):
-            make_partition(4096, 44100, 23000.0, 39)
+        assert part.band_sizes().sum() == 9
 
     def test_bad_band_count_rejected(self):
         with pytest.raises(ValueError):
-            make_partition(4096, 44100, 16000.0, 0)
+            make_partition(4096, 44100, 0)
+
+    @pytest.mark.parametrize("fs", [0, -8000, np.nan, np.inf])
+    def test_bad_sample_rate_rejected(self, fs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic on it
+            with pytest.raises(ValueError, match=rf"sample_rate must be finite and > 0, got {fs}"):
+                make_partition(4096, fs)
 
 
 @pytest.mark.parametrize("fft_size", [1023, 0])
 def test_odd_or_empty_fft_size_rejected(fft_size):
     with pytest.raises(ValueError, match="fft_size"):
-        make_partition(fft_size, 44100, None, 39)
+        make_partition(fft_size, 44100)

@@ -66,15 +66,6 @@ class TestRmsd:
 
 
 class TestSnrf:
-    @pytest.mark.parametrize("fft_size", [4096, 1024])
-    def test_window_length_must_match_fft_size(self, fft_size):
-        est, ref = noise_pair()
-        window = make_window(2048, 4.0)
-        with pytest.raises(ValueError):
-            snrf(est, ref, fft_size=fft_size, window=window)
-        with pytest.raises(ValueError):
-            measure(est, ref, fft_size=fft_size, window=window)
-
     def test_hop_defaults_to_half_the_frame(self):
         est, ref = noise_pair(seed=9)
         assert snrf(est, ref, fft_size=1024) == snrf(est, ref, fft_size=1024, hop=512)
@@ -90,9 +81,9 @@ class TestSnrf:
 
     def test_brute_force_oracle(self):
         est, ref = noise_pair(seed=3)
-        part = make_partition(512, 44100, 16000.0, 4)
+        part = make_partition(512, 44100, 4)
         win = make_window(512, 4.0)
-        got = snrf(est, ref, part, fft_size=512, hop=256, window=win)
+        got = snrf(est, ref, part, fft_size=512, hop=256)
 
         mag_est = np.abs(stft(est, win, 256).frames)
         mag_ref = np.abs(stft(ref, win, 256).frames)
@@ -188,7 +179,7 @@ class TestMeasure:
 @pytest.mark.parametrize("measure_it,message", [
     (lambda x: rmsd(x, x, block_size=0), "block_size"),
     (lambda x: rmsd(AudioBuffer(x.samples[:1000]), AudioBuffer(x.samples[:1000])), "one block"),
-    (lambda x: snrf(x, x, make_partition(2048, 44100, None, 39)), "partition"),
+    (lambda x: snrf(x, x, make_partition(2048, 44100)), "partition"),
 ], ids=["block-size", "shorter-than-a-block", "partition-size"])
 def test_bad_measurement_setting_rejected(measure_it, message):
     take = AudioBuffer(np.random.default_rng(4).standard_normal(8192))

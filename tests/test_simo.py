@@ -132,8 +132,20 @@ class TestGeometry:
 
     @pytest.mark.parametrize("spacing", [np.nan, np.inf])
     def test_non_finite_spacing_rejected(self, spacing):
-        with pytest.raises(ValueError, match="spacing"):
+        with pytest.raises(ValueError, match="spacing") as err:
             ArrayGeometry(spacing=spacing, f_max=8000.0)
+        assert "f_max" not in str(err.value)  # the array's f_max is fine
+
+    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -8000.0])
+    def test_bad_f_max_rejected(self, f_max):
+        with pytest.raises(ValueError, match=rf"^f_max must be > 0, got {f_max}$"):
+            ArrayGeometry(spacing=0.01, f_max=f_max)
+
+    @pytest.mark.parametrize("spacing", [np.nan, 0.0, -0.02])
+    def test_layout_names_its_bad_spacing(self, spacing):
+        layout = SidoLayout(spacing=spacing, solo_angle_deg=0.0)
+        with pytest.raises(ValueError, match=rf"^spacing must be finite and > 0, got {spacing}$"):
+            layout.geometry(44100)
 
     def test_angle_delay_round_trip(self):
         geo = geometry()
