@@ -63,22 +63,33 @@ class FirFilter:
         return self.taps.shape[0]
 
     def apply(self, buf: AudioBuffer) -> AudioBuffer:
-        """Causal convolution, output truncated to the input length.
+        """Causal convolution, output truncated to the input length: a copy of the
+        samples filtered by :meth:`apply_in_place`. An empty buffer raises ValueError."""
+        out = buf.samples.copy()
+        self.apply_in_place(out)
+        return AudioBuffer(out, buf.sample_rate)
+
+    def apply_in_place(self, x: np.ndarray) -> None:
+        """Replace the 1-D float64 array ``x`` by its causal convolution with the taps.
 
         Overlap-add FFT convolution (Stockham 1966) in blocks of one fixed FFT
         size, the power of two at or above four filter lengths and at least
         ``_FIR_MIN_FFT`` (one block when the whole convolution is shorter), so
-        the temporaries are one block whatever the input length. Wherever the
+        the temporaries are one block whatever the input length. Two buffers of
+        ``len(taps) - 1`` samples carry the block boundary: the outputs a block
+        spills into the next one, and the inputs before the next block, which
+        the silence rule reads after ``x`` holds outputs there. Wherever the
         filter's last ``len(taps)`` input samples are all zero the output is
         exactly 0.0, as in direct convolution, so digital silence stays silent
         (:func:`~solocancel.metrics.snrf` skips cells with zero signal power).
         Elsewhere it differs from direct convolution by about 1e-15 of
         sum|taps| * max|x|. The input is taken as finite: a NaN or inf spreads over its
-        whole block. An empty buffer raises ValueError.
+        whole block. An empty or non-float64 ``x`` raises ValueError.
         """
         import scipy.fft  # here, not at the top: importing it dominates package start-up
 
-        x = buf.samples
+        if x.dtype != np.float64 or x.ndim != 1:
+            raise ValueError(f"cannot filter a {x.ndim}-D {x.dtype} array in place")
         n = len(x)
         if n == 0:
             raise ValueError("cannot filter an empty buffer")
@@ -88,28 +99,30 @@ class FirFilter:
         size = min(size, scipy.fft.next_fast_len(n + m - 1, real=True))
         step = size - m + 1
         spectrum_h = scipy.fft.rfft(h, size)
-        out = np.zeros(n)
+        spill = np.zeros(m - 1)  # the previous block's outputs past its end
+        before = np.zeros(m - 1)  # the inputs before the block, zeros before x[0]
         for start in range(0, n, step):
-            stop = min(n, start + step)
-            spectrum = scipy.fft.rfft(x[start:stop], size)
+            seg = x[start : start + step]
+            spectrum = scipy.fft.rfft(seg, size)
             spectrum *= spectrum_h
             block = scipy.fft.irfft(spectrum, size)
-            end = min(n, start + size)
-            out[start:end] += block[: end - start]
-            # out[start:stop] is final: later blocks begin at stop
-            _silence(out[start:stop], x, start, m)
-        return AudioBuffer(out, buf.sample_rate)
+            window = np.concatenate((before, seg))  # the inputs the block's outputs read
+            before[:] = window[len(seg) :]
+            # each output is 0.0 + its blocks' sums, as if added into zeros: no -0.0
+            k = min(m - 1, len(seg))
+            np.add(spill[:k], block[:k], out=seg[:k])
+            np.add(block[k : len(seg)], 0.0, out=seg[k:])
+            np.add(block[len(seg) : len(seg) + m - 1], 0.0, out=spill)
+            _silence(seg, window, m)
 
 
-def _silence(out: np.ndarray, x: np.ndarray, start: int, m: int) -> None:
-    """Zero ``out`` (the outputs from ``start`` on) wherever the ``m`` input samples
-    ending at its sample, zeros before ``x[0]`` included, are all zero."""
-    lo = start - m + 1
-    window = x[max(lo, 0) : start + len(out)]
+def _silence(out: np.ndarray, window: np.ndarray, m: int) -> None:
+    """Zero ``out`` wherever the ``m`` input samples ending at its sample are all zero;
+    ``window`` holds those inputs, the ``m - 1`` before ``out``'s first sample included."""
     if window.all():
         return
-    nonzero = np.zeros(len(window) + max(-lo, 0) + 1, dtype=np.intp)
-    np.cumsum(window != 0, out=nonzero[len(nonzero) - len(window) :])
+    nonzero = np.zeros(len(window) + 1, dtype=np.intp)
+    np.cumsum(window != 0, out=nonzero[1:])
     out[nonzero[m:] == nonzero[: len(out)]] = 0.0
 
 

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .audio import AudioBuffer, require_matched
-from .erb import ErbPartition, make_partition
+from .erb import ErbPartition, _check_num_bands, make_partition
 from .stft import Window, _framing, _wola
 from .wiener import _check_p, spectral_subtract
 
@@ -46,8 +46,7 @@ class SbwConfig:
 
     def __post_init__(self):
         self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
-        if self.num_bands < 1:
-            raise ValueError("num_bands must be >= 1")
+        _check_num_bands(self.num_bands)
         _check_p(self.p)
         if not 0 <= self.wiener_exponent < np.inf:
             raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")

@@ -51,28 +51,31 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
 
     Integer delays shift exactly; fractional parts use a 31-tap
     Blackman-windowed sinc interpolator. Output has the input's length
-    (zeros shifted in).
+    (zeros shifted in) and lies in the one take-length array made. ValueError
+    naming ``delay`` unless it is finite.
     """
+    if not math.isfinite(delay):
+        raise ValueError(f"delay must be finite, got {delay}")
     n = len(x)
     int_part = math.floor(delay)
     frac = delay - int_part
 
     if frac == 0.0:
-        y = x
+        src, offset, out = x, 0, np.empty(n)
     else:
         center = _SINC_TAPS // 2
         t = np.arange(_SINC_TAPS)
         taps = np.sinc(t - center - frac) * np.blackman(_SINC_TAPS)
         taps /= np.sum(taps)
-        y = np.convolve(x, taps)[center : center + n]
+        # interpolated sample k is src[center + k]; shifted within src, not copied out
+        src = np.convolve(x, taps)
+        offset, out = center, src[:n]
 
-    out = np.zeros(n)
-    if int_part >= 0:
-        if int_part < n:
-            out[int_part:] = y[: n - int_part]
-    else:
-        if -int_part < n:
-            out[: n + int_part] = y[-int_part:]
+    lo = min(max(int_part, 0), n)  # out[lo:hi] are the samples the input reaches
+    hi = max(min(n + int_part, n), 0)
+    out[lo:hi] = src[offset + lo - int_part : offset + hi - int_part]
+    out[:lo] = 0.0
+    out[hi:] = 0.0
     return out
 
 
@@ -128,8 +131,8 @@ class SceneConfig:
     sido: SidoLayout | None = None
 
     def __post_init__(self):
-        if self.channel_delay < 0:
-            raise ValueError("channel_delay must be >= 0")
+        if not 0 <= self.channel_delay < np.inf:
+            raise ValueError(f"channel_delay must be finite and >= 0, got {self.channel_delay}")
         if self.level_diff_db is None and self.accompaniment_gain is None:
             raise ValueError("need level_diff_db or accompaniment_gain")
         if self.level_diff_db is not None:
@@ -143,13 +146,15 @@ class SceneConfig:
 
 @dataclass
 class Scene:
-    """A synthesized recording with its clean reference and ground truth;
-    ``reference`` and ``config.accompaniment_reference`` are one buffer."""
+    """A synthesized recording with its clean reference and ground truth.
+
+    ``reference`` is the config's ``accompaniment_reference`` buffer, not a copy.
+    The scene keeps nothing else of its config, so the dry solo is freed with it.
+    """
 
     mixture: AudioBuffer
     reference: AudioBuffer
     reference_solo: AudioBuffer  # mic IR applied to the solo
-    config: SceneConfig
     mixture2: AudioBuffer | None = None
     accompaniment_gain: float = 1.0
 
@@ -161,9 +166,8 @@ class Scene:
 def _recorded_parts(cfg: SceneConfig):
     """The recorded solo h * d, the recorded accompaniment A h * s0(k - kappa), and A."""
     s0 = cfg.accompaniment_reference
-    shifted = fractional_delay(s0.samples, cfg.channel_delay)
-    accomp = cfg.mic_ir.apply(AudioBuffer(shifted, s0.sample_rate))
-    del shifted  # dropped once filtered, before the solo is
+    accomp = AudioBuffer(fractional_delay(s0.samples, cfg.channel_delay), s0.sample_rate)
+    cfg.mic_ir.apply_in_place(accomp.samples)
     recorded_solo = cfg.mic_ir.apply(cfg.solo)
     if cfg.level_diff_db is not None:
         rms_solo = recorded_solo.rms()
@@ -185,7 +189,7 @@ def synth_siso(cfg: SceneConfig) -> Scene:
     accomp.samples += recorded_solo.samples  # now the mixture
     return Scene(
         mixture=accomp, reference=cfg.accompaniment_reference, reference_solo=recorded_solo,
-        config=cfg, accompaniment_gain=gain,
+        accompaniment_gain=gain,
     )
 
 
@@ -201,12 +205,13 @@ def synth_sido(cfg: SceneConfig) -> Scene:
     sr = cfg.solo.sample_rate
     kappa_d = cfg.sido.solo_delay_samples(sr)
     recorded_solo, accomp, gain = _recorded_parts(cfg)
-    mixture2 = cfg.mic_ir.apply(AudioBuffer(fractional_delay(cfg.solo.samples, kappa_d), sr))
+    mixture2 = AudioBuffer(fractional_delay(cfg.solo.samples, kappa_d), sr)
+    cfg.mic_ir.apply_in_place(mixture2.samples)
     mixture2.samples += accomp.samples
     accomp.samples += recorded_solo.samples  # now channel 1's mixture
     return Scene(
         mixture=accomp, mixture2=mixture2, reference=cfg.accompaniment_reference,
-        reference_solo=recorded_solo, config=cfg, accompaniment_gain=gain,
+        reference_solo=recorded_solo, accompaniment_gain=gain,
     )
 
 

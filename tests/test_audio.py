@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solocancel as sc
@@ -53,6 +53,45 @@ def silent_windows(taps, x):
     return np.convolve(x != 0, np.ones(len(taps)))[: len(x)] == 0
 
 
+def parent_silence(out: np.ndarray, x: np.ndarray, start: int, m: int) -> None:
+    """``audio._silence`` as it was, reading the whole input; part of ``parent_fir_apply``."""
+    lo = start - m + 1
+    window = x[max(lo, 0) : start + len(out)]
+    if window.all():
+        return
+    nonzero = np.zeros(len(window) + max(-lo, 0) + 1, dtype=np.intp)
+    np.cumsum(window != 0, out=nonzero[len(nonzero) - len(window) :])
+    out[nonzero[m:] == nonzero[: len(out)]] = 0.0
+
+
+def parent_fir_apply(fir, buf):
+    """``FirFilter.apply`` as it was, filtering into a new output while the input stays
+    whole; the byte oracle of the in-place loop and of scene synthesis."""
+    import scipy.fft
+
+    x = buf.samples
+    n = len(x)
+    if n == 0:
+        raise ValueError("cannot filter an empty buffer")
+    h = fir.taps[:n]  # later taps never reach the kept outputs
+    m = len(h)
+    size = max(sc.audio._FIR_MIN_FFT, 1 << (4 * m - 1).bit_length())
+    size = min(size, scipy.fft.next_fast_len(n + m - 1, real=True))
+    step = size - m + 1
+    spectrum_h = scipy.fft.rfft(h, size)
+    out = np.zeros(n)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        spectrum = scipy.fft.rfft(x[start:stop], size)
+        spectrum *= spectrum_h
+        block = scipy.fft.irfft(spectrum, size)
+        end = min(n, start + size)
+        out[start:end] += block[: end - start]
+        # out[start:stop] is final: later blocks begin at stop
+        parent_silence(out[start:stop], x, start, m)
+    return AudioBuffer(out, buf.sample_rate)
+
+
 @st.composite
 def fir_problems(draw):
     """Taps and an input with runs of exact zeros, over the length regimes: one tap,
@@ -83,6 +122,28 @@ class TestFirFilterApply:
         scale = np.abs(taps).sum() * np.abs(x).max()
         error = np.abs(out.samples - direct_fir(taps, x))
         assert np.all(error[~silent] <= 1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fir_problems())
+    @example((np.array([0.5]), np.array([1.0, -0.0, 0.0, -2.0])))  # one tap: an empty carry
+    @example((np.array([1.0, -2.0, 3.0]), np.array([-0.0, 2.0])))  # input shorter than the filter
+    @example((np.array([-2e-200]), np.array([-2e-201, -9e-201, 3.3e-200])))  # underflow to −0.0
+    @example((np.linspace(-1.0, 1.0, 40), np.concatenate([  # silence across block boundaries
+        np.ones(4000), np.zeros(300), -np.zeros(300), np.ones(4000), np.zeros(4200)])))
+    def test_in_place_gives_the_parent_bytes(self, problem):
+        taps, x = problem
+        fir = sc.FirFilter(taps)
+        expected = parent_fir_apply(fir, AudioBuffer(x, 8000)).samples.tobytes()
+        assert fir.apply(AudioBuffer(x, 8000)).samples.tobytes() == expected
+        y = x.copy()
+        fir.apply_in_place(y)
+        assert y.tobytes() == expected
+
+    @pytest.mark.parametrize("x", [np.zeros(4, np.float32), np.zeros((2, 2)), np.zeros(4, int)],
+                             ids=["float32", "two-dimensional", "integer"])
+    def test_in_place_needs_a_float64_vector(self, x):
+        with pytest.raises(ValueError, match="in place"):
+            sc.FirFilter(np.ones(3)).apply_in_place(x)
 
     def test_zeros_where_direct_convolution_has_them(self):
         # the recorded solo of a generated take: its rests are digitally silent

@@ -104,6 +104,16 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             make_partition(4096, 44100, 0)
 
+    @pytest.mark.parametrize("bands", [np.nan, np.inf, 2.5, 39.0, True])
+    def test_non_integer_band_count_rejected(self, bands):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic on it
+            with pytest.raises(ValueError, match=rf"num_bands must be an integer >= 1, got {bands!r}"):
+                make_partition(4096, 44100, bands)
+
+    def test_numpy_integer_band_count(self):
+        assert make_partition(4096, 44100, np.int64(16)).num_bands == 16
+
     @pytest.mark.parametrize("fs", [0, -8000, np.nan, np.inf])
     def test_bad_sample_rate_rejected(self, fs):
         with warnings.catch_warnings():

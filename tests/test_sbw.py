@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,11 +183,13 @@ class TestSbwCancel:
         with pytest.raises(ValueError):
             SbwConfig(**kwargs)
 
-    @pytest.mark.parametrize("bands", [0, -5])
+    @pytest.mark.parametrize("bands", [0, -5, np.nan, np.inf, 2.5, True])
     def test_band_count_checked_at_construction(self, bands):
         # make_partition's rule, checked before any audio
-        with pytest.raises(ValueError, match="num_bands"):
-            SbwConfig(num_bands=bands)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"num_bands must be an integer >= 1, got {bands!r}"):
+                SbwConfig(num_bands=bands)
 
     def test_config_default_hop_is_half_the_frame(self):
         assert SbwConfig(fft_size=1024).hop == 512

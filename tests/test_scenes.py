@@ -1,7 +1,11 @@
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solocancel import (
     AudioBuffer,
@@ -18,6 +22,7 @@ from solocancel import (
     synth_siso,
 )
 from solocancel.scenes import read_kv, write_kv
+from test_audio import parent_fir_apply
 
 
 def loop_broadband_accompaniment(duration, sample_rate=44100, seed=0):
@@ -111,13 +116,39 @@ def parent_noise_plus_tones(duration, sample_rate=44100, seed=0):
     return AudioBuffer(out, sample_rate)
 
 
+def parent_fractional_delay(x, delay):
+    """``fractional_delay`` as it was, interpolating into one array and shifting into
+    another; part of the synthesis byte oracles."""
+    n = len(x)
+    int_part = math.floor(delay)
+    frac = delay - int_part
+
+    if frac == 0.0:
+        y = x
+    else:
+        center = 31 // 2
+        t = np.arange(31)
+        taps = np.sinc(t - center - frac) * np.blackman(31)
+        taps /= np.sum(taps)
+        y = np.convolve(x, taps)[center : center + n]
+
+    out = np.zeros(n)
+    if int_part >= 0:
+        if int_part < n:
+            out[int_part:] = y[: n - int_part]
+    else:
+        if -int_part < n:
+            out[: n + int_part] = y[-int_part:]
+    return out
+
+
 def parent_recorded_parts(cfg):
-    """``scenes._recorded_parts`` as it was, holding the shifted reference to the end and
-    returning the unit-gain accompaniment; part of the synthesis byte oracles."""
+    """``scenes._recorded_parts`` as it was, out of place, holding the shifted reference to
+    the end and returning the unit-gain accompaniment; part of the synthesis byte oracles."""
     s0 = cfg.accompaniment_reference
-    shifted = fractional_delay(s0.samples, cfg.channel_delay)
-    recorded_solo = cfg.mic_ir.apply(cfg.solo)
-    recorded_accomp_unit = cfg.mic_ir.apply(AudioBuffer(shifted, s0.sample_rate))
+    shifted = parent_fractional_delay(s0.samples, cfg.channel_delay)
+    recorded_solo = parent_fir_apply(cfg.mic_ir, cfg.solo)
+    recorded_accomp_unit = parent_fir_apply(cfg.mic_ir, AudioBuffer(shifted, s0.sample_rate))
     if cfg.level_diff_db is not None:
         rms_solo = recorded_solo.rms()
         if rms_solo == 0.0:
@@ -141,7 +172,6 @@ def parent_synth_siso(cfg):
         mixture=mixture,
         reference=cfg.accompaniment_reference,
         reference_solo=recorded_solo,
-        config=cfg,
         accompaniment_gain=gain,
     )
 
@@ -154,14 +184,13 @@ def parent_synth_sido(cfg):
     recorded_solo, accomp_unit, gain = parent_recorded_parts(cfg)
     accomp = gain * accomp_unit.samples
     sr = cfg.solo.sample_rate
-    d2 = fractional_delay(cfg.solo.samples, kappa_d)
-    solo2 = cfg.mic_ir.apply(AudioBuffer(d2, sr)).samples
+    d2 = parent_fractional_delay(cfg.solo.samples, kappa_d)
+    solo2 = parent_fir_apply(cfg.mic_ir, AudioBuffer(d2, sr)).samples
     return Scene(
         mixture=AudioBuffer(recorded_solo.samples + accomp, sr),
         mixture2=AudioBuffer(solo2 + accomp, sr),
         reference=cfg.accompaniment_reference,
         reference_solo=recorded_solo,
-        config=cfg,
         accompaniment_gain=gain,
     )
 
@@ -267,6 +296,20 @@ class TestSynthSiso:
         with pytest.raises(ValueError, match="level_diff_db"):
             basic_config(level_diff_db=level_diff)
 
+    @pytest.mark.parametrize("delay", [np.nan, np.inf, -1])
+    def test_bad_channel_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match=f"channel_delay must be finite and >= 0, got {delay}"):
+            basic_config(channel_delay=delay)
+
+    @pytest.mark.parametrize("synth", [synth_siso, synth_sido])
+    def test_scene_does_not_keep_the_dry_solo(self, synth):
+        cfg = basic_config(sido=SidoLayout(0.0214, 21.3))
+        solo = weakref.ref(cfg.solo.samples)
+        scene = synth(cfg)
+        del cfg
+        assert solo() is None
+        assert len(scene.reference_solo) == 44100
+
     def test_silent_solo_with_level_diff_rejected(self):
         cfg = basic_config()
         cfg.solo = AudioBuffer(np.zeros(len(cfg.solo)), cfg.solo.sample_rate)
@@ -344,6 +387,29 @@ class TestFractionalDelay:
         y = fractional_delay(x, 3.0)
         assert np.array_equal(y[3:], x[:-3])
         assert np.all(y[:3] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 15, 16, 31, 32, 33]) | st.integers(1, 3000),
+        delay=st.sampled_from([0.0, -0.0, 0.5, 7.5, -7.5, 15.25, 16.5, -16.5, 40.0, -40.0])
+        | st.floats(-3500.0, 3500.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gives_the_parent_bytes(self, n, delay, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        y = fractional_delay(x, delay)
+        assert y.shape == x.shape
+        assert y.tobytes() == parent_fractional_delay(x, delay).tobytes()
+
+    def test_fractional_delay_holds_one_take_length_array(self):
+        x = np.random.default_rng(8).standard_normal(44100 * 20)
+        peak = traced_peak(lambda: fractional_delay(x, 0.9995))
+        assert peak <= 8 * (len(x) + 31) + 2**16
+
+    @pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match=f"delay must be finite, got {delay}"):
+            fractional_delay(np.ones(8), delay)
 
     def test_fractional_delay_of_sine(self):
         fs = 44100
@@ -488,7 +554,7 @@ class TestInPlaceSynthesis:
         peak = traced_peak(lambda: broadband_accompaniment(20.0, 44100, seed=1))
         assert peak <= 3 * 8 * n + self.SLACK
 
-    @pytest.mark.parametrize("synth,arrays", [(synth_siso, 3), (synth_sido, 4)])
+    @pytest.mark.parametrize("synth,arrays", [(synth_siso, 3), (synth_sido, 3)])
     def test_synthesis_peak(self, synth, arrays):
         n = 20 * 44100
         cfg = basic_config(n, sido=SidoLayout(0.0214, 21.3))  # synth_siso ignores the layout
