@@ -13,7 +13,7 @@ fs = 44100
 # is constant, which makes weighted overlap-add exact on the interior.
 window = sc.make_window(4096, 4.0)
 half = 2048
-pb = window.coefficients[:half] ** 2 + window.coefficients[half:] ** 2
+pb = window[:half] ** 2 + window[half:] ** 2
 print(f"KBD power-complementarity spread: {np.ptp(pb):.3e}")
 
 rng = np.random.default_rng(0)

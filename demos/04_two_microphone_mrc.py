@@ -45,7 +45,8 @@ def median_delay(frames1, frames2):
 cfg = sc.SbwConfig()
 geometry = layout.geometry(fs)
 partition = cfg.partition_for(fs)
-mix1, mix2, ref = (sc.stft(x, cfg.window, cfg.hop).frames
+window = sc.make_window(cfg.fft_size, cfg.window_shape)
+mix1, mix2, ref = (sc.stft(x, window, cfg.hop).frames
                    for x in (scene.mixture, scene.mixture2, scene.reference))
 est1 = cancel_frames(mix1, ref, partition, cfg)
 est2 = cancel_frames(mix2, ref, partition, cfg)

@@ -38,7 +38,7 @@ from .simo import (
     mrc_combine,
     sbw_simo_cancel,
 )
-from .stft import SpectralFrameSeq, Window, istft, make_window, stft
+from .stft import SpectralFrameSeq, istft, make_window, stft
 from .wavio import read_channels, read_mono, read_wav, write_wav
 from .wiener import (
     BlockWienerConfig,

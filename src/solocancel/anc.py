@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, require_matched
+from .audio import AudioBuffer, _check_counts, require_matched
 
 
 @dataclass
@@ -122,15 +122,12 @@ class AncConfig:
     refresh_interval: int = 16384
 
     def __post_init__(self):
-        if self.taps < 1:
-            raise ValueError("taps must be >= 1")
+        _check_counts(taps=self.taps, lp_order=self.lp_order,
+                      refresh_interval=self.refresh_interval)
         if not 0 <= self.mu < np.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if self.prewhiten:
-            if self.lp_order < 1:
-                raise ValueError("lp_order must be >= 1")
-            if self.refresh_interval <= 10 * self.lp_order:
-                raise ValueError("refresh_interval must exceed 10 * lp_order")
+        if self.prewhiten and self.refresh_interval <= 10 * self.lp_order:
+            raise ValueError("refresh_interval must exceed 10 * lp_order")
 
 
 #: Samples per step of the block-exact recursion in :func:`anc_cancel`.

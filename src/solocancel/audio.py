@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class AudioBuffer:
 class FirFilter:
     """A real FIR filter; ``taps[0]`` multiplies the newest sample."""
 
-    taps: np.ndarray = field(default_factory=lambda: np.ones(1))
+    taps: np.ndarray
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -124,6 +125,14 @@ def _silence(out: np.ndarray, window: np.ndarray, m: int) -> None:
     nonzero = np.zeros(len(window) + 1, dtype=np.intp)
     np.cumsum(window != 0, out=nonzero[1:])
     out[nonzero[m:] == nonzero[: len(out)]] = 0.0
+
+
+def _check_counts(**values) -> None:
+    """ValueError naming the first of ``values`` that is not an integer >= 1: a numpy
+    integer is one, a bool, a float or None is not."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def require_matched(a: AudioBuffer, b: AudioBuffer, what: str = "buffers"):

@@ -29,7 +29,6 @@ from .scenes import (
 from .simo import (
     SPEED_OF_SOUND, ArrayGeometry, _fixed_delay, delay_from_angle, sbw_simo_cancel,
 )
-from .stft import make_window
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, MawSsConfig, maw_cancel, maw_ss_cancel
 
@@ -37,6 +36,7 @@ EXIT_BAD_ARGS = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+EVALUATE_CSV_COLUMNS = ("rmsd_db", "snrf_db", "rtf", "block_size", "segments", "num_bands")
 SWEEP_CSV_COLUMNS = (
     "param", "value", "scene", "algorithm", "metric", "measurement", "median", "q25", "q75",
 )
@@ -129,12 +129,9 @@ class _Algorithm:
 
     def keys(self) -> dict:
         """Each ``--set`` key's (kind, default): the config's fields, of the kinds their
-        annotations name, with ``window`` set as ``window_shape``, the shape of its KBD window."""
-        keys = {f.name: (_KIND_OF.get(f.type.removesuffix(" | None")),
+        annotations name."""
+        return {f.name: (_KIND_OF.get(f.type.removesuffix(" | None")),
                          self.defaults.get(f.name, f.default)) for f in fields(self.config)}
-        if keys.pop("window", None) is not None:
-            keys["window_shape"] = (_real, 4.0)
-        return keys
 
 
 _BLOCK = {"taps": 255, "block_size": 4096, "hop": 1024}
@@ -191,11 +188,6 @@ def build_algorithm_config(algorithm: str, preset: str, overrides: dict):
     given = {**(entry.paper_v if preset == "paper-v" else {}), **overrides}
     settings = {key: None if (value := given.get(key, default)) is None else kind(key, value)
                 for key, (kind, default) in entry.keys().items()}
-    if (shape := settings.pop("window_shape", None)) is not None:
-        try:
-            settings["window"] = make_window(settings["fft_size"], shape)
-        except ValueError as exc:
-            raise ValueError(f"fft_size/window_shape: {exc}") from exc
     return partial(globals()[entry.canceller], cfg=entry.config(**settings))
 
 
@@ -296,8 +288,11 @@ def _cmd_evaluate(args) -> int:
     )
     print(report.summary())
     if args.csv_path:
+        figures = (report.rmsd_db, report.snrf_db, report.rtf)
+        row = ["" if x is None else f"{x:.6f}" for x in figures]
+        row += [str(report.params[key]) for key in EVALUATE_CSV_COLUMNS[3:]]
         with open(args.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+            fh.write(",".join(EVALUATE_CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
     return 0
 
 

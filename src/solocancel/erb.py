@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .audio import _check_counts
 
 
 def erbs(f_khz):
@@ -46,12 +47,6 @@ class ErbPartition:
         return np.add.reduceat(values, self.band_edges[:-1], axis=-1) / self.band_sizes()
 
 
-def _check_num_bands(num_bands) -> None:
-    """ValueError naming ``num_bands`` unless it is an integer >= 1 (a bool is not)."""
-    if isinstance(num_bands, bool) or not isinstance(num_bands, numbers.Integral) or num_bands < 1:
-        raise ValueError(f"num_bands must be an integer >= 1, got {num_bands!r}")
-
-
 def make_partition(fft_size: int, sample_rate: int, num_bands: int = 39) -> ErbPartition:
     """Partition the half-spectrum bin axis into ERB-rate-uniform bands.
 
@@ -64,7 +59,7 @@ def make_partition(fft_size: int, sample_rate: int, num_bands: int = 39) -> ErbP
     """
     if fft_size < 2 or fft_size % 2 != 0:
         raise ValueError("fft_size must be even and >= 2")
-    _check_num_bands(num_bands)
+    _check_counts(num_bands=num_bands)
     if not 0 < sample_rate < np.inf:
         raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
     cutoff = min(16000.0, sample_rate / 2.0)

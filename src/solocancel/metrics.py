@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, require_matched
+from .audio import AudioBuffer, _check_counts, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
-from .stft import _framing, _map_blocks, _num_frames
+from .stft import _framing, _hop, _map_blocks, _num_frames
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -29,8 +28,7 @@ def rmsd(
     case. An incomplete tail block is dropped.
     """
     require_matched(estimate, ref_solo)
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
+    _check_counts(block_size=block_size)
     num_blocks = len(estimate) // block_size
     if num_blocks == 0:
         raise ValueError("signals shorter than one block")
@@ -60,7 +58,7 @@ def snrf(
     39 bands up to 16 kHz, or up to Nyquist below 32 kHz.
     """
     require_matched(estimate, ref_solo)
-    window, hop = _framing(fft_size, hop, None)
+    window, hop = _framing(fft_size, hop)
     if partition is None:
         partition = make_partition(fft_size, estimate.sample_rate)
     if partition.num_bins != fft_size // 2 + 1:
@@ -98,30 +96,12 @@ def rtf(elapsed: float, duration: float) -> float:
 
 @dataclass
 class MetricsReport:
-    """One evaluation record, serializable as a CSV row or a text block."""
+    """One evaluation record, printable as a text block."""
 
     rmsd_db: float
     snrf_db: float
     rtf: float | None = None
     params: dict = field(default_factory=dict)
-
-    CSV_COLUMNS = ("rmsd_db", "snrf_db", "rtf", "block_size", "segments", "num_bands")
-
-    def csv_row(self) -> list[str]:
-        return [
-            f"{self.rmsd_db:.6f}",
-            f"{self.snrf_db:.6f}",
-            "" if self.rtf is None else f"{self.rtf:.6f}",
-            str(self.params.get("block_size", "")),
-            str(self.params.get("segments", "")),
-            str(self.params.get("num_bands", "")),
-        ]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.CSV_COLUMNS) + "\n")
-        buf.write(",".join(self.csv_row()) + "\n")
-        return buf.getvalue()
 
     def summary(self) -> str:
         lines = [
@@ -155,7 +135,7 @@ def measure(
     rmsd_db = rmsd(estimate, ref_solo, block_size)
     if partition is None:
         partition = make_partition(fft_size, estimate.sample_rate)
-    _, hop = _framing(fft_size, hop, None)
+    hop = _hop(fft_size, hop)
     snrf_db = snrf(estimate, ref_solo, partition, fft_size, hop)
     return MetricsReport(
         rmsd_db=rmsd_db,

@@ -13,9 +13,9 @@ from functools import partial
 
 import numpy as np
 
-from .audio import AudioBuffer, require_matched
-from .erb import ErbPartition, _check_num_bands, make_partition
-from .stft import Window, _framing, _wola
+from .audio import AudioBuffer, _check_counts, require_matched
+from .erb import ErbPartition, make_partition
+from .stft import _framing, _wola, make_window
 from .wiener import _check_p, spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
@@ -33,20 +33,23 @@ class SbwConfig:
     :func:`~solocancel.erb.make_partition`'s, up to 16 kHz (Nyquist below
     32 kHz).
 
-    Checked at construction (``ValueError``). ``hop`` None becomes half of
-    ``fft_size`` and ``window`` None the KBD(4) window of length ``fft_size``.
+    Frames are ``fft_size`` long, KBD(``window_shape``)-windowed, ``hop`` apart (None: half
+    the frame). Checked at construction (``ValueError``).
     """
 
     fft_size: int = 4096
     hop: int | None = None
-    window: Window | None = None
+    window_shape: float = 4.0
     num_bands: int = 39
     p: float = 1.0
     wiener_exponent: float = 1.0
 
     def __post_init__(self):
-        self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
-        _check_num_bands(self.num_bands)
+        _check_counts(num_bands=self.num_bands)
+        try:
+            _, self.hop = _framing(self.fft_size, self.hop, self.window_shape)
+        except ValueError as exc:
+            raise ValueError(f"fft_size/hop/window_shape: {exc}") from exc
         _check_p(self.p)
         if not 0 <= self.wiener_exponent < np.inf:
             raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")
@@ -95,4 +98,5 @@ def sbw_cancel(
         cfg = SbwConfig()
     require_matched(mixture, reference)
     cancel = partial(cancel_frames, partition=cfg.partition_for(mixture.sample_rate), cfg=cfg)
-    return _wola(cancel, (mixture, reference), cfg.window, cfg.hop)
+    window = make_window(cfg.fft_size, cfg.window_shape)
+    return _wola(cancel, (mixture, reference), window, cfg.hop)

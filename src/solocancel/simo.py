@@ -17,7 +17,7 @@ import numpy as np
 from .audio import AudioBuffer, require_matched
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
-from .stft import _wola
+from .stft import _wola, make_window
 
 
 #: Speed of sound in air, m/s.
@@ -243,4 +243,5 @@ def sbw_simo_cancel(
         est2 = cancel_frames(mix2, ref, partition, cfg)
         return mrc_combine(est1, est2, track(mix1, est1, est2) if kappa is None else float(kappa))
 
-    return _wola(cancel_both, (mixture1, mixture2, reference), cfg.window, cfg.hop)
+    window = make_window(cfg.fft_size, cfg.window_shape)
+    return _wola(cancel_both, (mixture1, mixture2, reference), window, cfg.hop)

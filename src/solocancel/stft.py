@@ -27,27 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _check_counts
 
 #: Overlap-add envelope below this is treated as silence, not divided by.
 _ENVELOPE_FLOOR = 1e-12
 
 #: Frames per block of the weighted overlap-add engine.
 _BLOCK_FRAMES = 64
-
-
-@dataclass
-class Window:
-    """Analysis/synthesis window coefficients, of even length; :func:`make_window`
-    builds the KBD window the cancellers use by default."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def _kbd(length: int, shape: float) -> np.ndarray:
@@ -62,59 +48,67 @@ def _kbd(length: int, shape: float) -> np.ndarray:
     return w
 
 
-def make_window(length: int, shape: float = 4.0) -> Window:
-    """The Kaiser-Bessel-derived (KBD) window of even ``length`` >= 2. It is
-    power-complementary (Princen-Bradley), so 50 %-overlap WOLA has a flat envelope.
+def make_window(length: int, shape: float = 4.0) -> np.ndarray:
+    """The Kaiser-Bessel-derived (KBD) window of even ``length`` >= 2, a float64 array. It
+    is power-complementary (Princen-Bradley), so 50 %-overlap WOLA has a flat envelope.
     ``shape`` must be >= 0 (4.0 is customary), and one whose window overflows to
-    non-finite values (about 226 and up) is rejected. Any other window is a
-    :class:`Window` of its coefficients."""
+    non-finite values (about 226 and up) is rejected."""
+    _check_counts(length=length)
     if length < 2 or length % 2 != 0:
         raise ValueError(f"window length must be even and >= 2, got {length}")
     if not shape >= 0:
         raise ValueError(f"KBD shape must be >= 0, got {shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # np.kaiser overflows
-        coeffs = _kbd(length, shape)
-    if not np.all(np.isfinite(coeffs)):
+        window = _kbd(length, shape)
+    if not np.all(np.isfinite(window)):
         raise ValueError(f"KBD shape {shape} gives a non-finite window")
-    return Window(coeffs)
+    return window
 
 
-def _framing(fft_size: int, hop: int | None, window: Window | None) -> tuple[Window, int]:
-    """The package's one framing rule: ``window``, checked to be ``fft_size`` long, or
-    KBD(4); ``hop``, checked to satisfy 0 < hop <= fft_size, or half the frame, the
-    50 % overlap at which the KBD window's WOLA envelope is flat."""
-    if window is None:
-        window = make_window(fft_size)
-    elif len(window) != fft_size:
-        raise ValueError("window length must equal fft_size")
+def _hop(fft_size: int, hop: int | None) -> int:
+    """The hop rule: ``hop``, checked to be an integer with 0 < hop <= fft_size, or half the
+    frame when None, the 50 % overlap at which the KBD window's WOLA envelope is flat."""
     if hop is None:
-        hop = fft_size // 2
-    elif not 0 < hop <= fft_size:
+        return fft_size // 2
+    _check_counts(hop=hop)
+    if hop > fft_size:
         raise ValueError("hop must satisfy 0 < hop <= fft_size")
-    return window, hop
+    return hop
+
+
+def _framing(fft_size: int, hop: int | None, shape: float = 4.0) -> tuple[np.ndarray, int]:
+    """The package's one framing rule: the KBD window of ``fft_size`` samples and
+    ``shape`` (:func:`make_window`), and the hop by :func:`_hop`."""
+    _check_counts(fft_size=fft_size)
+    return make_window(fft_size, shape), _hop(fft_size, hop)
 
 
 @dataclass
 class SpectralFrameSeq:
     """A sequence of complex half-spectra plus the framing that produced it.
 
-    ``frames`` has shape (num_frames, fft_size // 2 + 1); bin b of frame t is
-    the rfft of ``window * signal[t*hop : t*hop + fft_size]``.
+    ``frames`` has shape (num_frames, fft_size // 2 + 1), where ``fft_size`` is the
+    window's length; bin b of frame t is the rfft of
+    ``window * signal[t*hop : t*hop + fft_size]``.
     """
 
     frames: np.ndarray
-    fft_size: int
     hop: int
     sample_rate: int
-    window: Window = field(repr=False)
+    window: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.complex128)
+        self.window = np.asarray(self.window, dtype=np.float64)
         if self.frames.ndim != 2:
             raise ValueError("frames must be a 2-D (num_frames, bins) array")
         if self.frames.shape[1] != self.fft_size // 2 + 1:
-            raise ValueError("frame length inconsistent with fft_size")
-        self.window, self.hop = _framing(self.fft_size, self.hop, self.window)
+            raise ValueError("frame length inconsistent with the window length")
+        self.hop = _hop(self.fft_size, self.hop)
+
+    @property
+    def fft_size(self) -> int:
+        return self.window.shape[0]
 
     @property
     def num_frames(self) -> int:
@@ -133,15 +127,16 @@ def _num_frames(n: int, n_fft: int, hop: int) -> int:
     return 1 + -(-(n - n_fft) // hop)
 
 
-def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
+def stft(signal: AudioBuffer, window: np.ndarray, hop: int) -> SpectralFrameSeq:
     """Short-time Fourier transform with tail zero-padding.
 
-    The hop must satisfy 0 < hop <= len(window). The signal must be at least one
-    window long; the final frame is completed with zeros so no input sample is
-    dropped.
+    ``window`` is any 1-D array of coefficients, applied at analysis and synthesis; the
+    hop must satisfy 0 < hop <= len(window). The signal must be at least one window long;
+    the final frame is completed with zeros so no input sample is dropped.
     """
+    window = np.asarray(window, dtype=np.float64)
     n_fft = len(window)
-    window, hop = _framing(n_fft, hop, window)
+    hop = _hop(n_fft, hop)
     n = len(signal)
     num_frames = _num_frames(n, n_fft, hop)
     padded_len = (num_frames - 1) * hop + n_fft
@@ -149,11 +144,11 @@ def stft(signal: AudioBuffer, window: Window, hop: int) -> SpectralFrameSeq:
     x[:n] = signal.samples
 
     segments = sliding_window_view(x, n_fft)[::hop]
-    frames = np.fft.rfft(segments * window.coefficients[None, :], axis=1)
-    return SpectralFrameSeq(frames, n_fft, hop, signal.sample_rate, window)
+    frames = np.fft.rfft(segments * window[None, :], axis=1)
+    return SpectralFrameSeq(frames, hop, signal.sample_rate, window)
 
 
-def _overlap_add(blocks, window: Window, hop: int, length: int) -> np.ndarray:
+def _overlap_add(blocks, window: np.ndarray, hop: int, length: int) -> np.ndarray:
     """The first ``length`` samples of the weighted overlap-add of the consecutive frame
     stacks in ``blocks``, each divided by its envelope as soon as no later frame can
     reach it.
@@ -166,9 +161,8 @@ def _overlap_add(blocks, window: Window, hop: int, length: int) -> np.ndarray:
     """
     n_fft = len(window)
     chunks = -(-n_fft // hop)
-    w = window.coefficients
     wsq = np.zeros(chunks * hop)
-    wsq[:n_fft] = w * w
+    wsq[:n_fft] = window * window
     wsq = wsq.reshape(chunks, hop)
     out = np.empty(length)
     done = 0
@@ -176,7 +170,7 @@ def _overlap_add(blocks, window: Window, hop: int, length: int) -> np.ndarray:
     for frames in blocks:
         count = frames.shape[0]
         pieces = np.zeros((count, chunks * hop))
-        np.multiply(np.fft.irfft(frames, n=n_fft, axis=1), w, out=pieces[:, :n_fft])
+        np.multiply(np.fft.irfft(frames, n=n_fft, axis=1), window, out=pieces[:, :n_fft])
         pieces = pieces.reshape(count, chunks, hop)
         acc = np.zeros((2, count + chunks - 1, hop))
         acc[:, : chunks - 1] = carry
@@ -229,7 +223,7 @@ def _segment(signal: AudioBuffer, start: int, length: int) -> AudioBuffer:
     return AudioBuffer(part, signal.sample_rate)
 
 
-def _map_blocks(process, signals, window: Window, hop: int, lead: int = 0):
+def _map_blocks(process, signals, window: np.ndarray, hop: int, lead: int = 0):
     """Yield ``process`` of the frame stacks of the equal-length ``signals``, framed as
     if ``lead`` zeros came before and after them, one block of frames at a time.
 
@@ -243,7 +237,7 @@ def _map_blocks(process, signals, window: Window, hop: int, lead: int = 0):
         yield process(*(stft(_segment(s, start, length), window, hop).frames for s in signals))
 
 
-def _wola(process, signals, window: Window, hop: int) -> AudioBuffer:
+def _wola(process, signals, window: np.ndarray, hop: int) -> AudioBuffer:
     """Run ``process`` over the frame stacks of the equal-length ``signals``, framed as if
     ``ceil(fft_size / hop) - 1`` hops of zeros came before and after them, one block of
     frames at a time, and return the weighted overlap-add resynthesis of its result

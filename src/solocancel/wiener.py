@@ -26,9 +26,9 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, FirFilter, require_matched
+from .audio import AudioBuffer, FirFilter, _check_counts, require_matched
 from .errors import SolverError
-from .stft import Window, _framing, _wola
+from .stft import _framing, _wola, make_window
 
 
 @dataclass
@@ -47,11 +47,10 @@ class BlockWienerConfig:
     interpolate: bool = True
 
     def __post_init__(self):
-        if self.taps < 1:
-            raise ValueError("taps must be >= 1")
+        _check_counts(taps=self.taps, block_size=self.block_size, hop=self.hop)
         if self.taps >= self.block_size:
             raise ValueError("taps must be smaller than block_size")
-        if not 0 < self.hop <= self.block_size:
+        if self.hop > self.block_size:
             raise ValueError("hop must satisfy 0 < hop <= block_size")
         if not 0 <= self.regularization < np.inf:
             raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
@@ -59,21 +58,21 @@ class BlockWienerConfig:
 
 @dataclass
 class MawSsConfig(BlockWienerConfig):
-    """Settings for :func:`maw_ss_cancel`: the block Wiener match, then the framing and the
-    p-norm of the STFT-domain subtraction, checked at construction (``ValueError``).
-    ``fft_hop`` None becomes half of ``fft_size`` and ``window`` None KBD(4)."""
+    """Settings for :func:`maw_ss_cancel`: the block Wiener match, then the STFT-domain
+    subtraction's p-norm and frames, ``fft_size`` long, KBD(``window_shape``)-windowed,
+    ``fft_hop`` apart (None: half the frame), checked at construction (``ValueError``)."""
 
     fft_size: int = 4096
     fft_hop: int | None = None
-    window: Window | None = None
+    window_shape: float = 4.0
     p: float = 2.0
 
     def __post_init__(self):
         super().__post_init__()
         try:
-            self.window, self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window)
+            _, self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window_shape)
         except ValueError as exc:  # named apart from the block hop
-            raise ValueError(f"fft_size/fft_hop/window: {exc}") from exc
+            raise ValueError(f"fft_size/fft_hop/window_shape: {exc}") from exc
         _check_p(self.p)
 
 
@@ -243,9 +242,9 @@ def matched_accompaniment(
         for k, w in zip(starts[first : first + stack], solved):
             span = min(hop, n - k)
             seg = ref_pad[k : k + m + span - 1]
-            y_new = np.convolve(seg, w)[m - 1 : m - 1 + span]
+            y_new = np.convolve(seg, w, "valid")
             if cfg.interpolate and w_prev is not None:
-                y_old = np.convolve(seg, w_prev)[m - 1 : m - 1 + span]
+                y_old = np.convolve(seg, w_prev, "valid")
                 alpha = np.arange(1, span + 1) / hop
                 y[k : k + span] = (1.0 - alpha) * y_old + alpha * y_new
             else:
@@ -319,4 +318,5 @@ def maw_ss_cancel(
     if not isinstance(cfg, MawSsConfig):
         cfg = MawSsConfig(**vars(cfg))
     y = matched_accompaniment(mixture, reference, cfg)
-    return _wola(partial(spectral_subtract, p=cfg.p), (mixture, y), cfg.window, cfg.fft_hop)
+    window = make_window(cfg.fft_size, cfg.window_shape)
+    return _wola(partial(spectral_subtract, p=cfg.p), (mixture, y), window, cfg.fft_hop)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -473,6 +475,25 @@ class TestBlockExactRecursion:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(anc_module, "_BLOCK_SAMPLES", block)
                 assert_matches_loop(mix, ref, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, True], ids=["nan", "inf", "2.5", "True"])
+@pytest.mark.parametrize("field", ["taps", "lp_order", "refresh_interval"])
+def test_integer_setting_checked_at_construction(field, bad):
+    # a ValueError naming the field, not a TypeError once the recursion runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            AncConfig(**{"taps": 4, "mu": 0.1, "prewhiten": True, field: bad})
+
+
+def test_numpy_integer_settings_accepted():
+    ref, mix, _ = planted_system(3000, seed=21)
+    x, r = AudioBuffer(mix), AudioBuffer(ref)
+    numpy_cfg = AncConfig(taps=np.int64(8), mu=0.1, prewhiten=True, lp_order=np.int32(4),
+                          refresh_interval=np.int64(1000))
+    cfg = AncConfig(taps=8, mu=0.1, prewhiten=True, lp_order=4, refresh_interval=1000)
+    assert anc_cancel(x, r, numpy_cfg).samples.tobytes() == anc_cancel(x, r, cfg).samples.tobytes()
 
 
 @pytest.mark.parametrize("build,key", [

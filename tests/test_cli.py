@@ -9,8 +9,8 @@ import pytest
 import scipy.io.wavfile
 
 from solocancel import (
-    AncConfig, ArrayGeometry, AudioBuffer, BlockWienerConfig, MawSsConfig, SbwConfig, read_channels,
-    read_mono, write_wav,
+    AncConfig, ArrayGeometry, AudioBuffer, BlockWienerConfig, MawSsConfig, SbwConfig,
+    make_partition, measure, read_channels, read_mono, write_wav,
 )
 from solocancel import cli
 from solocancel.cli import (
@@ -160,11 +160,15 @@ class TestBuildAlgorithmConfig:
         ("sbw-simo", "cross_cov", "magnitude"),
         ("sbw", "cutoff", "-1.0"),
         ("sbw", "cutoff", "16000"),
-    ], ids=["sbw-cross_cov", "sbw-simo-cross_cov", "sbw-cutoff", "sbw-cutoff-16k"])
+        ("sbw", "window", "4"),
+        ("maw-ss", "window", "6"),
+    ], ids=["sbw-cross_cov", "sbw-simo-cross_cov", "sbw-cutoff", "sbw-cutoff-16k", "sbw-window",
+            "maw-ss-window"])
     def test_fixed_spectral_settings_are_unknown_keys(
         self, algorithm, key, value, scene_dir, tmp_path, capsys
     ):
-        """The band cutoff and the cross-covariance rule are fixed, so no value sets them."""
+        """The band cutoff, the cross-covariance rule and the window kind are fixed, so no
+        value sets them; ``window_shape`` sets the shape of the KBD window."""
         out = tmp_path / "out.wav"
         code = run_cli(
             "cancel", "--algo", algorithm, "--set", f"{key}={value}",
@@ -181,9 +185,9 @@ LIBRARY_CONFIGS = {"anc": AncConfig, "anc-pw": AncConfig, "maw": BlockWienerConf
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
 def test_set_keys_are_the_library_config_fields(algorithm):
-    """The ``--set`` keys are the config's fields, ``window`` set as ``window_shape``, and for
-    ``sbw-simo`` the array's and the fixed delay's too; each default is the library's unless
-    the entry lists it, so no field can be missed."""
+    """The ``--set`` keys are exactly the config's fields, and for ``sbw-simo`` the array's and
+    the fixed delay's too; each default is the library's unless the entry lists it, so no
+    field can be missed."""
     entry = ALGORITHMS[algorithm]
     keys = entry.keys()
     library = {f.name: f.default for f in dataclasses.fields(LIBRARY_CONFIGS[algorithm])}
@@ -191,15 +195,12 @@ def test_set_keys_are_the_library_config_fields(algorithm):
         library.update((f.name, f.default) for f in dataclasses.fields(ArrayGeometry)
                        if f.name != "sample_rate")
         library["kappa"] = inspect.signature(sbw_simo_cancel).parameters["kappa"].default
-    assert set(keys) == {"window_shape" if name == "window" else name for name in library}
+    assert set(keys) == set(library)
     assert set(entry.defaults) | set(entry.paper_v) <= set(keys)
     for name, default in library.items():
-        if name != "window":
-            assert keys[name][1] == entry.defaults.get(name, default), name
+        assert keys[name][1] == entry.defaults.get(name, default), name
     for key, (kind, default) in keys.items():
         assert callable(kind) and default is not dataclasses.MISSING, key
-    if "window_shape" in keys:  # a KBD window, KBD(4) by default as in the library
-        assert keys["window_shape"] == (cli._real, 4.0)
 
 
 class TestSimulate:
@@ -374,6 +375,22 @@ class TestCancelEvaluate:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0].startswith("rmsd_db,snrf_db,rtf")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("timing", [(), ("--elapsed", "0.5")], ids=["untimed", "timed"])
+    def test_evaluate_csv_is_the_report(self, timing, scene_dir, tmp_path):
+        """The CSV's header and its one row of ``measure``'s report: six-decimal figures, an
+        empty ``rtf`` field without ``--elapsed``, then the settings it measured with."""
+        est, ref = scene_dir / "mixture.wav", scene_dir / "reference_solo.wav"
+        csv_path = tmp_path / "m.csv"
+        assert run_cli("evaluate", str(est), str(ref), "--csv", str(csv_path), *timing,
+                       "--bands", "16", "--fft-size", "1024") == 0
+        rep = measure(read_mono(est), read_mono(ref), partition=make_partition(1024, 44100, 16),
+                      fft_size=1024, elapsed=0.5 if timing else None)
+        rtf = f"{rep.rtf:.6f}" if timing else ""
+        assert csv_path.read_text() == (
+            "rmsd_db,snrf_db,rtf,block_size,segments,num_bands\n"
+            f"{rep.rmsd_db:.6f},{rep.snrf_db:.6f},{rtf},1024,{rep.params['segments']},16\n"
+        )
 
     def test_evaluate_hop_defaults_to_half_the_frame(self, scene_dir, tmp_path):
         ref = str(scene_dir / "reference_solo.wav")

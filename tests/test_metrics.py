@@ -152,35 +152,40 @@ class TestRtf:
 
 
 class TestMeasure:
-    def test_report_fields_and_csv(self):
+    def test_report_fields(self):
         est, ref = noise_pair(seed=7)
         rep = measure(est, ref, fft_size=512, hop=256, elapsed=1.0)
         assert rep.rtf == pytest.approx(1.0 / est.duration)
-        assert rep.params["segments"] == stft(est, make_window(512), 256).num_frames
-        text = rep.to_csv()
-        header, row = text.strip().split("\n")
-        assert header.split(",") == list(rep.CSV_COLUMNS)
-        assert len(row.split(",")) == len(rep.CSV_COLUMNS)
+        assert rep.params == {
+            "block_size": 1024,
+            "segments": stft(est, make_window(512), 256).num_frames,
+            "num_bands": make_partition(512, 44100).num_bands,  # the bands it realized
+        }
         assert "RMSD" in rep.summary() and "SNRF" in rep.summary()
 
     def test_hop_defaults_to_half_the_frame(self):
         est, ref = noise_pair(seed=9)
         default = measure(est, ref, fft_size=1024)
         half = measure(est, ref, fft_size=1024, hop=512)
-        assert default.to_csv() == half.to_csv()
+        assert default == half
 
     def test_rtf_omitted_without_timing(self):
         est, ref = noise_pair(seed=8)
         rep = measure(est, ref, fft_size=512, hop=256)
         assert rep.rtf is None
-        assert rep.csv_row()[2] == ""
+        assert "RTF" not in rep.summary()
 
 
 @pytest.mark.parametrize("measure_it,message", [
     (lambda x: rmsd(x, x, block_size=0), "block_size"),
+    (lambda x: rmsd(x, x, block_size=2.5), "block_size"),
+    (lambda x: rmsd(x, x, block_size=np.nan), "block_size"),
+    (lambda x: measure(x, x, block_size=True), "block_size"),
+    (lambda x: snrf(x, x, fft_size=1024.0), "fft_size"),
     (lambda x: rmsd(AudioBuffer(x.samples[:1000]), AudioBuffer(x.samples[:1000])), "one block"),
     (lambda x: snrf(x, x, make_partition(2048, 44100)), "partition"),
-], ids=["block-size", "shorter-than-a-block", "partition-size"])
+], ids=["block-size", "block-size-2.5", "block-size-nan", "block-size-True", "fft-size-float",
+        "shorter-than-a-block", "partition-size"])
 def test_bad_measurement_setting_rejected(measure_it, message):
     take = AudioBuffer(np.random.default_rng(4).standard_normal(8192))
     with pytest.raises(ValueError, match=message):

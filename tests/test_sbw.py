@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solocancel import (
-    AudioBuffer, SbwConfig, make_partition, make_window, sbw_cancel, spectral_subtract,
+    AudioBuffer, SbwConfig, make_partition, sbw_cancel, spectral_subtract,
 )
 from solocancel.sbw import cancel_frames, subband_gains_frames
 
@@ -172,12 +172,11 @@ class TestSbwCancel:
         {"hop": 0},
         {"p": 0.0},
         {"wiener_exponent": -1.0},
-        {"fft_size": 1024, "hop": 512, "window": make_window(2048)},
         {"p": np.nan},
         {"wiener_exponent": np.nan},
         {"p": np.inf},
         {"wiener_exponent": np.inf},
-    ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent", "window-length",
+    ], ids=["hop-above-fft", "hop-zero", "p", "wiener_exponent",
             "p-nan", "wiener_exponent-nan", "p-inf", "wiener_exponent-inf"])
     def test_config_checked_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -191,12 +190,41 @@ class TestSbwCancel:
             with pytest.raises(ValueError, match=rf"num_bands must be an integer >= 1, got {bands!r}"):
                 SbwConfig(num_bands=bands)
 
+    @pytest.mark.parametrize("shape", [np.nan, -1.0, 300.0], ids=["nan", "negative", "300"])
+    def test_window_shape_checked_at_construction(self, shape):
+        # 300 overflows the Kaiser kernel, so its window would zero every estimate
+        with pytest.raises(ValueError, match=r"\bwindow_shape\b"):
+            SbwConfig(window_shape=shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, True], ids=["nan", "inf", "2.5", "True"])
+    @pytest.mark.parametrize("field", ["fft_size", "hop"])
+    def test_integer_setting_checked_at_construction(self, field, bad):
+        # a ValueError naming the field, not a TypeError once the frames are built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                SbwConfig(**{field: bad})
+
+    def test_numpy_integer_settings_accepted(self):
+        rng = np.random.default_rng(17)
+        mix, ref = (AudioBuffer(rng.standard_normal(6000)) for _ in range(2))
+        numpy_cfg = SbwConfig(fft_size=np.int64(1024), hop=np.int32(256), num_bands=np.int16(20))
+        cfg = SbwConfig(fft_size=1024, hop=256, num_bands=20)
+        assert sbw_cancel(mix, ref, numpy_cfg).samples.tobytes() == (
+            sbw_cancel(mix, ref, cfg).samples.tobytes()
+        )
+
     def test_config_default_hop_is_half_the_frame(self):
         assert SbwConfig(fft_size=1024).hop == 512
 
     def test_config_default_window(self):
-        default = make_window(1024, 4.0).coefficients
-        assert SbwConfig(fft_size=1024, hop=512).window.coefficients.tobytes() == default.tobytes()
+        # KBD(4) unless window_shape says otherwise, and the shape reaches the frames
+        rng = np.random.default_rng(13)
+        mix, ref = (AudioBuffer(rng.standard_normal(8192)) for _ in range(2))
+        default = sbw_cancel(mix, ref, SbwConfig(fft_size=1024)).samples.tobytes()
+        kbd4 = sbw_cancel(mix, ref, SbwConfig(fft_size=1024, window_shape=4)).samples.tobytes()
+        kbd6 = sbw_cancel(mix, ref, SbwConfig(fft_size=1024, window_shape=6.0)).samples.tobytes()
+        assert SbwConfig().window_shape == 4.0 and default == kbd4 and default != kbd6
 
     def test_runtime_budget(self):
         import time

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from solocancel import (
     BlockWienerConfig,
     MawSsConfig,
     SolverError,
-    Window,
     block_wiener,
     maw_cancel,
     maw_ss_cancel,
@@ -686,17 +686,20 @@ class TestMawSsCancel:
         rng = np.random.default_rng(14)
         n = 6000
         ref = rng.standard_normal(n)
-        mix = np.convolve(ref, [0.5])[:n]
-        hann = Window(np.hanning(512))
-        cfg = MawSsConfig(8, 1024, 512, fft_size=512, fft_hop=256, window=hann)
-        out = maw_ss_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
-        assert np.all(np.isfinite(out.samples))
+        mix = np.convolve(ref, [0.5])[:n] + 0.1 * rng.standard_normal(n)
+        outputs = [
+            maw_ss_cancel(AudioBuffer(mix), AudioBuffer(ref), MawSsConfig(
+                8, 1024, 512, fft_size=512, fft_hop=256, window_shape=shape,
+            )).samples
+            for shape in (4.0, 8.0)
+        ]
+        assert np.all(np.isfinite(outputs[1]))
+        assert outputs[0].tobytes() != outputs[1].tobytes()
 
-    def test_window_length_must_match_fft_size(self):
-        with pytest.raises(ValueError, match="fft_size"):
-            MawSsConfig(
-                8, 1024, 512, fft_size=1024, fft_hop=256, window=Window(np.hanning(512))
-            )
+    @pytest.mark.parametrize("shape", [np.nan, -1.0, 300.0], ids=["nan", "negative", "300"])
+    def test_window_shape_checked_at_construction(self, shape):
+        with pytest.raises(ValueError, match=r"\bwindow_shape\b"):
+            MawSsConfig(8, 1024, 512, fft_size=1024, window_shape=shape)
 
     @pytest.mark.parametrize(
         "stft_kw", [{"p": 0.0}, {"fft_hop": 0}, {"fft_hop": 2048}, {"p": np.nan}, {"p": np.inf}],
@@ -749,6 +752,90 @@ class TestMatchedAccompaniment:
         y = matched_accompaniment(AudioBuffer(mix), AudioBuffer(ref), cfg)
         e = maw_cancel(AudioBuffer(mix), AudioBuffer(ref), cfg)
         assert np.allclose(mix - y.samples, e.samples, atol=1e-15)
+
+
+def slice_form_matched_accompaniment(mixture, reference, cfg):
+    """Oracle: ``matched_accompaniment`` as it filtered each hop before, keeping ``span``
+    samples of the full convolution of the hop's reference segment with the taps."""
+    x = mixture.samples
+    n = len(x)
+    m, nblk, hop = cfg.taps, cfg.block_size, cfg.hop
+    ref_pad = np.concatenate((np.zeros(m - 1), reference.samples, np.zeros(nblk)))
+    x_pad = np.concatenate((x, np.zeros(nblk)))
+    starts = range(0, n, hop)
+    windows = np.lib.stride_tricks.sliding_window_view(ref_pad, m + nblk - 1)[:n:hop]
+    blocks = np.lib.stride_tricks.sliding_window_view(x_pad, nblk)[:n:hop]
+    stack = max(1, wiener._STACK_BYTES // (4 * m * (m + 1)))
+    y = np.empty(n)
+    w_prev = None
+    for first in range(0, len(starts), stack):
+        solved = wiener._solve_block(
+            windows[first : first + stack], blocks[first : first + stack], m, cfg.regularization
+        )
+        for k, w in zip(starts[first : first + stack], solved):
+            span = min(hop, n - k)
+            seg = ref_pad[k : k + m + span - 1]
+            y_new = np.convolve(seg, w)[m - 1 : m - 1 + span]
+            if cfg.interpolate and w_prev is not None:
+                y_old = np.convolve(seg, w_prev)[m - 1 : m - 1 + span]
+                alpha = np.arange(1, span + 1) / hop
+                y[k : k + span] = (1.0 - alpha) * y_old + alpha * y_new
+            else:
+                y[k : k + span] = y_new
+            w_prev = w
+    return AudioBuffer(y, mixture.sample_rate)
+
+
+class TestMatchedAccompanimentFilterLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        taps=st.integers(1, 64),
+        block_extra=st.integers(1, 200),
+        hop_fraction=st.floats(0.0, 1.0),
+        n=st.integers(1, 2000),
+        interpolate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_valid_convolution_matches_the_slice_form(
+        self, taps, block_extra, hop_fraction, n, interpolate, seed
+    ):
+        """The "valid" part of each hop's convolution is the slice the loop kept before,
+        byte for byte."""
+        block_size = taps + block_extra
+        hop = max(1, round(hop_fraction * block_size))
+        cfg = BlockWienerConfig(taps, block_size, hop, interpolate=interpolate)
+        rng = np.random.default_rng(seed)
+        ref = AudioBuffer(rng.standard_normal(n))
+        mix = AudioBuffer(np.convolve(ref.samples, [0.7, -0.3])[:n] + 0.1 * rng.standard_normal(n))
+        got = matched_accompaniment(mix, ref, cfg).samples
+        assert got.tobytes() == slice_form_matched_accompaniment(mix, ref, cfg).samples.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, True], ids=["nan", "inf", "2.5", "True"])
+@pytest.mark.parametrize("config,field", [
+    (BlockWienerConfig, "taps"), (BlockWienerConfig, "block_size"), (BlockWienerConfig, "hop"),
+    (MawSsConfig, "fft_size"), (MawSsConfig, "fft_hop"),
+], ids=["taps", "block_size", "hop", "fft_size", "fft_hop"])
+def test_integer_setting_checked_at_construction(config, field, bad):
+    # a ValueError naming the field, not a TypeError once the blocks or frames are built
+    settings = {"taps": 16, "block_size": 1024, "hop": 100, field: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            config(**settings)
+
+
+def test_numpy_integer_settings_accepted():
+    rng = np.random.default_rng(18)
+    n = 5000
+    ref = AudioBuffer(rng.standard_normal(n))
+    mix = AudioBuffer(np.convolve(ref.samples, [0.5, 0.2])[:n] + 0.1 * rng.standard_normal(n))
+    numpy_cfg = MawSsConfig(np.int64(16), np.int32(1024), np.int16(100),
+                            fft_size=np.int64(1024), fft_hop=np.int64(256))
+    cfg = MawSsConfig(16, 1024, 100, fft_size=1024, fft_hop=256)
+    assert maw_ss_cancel(mix, ref, numpy_cfg).samples.tobytes() == (
+        maw_ss_cancel(mix, ref, cfg).samples.tobytes()
+    )
 
 
 @pytest.mark.parametrize("taps", [0, 64])

@@ -27,7 +27,6 @@ from solocancel import (
     SbwConfig,
     SceneConfig,
     SidoLayout,
-    Window,
     broadband_accompaniment,
     make_mic_ir,
     make_partition,
@@ -54,7 +53,7 @@ FS = 44100
 
 def resynthesize(spec: SpectralFrameSeq, frames: np.ndarray) -> AudioBuffer:
     """``istft`` of ``frames`` with the framing of ``spec``."""
-    return istft(SpectralFrameSeq(frames, spec.fft_size, spec.hop, spec.sample_rate, spec.window))
+    return istft(SpectralFrameSeq(frames, spec.hop, spec.sample_rate, spec.window))
 
 
 def edge_padded(fft_size, hop, *signals):
@@ -73,7 +72,7 @@ def unpadded(out: AudioBuffer, lead: int, take: AudioBuffer) -> AudioBuffer:
 def hand_built_sbw_cancel(mixture, reference, cfg, hop):
     """Oracle: ``sbw_cancel`` before the shared pipeline, framed with ``hop`` or, when
     it is None, half the frame."""
-    window = cfg.window
+    window = make_window(cfg.fft_size, cfg.window_shape)
     hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture.sample_rate)
     lead, (padded_x, padded_ref) = edge_padded(cfg.fft_size, hop, mixture, reference)
@@ -87,7 +86,7 @@ def hand_built_sbw_cancel(mixture, reference, cfg, hop):
 def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry, kappa):
     """Oracle: ``sbw_simo_cancel`` before the shared pipeline, framed with ``hop`` or,
     when it is None, half the frame."""
-    window = cfg.window
+    window = make_window(cfg.fft_size, cfg.window_shape)
     hop = cfg.fft_size // 2 if hop is None else hop
     partition = cfg.partition_for(mixture1.sample_rate)
     lead, padded = edge_padded(cfg.fft_size, hop, mixture1, mixture2, reference)
@@ -103,10 +102,9 @@ def hand_built_sbw_simo_cancel(mixture1, mixture2, reference, cfg, hop, geometry
     return unpadded(resynthesize(spec1, mrc_combine(est1, est2, delays)), lead, mixture1)
 
 
-def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, window, p):
+def hand_built_maw_ss_cancel(mixture, reference, cfg, fft_size, fft_hop, shape, p):
     """Oracle: ``maw_ss_cancel`` before the shared pipeline."""
-    if window is None:
-        window = make_window(fft_size)
+    window = make_window(fft_size, shape)
     if fft_hop is None:
         fft_hop = fft_size // 2
     y = matched_accompaniment(mixture, reference, cfg)
@@ -121,7 +119,7 @@ def frame_by_frame_istft(seq: SpectralFrameSeq) -> AudioBuffer:
     """Oracle: ``istft`` as a loop that adds one windowed frame at a time."""
     n_fft = seq.fft_size
     hop = seq.hop
-    w = seq.window.coefficients
+    w = seq.window
     out_len = (seq.num_frames - 1) * hop + n_fft
 
     pieces = np.fft.irfft(seq.frames, n=n_fft, axis=1) * w[None, :]
@@ -155,24 +153,27 @@ def whole_file_snrf(estimate, ref_solo, fft_size, hop):
     return float(np.mean(ratio_db[keep]))
 
 
+#: KBD window shapes: the default, one of a rectangular kernel, and any up to 12.
+window_shapes = st.sampled_from([4.0, 0.0]) | st.floats(0.0, 12.0)
+
+
 @st.composite
 def framings(draw):
-    """(fft_size, hop, length, window): an even FFT size from 64 to 2048, the default
-    hop (None) or a hop of at least an eighth of it (most do not divide it), a length
-    from one window to four, odd or even, and the default window or a Hann window."""
+    """(fft_size, hop, length, window_shape): an even FFT size from 64 to 2048, the
+    default hop (None) or a hop of at least an eighth of it (most do not divide it), a
+    length from one window to four, odd or even, and a KBD window shape."""
     fft_size = 2 * draw(st.integers(32, 1024))
     hop = draw(st.none() | st.integers(max(1, fft_size // 8), fft_size))
     n = draw(st.integers(fft_size, 4 * fft_size + 1))
-    window = draw(st.sampled_from([None, Window(np.hanning(fft_size))]))
-    return fft_size, hop, n, window
+    return fft_size, hop, n, draw(window_shapes)
 
 
 @st.composite
-def sbw_configs(draw, fft_size, hop, window):
+def sbw_configs(draw, fft_size, hop, shape):
     return SbwConfig(
         fft_size=fft_size,
         hop=hop,
-        window=window,
+        window_shape=shape,
         num_bands=draw(st.integers(1, 39)),
         p=draw(st.sampled_from([0.5, 1.0, 2.0])),
         wiener_exponent=draw(st.sampled_from([0.0, 0.5, 1.0, 1.7])),
@@ -199,8 +200,8 @@ class TestSbwCancel:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), framing=framings(), seed=st.integers(0, 2**32 - 1))
     def test_matches_hand_built_pipeline(self, data, framing, seed):
-        fft_size, hop, n, window = framing
-        cfg = data.draw(sbw_configs(fft_size, hop, window))
+        fft_size, hop, n, shape = framing
+        cfg = data.draw(sbw_configs(fft_size, hop, shape))
         mix, _, ref = two_mic_take(seed, n)
         assert same_bytes(sbw_cancel(mix, ref, cfg), hand_built_sbw_cancel(mix, ref, cfg, hop))
 
@@ -214,8 +215,8 @@ class TestSbwSimoCancel:
         kappa=st.one_of(st.none(), st.floats(-3.0, 3.0)),
     )
     def test_matches_hand_built_pipeline(self, data, framing, seed, kappa):
-        fft_size, hop, n, window = framing
-        cfg = data.draw(sbw_configs(fft_size, hop, window))
+        fft_size, hop, n, shape = framing
+        cfg = data.draw(sbw_configs(fft_size, hop, shape))
         geometry = ArrayGeometry(spacing=half_wavelength_spacing(8000.0), sample_rate=FS)
         mix1, mix2, ref = two_mic_take(seed, n)
         got = sbw_simo_cancel(mix1, mix2, ref, cfg, geometry, kappa=kappa)
@@ -237,28 +238,28 @@ class TestMawSsCancel:
     def test_matches_hand_built_pipeline(
         self, framing, seed, taps, block_extra, hop_fraction, interpolate, p
     ):
-        fft_size, fft_hop, n, window = framing
+        fft_size, fft_hop, n, shape = framing
         block_size = taps + block_extra
         cfg = MawSsConfig(
             taps, block_size, max(1, int(hop_fraction * block_size)), interpolate=interpolate,
-            fft_size=fft_size, fft_hop=fft_hop, window=window, p=p,
+            fft_size=fft_size, fft_hop=fft_hop, window_shape=shape, p=p,
         )
         mix, _, ref = two_mic_take(seed, n)
         got = maw_ss_cancel(mix, ref, cfg)
-        want = hand_built_maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, window, p)
+        want = hand_built_maw_ss_cancel(mix, ref, cfg, fft_size, fft_hop, shape, p)
         assert same_bytes(got, want)
 
 
 @st.composite
 def small_framings(draw):
-    """(fft_size, hop, length, window) with a small FFT size, a hop of a quarter, half,
-    three quarters or all of the frame, and a length from one window to a dozen hops
-    past it, often shorter than one hop past a window and odd or even alike."""
+    """(fft_size, hop, length, window_shape) with a small FFT size, a hop of a quarter,
+    half, three quarters or all of the frame, a length from one window to a dozen hops
+    past it, often shorter than one hop past a window and odd or even alike, and a KBD
+    window shape."""
     fft_size = draw(st.sampled_from([8, 16, 32, 64]))
     hop = fft_size * draw(st.sampled_from([1, 2, 3, 4])) // 4
     past = draw(st.integers(0, hop - 1) | st.integers(0, 12 * hop))
-    window = draw(st.sampled_from([None, Window(np.hanning(fft_size))]))
-    return fft_size, hop, fft_size + past, window
+    return fft_size, hop, fft_size + past, draw(window_shapes)
 
 
 def num_frames(n, fft_size, hop):
@@ -279,19 +280,17 @@ class TestEveryBlockSize:
         maw_p=st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_matches_whole_file_oracles(self, data, framing, seed, kappa, maw_taps, maw_p):
-        fft_size, hop, n, window = framing
-        cfg = data.draw(sbw_configs(fft_size, hop, window))
+        fft_size, hop, n, shape = framing
+        cfg = data.draw(sbw_configs(fft_size, hop, shape))
         geometry = ArrayGeometry(spacing=half_wavelength_spacing(8000.0), sample_rate=FS)
         maw_cfg = MawSsConfig(
-            maw_taps, maw_taps + 16, 8, fft_size=fft_size, fft_hop=hop, window=window, p=maw_p
+            maw_taps, maw_taps + 16, 8, fft_size=fft_size, fft_hop=hop, window_shape=shape, p=maw_p
         )
         mix1, mix2, ref = two_mic_take(seed, n)
         want = {
             "sbw": hand_built_sbw_cancel(mix1, ref, cfg, hop),
             "sbw-simo": hand_built_sbw_simo_cancel(mix1, mix2, ref, cfg, hop, geometry, kappa),
-            "maw-ss": hand_built_maw_ss_cancel(
-                mix1, ref, maw_cfg, fft_size, hop, window, maw_p
-            ),
+            "maw-ss": hand_built_maw_ss_cancel(mix1, ref, maw_cfg, fft_size, hop, shape, maw_p),
         }
         want_snrf = whole_file_snrf(mix1, mix2, fft_size, hop)
         lead, _ = edge_padded(fft_size, hop)  # the cancellers frame the padded take
@@ -313,13 +312,13 @@ class TestIstft:
     @settings(max_examples=100, deadline=None)
     @given(framing=small_framings(), seed=st.integers(0, 2**32 - 1))
     def test_matches_frame_by_frame_loop(self, framing, seed):
-        fft_size, hop, n, window = framing
-        window = make_window(fft_size) if window is None else window
+        fft_size, hop, n, shape = framing
+        window = make_window(fft_size, shape)
         rng = np.random.default_rng(seed)
         frames = stft(AudioBuffer(rng.standard_normal(n), FS), window, hop).frames
         # a modified spectrum, as the cancellers hand to the overlap-add
         frames *= rng.uniform(0.0, 1.0, frames.shape)
-        seq = SpectralFrameSeq(frames, fft_size, hop, FS, window)
+        seq = SpectralFrameSeq(frames, hop, FS, window)
         assert same_bytes(istft(seq), frame_by_frame_istft(seq))
 
 
