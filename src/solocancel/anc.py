@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, _check_counts, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 
 
 @dataclass
@@ -30,10 +30,8 @@ class LmsState:
 
     @classmethod
     def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
-        if taps < 1:
-            raise ValueError("taps must be >= 1")
-        if not 0 <= mu < np.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {mu}")
+        _check_counts(taps=taps)
+        _check_reals(0, mu=mu)
         return cls(np.zeros(taps), np.zeros(taps), float(mu), normalized)
 
     @property
@@ -91,8 +89,7 @@ def fit_whitener(frame: AudioBuffer, order: int) -> np.ndarray:
     Uses the biased sample autocorrelation, so the resulting synthesis filter
     is minimum phase. An all-zero frame yields the identity whitener (a = 0).
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_counts(order=order)
     x = frame.samples
     if len(x) <= 10 * order:
         raise ValueError(
@@ -124,8 +121,7 @@ class AncConfig:
     def __post_init__(self):
         _check_counts(taps=self.taps, lp_order=self.lp_order,
                       refresh_interval=self.refresh_interval)
-        if not 0 <= self.mu < np.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        _check_reals(0, mu=self.mu)
         if self.prewhiten and self.refresh_interval <= 10 * self.lp_order:
             raise ValueError("refresh_interval must exceed 10 * lp_order")
 

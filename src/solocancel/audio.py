@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -27,8 +28,7 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("AudioBuffer holds mono audio (1-D sample array)")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_counts(sample_rate=self.sample_rate)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -133,6 +133,21 @@ def _check_counts(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_reals(low=None, strict=False, /, **values) -> None:
+    """ValueError naming the first of ``values`` that is not a finite real number or, with
+    ``low`` given, not above it (``strict``) or at or above it: a numpy float is one, a bool,
+    None, a string or an integer beyond the float range is not."""
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+    for name, value in values.items():
+        try:
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok or low is not None and not (value > low if strict else value >= low):
+            raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 def require_matched(a: AudioBuffer, b: AudioBuffer, what: str = "buffers"):

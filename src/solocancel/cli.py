@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .anc import AncConfig, anc_cancel
-from .audio import AudioBuffer, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .erb import make_partition
 from .errors import NoSignalError, SolverError
 from .metrics import measure, rtf
@@ -26,9 +26,7 @@ from .scenes import (
     SceneConfig, SidoLayout, broadband_accompaniment, make_mic_ir, noise_plus_tones, read_kv,
     synth_sido, synth_siso, write_kv,
 )
-from .simo import (
-    SPEED_OF_SOUND, ArrayGeometry, _fixed_delay, delay_from_angle, sbw_simo_cancel,
-)
+from .simo import SPEED_OF_SOUND, ArrayGeometry, delay_from_angle, sbw_simo_cancel
 from .wavio import read_channels, read_mono, write_wav
 from .wiener import BlockWienerConfig, MawSsConfig, maw_cancel, maw_ss_cancel
 
@@ -107,7 +105,8 @@ class _SimoConfig(SbwConfig):
     def __post_init__(self):
         super().__post_init__()
         ArrayGeometry(self.spacing, self.f_max)
-        _fixed_delay(self.kappa)
+        if self.kappa is not None:
+            _check_reals(kappa=self.kappa)
 
 
 def _simo(*inputs, cfg: _SimoConfig):
@@ -216,8 +215,7 @@ def _scene(args, inputs) -> SceneConfig:
     solo, accomp = inputs
     layout = None
     if args.sido:
-        if not 0 < args.spacing < np.inf:
-            raise ValueError(f"microphone spacing must be finite and > 0, got {args.spacing}")
+        _check_reals(0, True, spacing=args.spacing)
         f_max = min(8000.0, SPEED_OF_SOUND / (2.0 * args.spacing))
         layout = SidoLayout(args.spacing, args.solo_angle, f_max=f_max)
     return SceneConfig(
@@ -332,8 +330,7 @@ def _sweep_point(args, overrides: dict, inputs, value):
     if layout := scene_cfg.sido:
         overrides.update(spacing=layout.spacing, f_max=layout.f_max)
         if args.param == "angle-mismatch":
-            if not np.isfinite(value := _real(args.param, value)):
-                raise ValueError(f"{args.param} must be a finite number, got {value!r}")
+            _check_reals(**{args.param: value})
             geometry = layout.geometry(scene_cfg.solo.sample_rate)
             overrides["kappa"] = delay_from_angle(layout.solo_angle_deg + value, geometry)
     return scene_cfg, build_algorithm_config(args.algorithm, args.preset, overrides)
@@ -344,8 +341,7 @@ def _cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values is required")
-    if args.num_scenes < 1:
-        raise ValueError("--num-scenes must be >= 1")
+    _check_counts(**{"--num-scenes": args.num_scenes})
     args.sido = args.param in _SWEEP_TWO_MIC or args.algorithm == "sbw-simo"
     if args.sido:
         if args.algorithm not in ("sbw", "sbw-simo"):

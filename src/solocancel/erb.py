@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import _check_counts
+from .audio import _check_counts, _check_reals
 
 
 def erbs(f_khz):
@@ -57,11 +57,10 @@ def make_partition(fft_size: int, sample_rate: int, num_bands: int = 39) -> ErbP
     come out empty (tiny FFT sizes) are merged downward and ``num_bands``
     reports the realized count.
     """
+    _check_counts(fft_size=fft_size, num_bands=num_bands)
     if fft_size < 2 or fft_size % 2 != 0:
         raise ValueError("fft_size must be even and >= 2")
-    _check_counts(num_bands=num_bands)
-    if not 0 < sample_rate < np.inf:
-        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    _check_reals(0, True, sample_rate=sample_rate)
     cutoff = min(16000.0, sample_rate / 2.0)
 
     f_khz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size) / 1000.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, _check_counts, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .erb import ErbPartition, make_partition
 from .errors import NoSignalError
 from .stft import _framing, _hop, _map_blocks, _num_frames
@@ -87,10 +87,8 @@ def snrf(
 
 def rtf(elapsed: float, duration: float) -> float:
     """Real-time factor: processing time divided by signal duration."""
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    if not 0 <= elapsed < np.inf:
-        raise ValueError("elapsed must be finite and >= 0")
+    _check_reals(0, True, duration=duration)
+    _check_reals(0, elapsed=elapsed)
     return elapsed / duration
 
 

@@ -13,10 +13,10 @@ from functools import partial
 
 import numpy as np
 
-from .audio import AudioBuffer, _check_counts, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .erb import ErbPartition, make_partition
 from .stft import _framing, _wola, make_window
-from .wiener import _check_p, spectral_subtract
+from .wiener import spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
 #: bin power get a zero gain instead of a divide-by-silence.
@@ -50,9 +50,8 @@ class SbwConfig:
             _, self.hop = _framing(self.fft_size, self.hop, self.window_shape)
         except ValueError as exc:
             raise ValueError(f"fft_size/hop/window_shape: {exc}") from exc
-        _check_p(self.p)
-        if not 0 <= self.wiener_exponent < np.inf:
-            raise ValueError(f"wiener_exponent must be finite and >= 0, got {self.wiener_exponent}")
+        _check_reals(0, True, p=self.p)
+        _check_reals(0, wiener_exponent=self.wiener_exponent)
 
     def partition_for(self, sample_rate: int) -> ErbPartition:
         return make_partition(self.fft_size, sample_rate, self.num_bands)

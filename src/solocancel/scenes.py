@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, FirFilter, require_matched
+from .audio import AudioBuffer, FirFilter, _check_counts, _check_reals, require_matched
 from .errors import NoSignalError
 from .simo import ArrayGeometry, delay_from_angle
 
@@ -30,10 +30,8 @@ def make_mic_ir(
     energy. Only the decay rate and length matter to the cancellers; the
     response of any particular capsule is not modeled.
     """
-    if not 0 < rt_ms < np.inf:
-        raise ValueError(f"rt_ms must be finite and > 0, got {rt_ms}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    _check_reals(0, True, rt_ms=rt_ms)
+    _check_counts(length=length, sample_rate=sample_rate)
     rt_samples = rt_ms / 1000.0 * sample_rate
     k = np.arange(length)
     envelope = 10.0 ** (-3.0 * k / rt_samples)
@@ -54,8 +52,7 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
     (zeros shifted in) and lies in the one take-length array made. ValueError
     naming ``delay`` unless it is finite.
     """
-    if not math.isfinite(delay):
-        raise ValueError(f"delay must be finite, got {delay}")
+    _check_reals(delay=delay)
     n = len(x)
     int_part = math.floor(delay)
     frac = delay - int_part
@@ -81,9 +78,9 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
 
 @dataclass
 class SidoLayout:
-    """Two-microphone scene geometry: the array's spacing and the source angles, the
-    solo's finite. The accompaniment's angle is stored but not yet modelled:
-    ``synth_sido`` gives both microphones the same accompaniment."""
+    """Two-microphone scene geometry: the array's spacing and the source angles, each
+    finite, the spacing and ``f_max`` positive. The accompaniment's angle is stored but not
+    yet modelled: ``synth_sido`` gives both microphones the same accompaniment."""
 
     spacing: float
     solo_angle_deg: float
@@ -91,8 +88,8 @@ class SidoLayout:
     f_max: float = 8000.0
 
     def __post_init__(self):
-        if not math.isfinite(self.solo_angle_deg):
-            raise ValueError(f"solo_angle_deg must be finite, got {self.solo_angle_deg}")
+        _check_reals(0, True, spacing=self.spacing, f_max=self.f_max)
+        _check_reals(solo_angle_deg=self.solo_angle_deg, accomp_angle_deg=self.accomp_angle_deg)
 
     def geometry(self, sample_rate: int) -> ArrayGeometry:
         """The array at ``sample_rate``; ValueError past the half-wavelength limit."""
@@ -100,16 +97,6 @@ class SidoLayout:
 
     def solo_delay_samples(self, sample_rate: int) -> float:
         return delay_from_angle(self.solo_angle_deg, self.geometry(sample_rate))
-
-
-def _check_level_diff(level_diff_db: float) -> None:
-    """ValueError unless ``level_diff_db`` and its linear gain are finite."""
-    if not np.isfinite(level_diff_db):
-        raise ValueError("level_diff_db must be finite")
-    try:
-        math.pow(10.0, level_diff_db / 20.0)
-    except OverflowError:
-        raise ValueError(f"level_diff_db {level_diff_db} dB overflows the linear gain") from None
 
 
 @dataclass
@@ -131,14 +118,18 @@ class SceneConfig:
     sido: SidoLayout | None = None
 
     def __post_init__(self):
-        if not 0 <= self.channel_delay < np.inf:
-            raise ValueError(f"channel_delay must be finite and >= 0, got {self.channel_delay}")
+        _check_reals(0, channel_delay=self.channel_delay)
         if self.level_diff_db is None and self.accompaniment_gain is None:
             raise ValueError("need level_diff_db or accompaniment_gain")
         if self.level_diff_db is not None:
-            _check_level_diff(self.level_diff_db)
-        if self.accompaniment_gain is not None and not 0 <= self.accompaniment_gain < np.inf:
-            raise ValueError("accompaniment_gain must be finite and >= 0")
+            _check_reals(level_diff_db=self.level_diff_db)
+            try:
+                math.pow(10.0, self.level_diff_db / 20.0)
+            except OverflowError:
+                raise ValueError(
+                    f"level_diff_db {self.level_diff_db} dB overflows the linear gain") from None
+        if self.accompaniment_gain is not None:
+            _check_reals(0, accompaniment_gain=self.accompaniment_gain)
         require_matched(self.solo, self.accompaniment_reference, "solo/accompaniment")
         if self.channel_delay >= len(self.solo):
             raise ValueError("buffers too short to absorb the channel delay")
@@ -250,8 +241,7 @@ NOTE_SPAN = 0.25  # seconds per solo note slot
 def _sample_count(duration: float, sample_rate: int) -> int:
     """``round(duration * sample_rate)``; ValueError naming ``duration`` unless it is
     finite and gives at least one sample."""
-    if not np.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration}")
+    _check_reals(duration=duration)
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValueError(f"duration {duration} s gives no sample at {sample_rate} Hz")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
 from .stft import _wola, make_window
@@ -35,11 +35,11 @@ class ArrayGeometry:
 
     A source at angle theta from broadside reaches the second element
     ``spacing * sin(theta) * sample_rate / SPEED_OF_SOUND`` samples after the
-    first (:func:`delay_from_angle`). The spacing must be finite and positive, and
-    must not exceed half the wavelength at ``f_max`` (spatial sampling theorem);
-    past that the per-bin delay of content up to ``f_max`` is ambiguous.
-    ``f_max`` enters nothing else, so one above Nyquist only tightens the
-    bound.
+    first (:func:`delay_from_angle`). The spacing and ``f_max`` must be finite and
+    positive, the rate an integer >= 1, and the spacing must not exceed half the
+    wavelength at ``f_max`` (spatial sampling theorem); past that the per-bin delay
+    of content up to ``f_max`` is ambiguous. ``f_max`` enters nothing else, so one
+    above Nyquist only tightens the bound.
     """
 
     spacing: float
@@ -47,10 +47,8 @@ class ArrayGeometry:
     sample_rate: int = 44100
 
     def __post_init__(self):
-        if not 0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
-        if not self.f_max > 0:
-            raise ValueError(f"f_max must be > 0, got {self.f_max}")
+        _check_reals(0, True, spacing=self.spacing, f_max=self.f_max)
+        _check_counts(sample_rate=self.sample_rate)
         limit = half_wavelength_spacing(self.f_max)
         if not self.spacing <= limit * (1.0 + 1e-6):
             raise ValueError(
@@ -142,7 +140,8 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     The second channel is counter-rotated by the per-bin phase of a
     ``kappa``-sample delay and averaged with the first. ``kappa`` is a scalar,
     or one delay per frame for stacked (frames x bins) spectra; any other
-    shape is a ``ValueError``. The rotation is built once per distinct delay.
+    shape, or a delay that is not a finite number, is a ``ValueError``. The
+    rotation is built once per distinct delay.
     """
     frame1 = np.asarray(frame1, dtype=np.complex128)
     frame2 = np.asarray(frame2, dtype=np.complex128)
@@ -156,6 +155,8 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     n_bins = frame1.shape[-1]
     fft_size = 2 * (n_bins - 1)
     values, inverse = np.unique(kappa, return_inverse=True)
+    for value in values.tolist():
+        _check_reals(kappa=value)
     rot = np.exp(2j * np.pi * values[:, None] * np.arange(n_bins) / fft_size)
     rot = rot[inverse.ravel()].reshape(np.shape(kappa) + (n_bins,))
     return 0.5 * (frame1 + rot * frame2)
@@ -196,12 +197,6 @@ def _delay_track(geometry: ArrayGeometry):
     return extend
 
 
-def _fixed_delay(kappa: float | None) -> None:
-    """Check ``kappa`` to be None or finite (ValueError), as :func:`sbw_simo_cancel` takes it."""
-    if kappa is not None and not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
-
-
 def sbw_simo_cancel(
     mixture1: AudioBuffer,
     mixture2: AudioBuffer,
@@ -220,7 +215,8 @@ def sbw_simo_cancel(
     half-wavelength array for 8 kHz at the mixture's sample rate; a given geometry must
     share that rate.
     """
-    _fixed_delay(kappa)
+    if kappa is not None:
+        _check_reals(kappa=kappa)
     if cfg is None:
         cfg = SbwConfig()
     require_matched(mixture1, mixture2, "channels")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, _check_counts
+from .audio import AudioBuffer, _check_counts, _check_reals
 
 #: Overlap-add envelope below this is treated as silence, not divided by.
 _ENVELOPE_FLOOR = 1e-12
@@ -51,13 +51,12 @@ def _kbd(length: int, shape: float) -> np.ndarray:
 def make_window(length: int, shape: float = 4.0) -> np.ndarray:
     """The Kaiser-Bessel-derived (KBD) window of even ``length`` >= 2, a float64 array. It
     is power-complementary (Princen-Bradley), so 50 %-overlap WOLA has a flat envelope.
-    ``shape`` must be >= 0 (4.0 is customary), and one whose window overflows to
-    non-finite values (about 226 and up) is rejected."""
+    ``shape`` must be finite and >= 0 (4.0 is customary), and one whose window overflows
+    to non-finite values (about 226 and up) is rejected."""
     _check_counts(length=length)
     if length < 2 or length % 2 != 0:
         raise ValueError(f"window length must be even and >= 2, got {length}")
-    if not shape >= 0:
-        raise ValueError(f"KBD shape must be >= 0, got {shape}")
+    _check_reals(0, shape=shape)
     with np.errstate(over="ignore", invalid="ignore"):  # np.kaiser overflows
         window = _kbd(length, shape)
     if not np.all(np.isfinite(window)):

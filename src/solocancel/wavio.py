@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _check_counts
 
 _FORMATS = {"pcm16": (1, 2), "pcm24": (1, 3), "float32": (3, 4)}
 
@@ -22,7 +22,9 @@ _FORMATS = {"pcm16": (1, 2), "pcm24": (1, 3), "float32": (3, 4)}
 def write_wav(path, data: np.ndarray, sample_rate: int, fmt: str = "float32"):
     """Write mono (n,) or multichannel (n, ch) float data as a WAV file. A non-finite
     sample, or for ``float32`` one beyond its range, raises ``FloatingPointError``
-    before the file is opened."""
+    before the file is opened; a ``sample_rate`` that is not an integer >= 1,
+    ``ValueError``."""
+    _check_counts(sample_rate=sample_rate)
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be one of {sorted(_FORMATS)}, got {fmt!r}")
     data = np.asarray(data, dtype=np.float64)

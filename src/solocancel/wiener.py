@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, FirFilter, _check_counts, require_matched
+from .audio import AudioBuffer, FirFilter, _check_counts, _check_reals, require_matched
 from .errors import SolverError
 from .stft import _framing, _wola, make_window
 
@@ -52,8 +52,7 @@ class BlockWienerConfig:
             raise ValueError("taps must be smaller than block_size")
         if self.hop > self.block_size:
             raise ValueError("hop must satisfy 0 < hop <= block_size")
-        if not 0 <= self.regularization < np.inf:
-            raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
+        _check_reals(0, regularization=self.regularization)
 
 
 @dataclass
@@ -73,7 +72,7 @@ class MawSsConfig(BlockWienerConfig):
             _, self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window_shape)
         except ValueError as exc:  # named apart from the block hop
             raise ValueError(f"fft_size/fft_hop/window_shape: {exc}") from exc
-        _check_p(self.p)
+        _check_reals(0, True, p=self.p)
 
 
 #: Bytes of packed Cholesky factors, 4 M (M + 1) per block, that
@@ -197,7 +196,9 @@ def block_wiener(
     runs.
     """
     n = len(mixture_block)
-    if taps < 1 or taps >= n:
+    _check_counts(taps=taps)
+    _check_reals(0, regularization=regularization)
+    if taps >= n:
         raise ValueError("need 1 <= taps < block length")
     if len(reference_window) != taps + n - 1:
         raise ValueError(
@@ -265,11 +266,6 @@ def maw_cancel(
     return AudioBuffer(mixture.samples - y.samples, mixture.sample_rate)
 
 
-def _check_p(p: float) -> None:
-    if not 0 < p < np.inf:
-        raise ValueError(f"p must be finite and > 0, got {p}")
-
-
 def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.ndarray:
     """Per-bin magnitude subtraction with half-wave rectification.
 
@@ -277,7 +273,7 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
     kept. Works on single frames or stacks of frames; finite spectra give a finite E. The
     magnitude is clamped to |X|, but E's parts round again: |E| can exceed |X| by an ulp.
     """
-    _check_p(p)
+    _check_reals(0, True, p=p)
     spec_x = np.asarray(spec_x, dtype=np.complex128)
     spec_y = np.asarray(spec_y, dtype=np.complex128)
     if spec_x.shape != spec_y.shape:

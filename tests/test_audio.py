@@ -1,5 +1,8 @@
+import math
+import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import solocancel as sc
 from solocancel import AudioBuffer
+from solocancel.cli import _SimoConfig
 
 FS = 44100
 
@@ -190,3 +194,122 @@ class TestFirFilterApply:
 def test_bad_buffer_or_filter_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _scene_config(**settings):
+    return sc.SceneConfig(AudioBuffer(np.ones(64)), AudioBuffer(np.ones(64)), sc.FirFilter([1.0]),
+                          **settings)
+
+
+_TINY = AudioBuffer(np.zeros(8))
+
+#: Every real-valued setting checked by ``audio._check_reals``: the field its ValueError
+#: names, its bound ("" for finite only) and a call that sets it, all else valid.
+REAL_SETTINGS = {
+    "AncConfig.mu": ("mu", ">= 0", lambda v: sc.AncConfig(taps=4, mu=v)),
+    "LmsState.create.mu": ("mu", ">= 0", lambda v: sc.LmsState.create(4, v)),
+    "SbwConfig.p": ("p", "> 0", lambda v: sc.SbwConfig(p=v)),
+    "SbwConfig.wiener_exponent": ("wiener_exponent", ">= 0",
+                                  lambda v: sc.SbwConfig(wiener_exponent=v)),
+    "SbwConfig.window_shape": ("window_shape", ">= 0", lambda v: sc.SbwConfig(window_shape=v)),
+    "BlockWienerConfig.regularization": ("regularization", ">= 0",
+                                         lambda v: sc.BlockWienerConfig(15, 256, 64, v)),
+    "MawSsConfig.p": ("p", "> 0", lambda v: sc.MawSsConfig(15, 256, 64, p=v)),
+    "MawSsConfig.window_shape": ("window_shape", ">= 0",
+                                 lambda v: sc.MawSsConfig(15, 256, 64, window_shape=v)),
+    "block_wiener.regularization": ("regularization", ">= 0", lambda v: sc.block_wiener(
+        AudioBuffer(np.ones(67)), AudioBuffer(np.ones(64)), 4, v)),
+    "spectral_subtract.p": ("p", "> 0", lambda v: sc.spectral_subtract(np.ones(3), np.ones(3), v)),
+    "make_window.shape": ("shape", ">= 0", lambda v: sc.make_window(64, v)),
+    "make_partition.sample_rate": ("sample_rate", "> 0", lambda v: sc.make_partition(256, v)),
+    "rtf.elapsed": ("elapsed", ">= 0", lambda v: sc.rtf(v, 1.0)),
+    "rtf.duration": ("duration", "> 0", lambda v: sc.rtf(0.5, v)),
+    "ArrayGeometry.spacing": ("spacing", "> 0", lambda v: sc.ArrayGeometry(v)),
+    "ArrayGeometry.f_max": ("f_max", "> 0", lambda v: sc.ArrayGeometry(0.01, v)),
+    "sbw_simo_cancel.kappa": ("kappa", "", lambda v: sc.sbw_simo_cancel(
+        _TINY, _TINY, _TINY, None, None, v)),
+    "mrc_combine.kappa": ("kappa", "", lambda v: sc.mrc_combine(
+        np.ones(5, complex), np.ones(5, complex), v)),
+    "_SimoConfig.spacing": ("spacing", "> 0", lambda v: _SimoConfig(spacing=v)),
+    "_SimoConfig.f_max": ("f_max", "> 0", lambda v: _SimoConfig(spacing=0.01, f_max=v)),
+    "_SimoConfig.kappa": ("kappa", "", lambda v: _SimoConfig(spacing=0.0214, kappa=v)),
+    "make_mic_ir.rt_ms": ("rt_ms", "> 0", lambda v: sc.make_mic_ir(v)),
+    "fractional_delay.delay": ("delay", "", lambda v: sc.fractional_delay(np.ones(4), v)),
+    "SidoLayout.spacing": ("spacing", "> 0", lambda v: sc.SidoLayout(v, 0.0)),
+    "SidoLayout.f_max": ("f_max", "> 0", lambda v: sc.SidoLayout(0.01, 0.0, f_max=v)),
+    "SidoLayout.solo_angle_deg": ("solo_angle_deg", "", lambda v: sc.SidoLayout(0.01, v)),
+    "SidoLayout.accomp_angle_deg": ("accomp_angle_deg", "", lambda v: sc.SidoLayout(0.01, 0.0, v)),
+    "SceneConfig.channel_delay": ("channel_delay", ">= 0",
+                                  lambda v: _scene_config(channel_delay=v)),
+    "SceneConfig.level_diff_db": ("level_diff_db", "", lambda v: _scene_config(level_diff_db=v)),
+    "SceneConfig.accompaniment_gain": ("accompaniment_gain", ">= 0", lambda v: _scene_config(
+        level_diff_db=None, accompaniment_gain=v)),
+    "noise_plus_tones.duration": ("duration", "", lambda v: sc.noise_plus_tones(v)),
+    "broadband_accompaniment.duration": ("duration", "",
+                                         lambda v: sc.broadband_accompaniment(v)),
+}
+
+#: Settings where None is a value: no fixed delay, or no level difference or gain given.
+_NONE_ALLOWED = ("sbw_simo_cancel.kappa", "_SimoConfig.kappa", "SceneConfig.level_diff_db",
+                 "SceneConfig.accompaniment_gain")
+
+#: The value just outside each bound.
+_OUTSIDE = {"": -math.inf, ">= 0": math.nextafter(0.0, -1.0), "> 0": 0.0}
+
+
+@pytest.mark.parametrize("setting,bad", [
+    pytest.param(setting, bad, id=f"{setting}-{name}")
+    for setting in REAL_SETTINGS
+    for name, bad in {"str": "1", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
+                      "10**400": 10**400, "outside": "outside"}.items()
+    if not (bad is None and setting in _NONE_ALLOWED)
+])
+def test_real_setting_rejected_by_the_rule(setting, bad):
+    # a ValueError naming the field, never a TypeError, a warning or an accepted value
+    field, bound, build = REAL_SETTINGS[setting]
+    bad = _OUTSIDE[bound] if bad == "outside" else bad
+    rule = f"must be finite{bound and ' and ' + bound}, got {bad!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{field}\b.*{re.escape(rule)}$"):
+            build(bad)
+
+
+#: The counts given ``audio._check_counts`` besides the configs' fields: the name its
+#: ValueError gives and a call that sets it, all else valid.
+COUNT_SETTINGS = {
+    "AudioBuffer.sample_rate": ("sample_rate", lambda v: AudioBuffer(np.zeros(4), v)),
+    "make_partition.fft_size": ("fft_size", lambda v: sc.make_partition(v, 44100)),
+    "block_wiener.taps": ("taps", lambda v: sc.block_wiener(
+        AudioBuffer(np.ones(65)), AudioBuffer(np.ones(64)), v)),
+    "fit_whitener.order": ("order", lambda v: sc.fit_whitener(AudioBuffer(np.ones(100)), v)),
+    "LmsState.create.taps": ("taps", lambda v: sc.LmsState.create(v, 0.1)),
+    "make_mic_ir.length": ("length", lambda v: sc.make_mic_ir(length=v)),
+    "make_mic_ir.sample_rate": ("sample_rate", lambda v: sc.make_mic_ir(sample_rate=v)),
+    "ArrayGeometry.sample_rate": ("sample_rate", lambda v: sc.ArrayGeometry(0.01, sample_rate=v)),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, 44100.5, math.nan, math.inf, True, None, "1"])
+@pytest.mark.parametrize("setting", list(COUNT_SETTINGS))
+def test_count_rejected_by_the_rule(setting, bad):
+    name, build = COUNT_SETTINGS[setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = f"{name} must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            build(bad)
+
+
+@pytest.mark.parametrize("rate", [0, 44100.5, math.nan])
+def test_write_wav_rate_checked_before_the_file_opens(rate, tmp_path):
+    # 44100.5 raised struct.error, which the CLI does not handle; 0 wrote a 0-Hz file
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=rf"^sample_rate must be an integer >= 1, got {rate!r}$"):
+        sc.write_wav(path, np.zeros(4), rate)
+    assert not path.exists()
+
+
+def test_numpy_scalars_are_reals():
+    assert sc.AncConfig(taps=4, mu=np.float32(0.5)).mu == 0.5
+    assert sc.SbwConfig(p=np.float64(2.0), wiener_exponent=np.int64(0)).p == 2.0

@@ -233,12 +233,14 @@ class TestSimulate:
         data, _ = read_wav(out / "mixture.wav")
         assert data.ndim == 2 and data.shape[1] == 2
 
-    def test_sido_zero_spacing_rejected(self, tmp_path):
+    def test_sido_zero_spacing_rejected(self, tmp_path, capsys):
+        # checked before the scene's f_max divides by the spacing
         out = tmp_path / "flat"
         assert run_cli(
             "simulate", "--duration", "0.5", "--sido", "--spacing", "0", "--out-dir", str(out),
         ) == EXIT_BAD_ARGS
-        assert not (out / "mixture.wav").exists()
+        assert "spacing must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--gain", "nan"), ("--gain", "inf"), ("--level-diff", "nan"), ("--level-diff", "inf"),
@@ -518,7 +520,7 @@ class TestCancelEvaluate:
         est = tmp_path / "est.wav"
         code = run_cli("cancel", "--algo", algorithm, str(empty), str(empty), str(est))
         assert code == EXIT_BAD_ARGS
-        assert "duration must be positive" in capsys.readouterr().err
+        assert "duration must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not est.exists()
 
     def test_one_channel_canceller_cancels_channel_1(self, tmp_path):

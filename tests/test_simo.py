@@ -138,14 +138,13 @@ class TestGeometry:
 
     @pytest.mark.parametrize("f_max", [np.nan, 0.0, -8000.0])
     def test_bad_f_max_rejected(self, f_max):
-        with pytest.raises(ValueError, match=rf"^f_max must be > 0, got {f_max}$"):
+        with pytest.raises(ValueError, match=rf"^f_max must be finite and > 0, got {f_max}$"):
             ArrayGeometry(spacing=0.01, f_max=f_max)
 
     @pytest.mark.parametrize("spacing", [np.nan, 0.0, -0.02])
     def test_layout_names_its_bad_spacing(self, spacing):
-        layout = SidoLayout(spacing=spacing, solo_angle_deg=0.0)
         with pytest.raises(ValueError, match=rf"^spacing must be finite and > 0, got {spacing}$"):
-            layout.geometry(44100)
+            SidoLayout(spacing=spacing, solo_angle_deg=0.0)  # at construction, not in geometry()
 
     def test_angle_delay_round_trip(self):
         geo = geometry()
@@ -345,12 +344,17 @@ class TestMrcCombine:
     )
     def test_matches_row_by_row_rotation(self, n_bins, kappas, seed):
         # Few distinct delays among many frames, as on a take: repeated values,
-        # one value, NaN and signed zeros.
+        # one value, NaN and signed zeros. A NaN delay is rejected, not spread over its frame.
         rng = np.random.default_rng(seed)
         shape = (len(kappas), n_bins)
         e1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         e2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         kappa = np.array(kappas)
+        if np.isnan(kappa).any():
+            for delay in (kappa, np.nan):
+                with pytest.raises(ValueError, match=r"^kappa must be finite, got nan$"):
+                    mrc_combine(e1, e2, delay)
+            return
         assert mrc_combine(e1, e2, kappa).tobytes() == loop_mrc_combine(e1, e2, kappa).tobytes()
         same = np.full(len(kappas), kappas[0])
         assert mrc_combine(e1, e2, same).tobytes() == loop_mrc_combine(e1, e2, same).tobytes()
@@ -359,6 +363,13 @@ class TestMrcCombine:
         assert got.shape == (n_bins,)
         assert got.tobytes() == loop_mrc_combine(e1[0], e2[0], kappas[0]).tobytes()
         assert mrc_combine(e1, e2, kappas[0]).tobytes() == loop_mrc_combine(e1, e2, same).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_per_frame_rejected(self, bad):
+        # a NaN or inf delay would make its frame's spectrum NaN
+        e = np.ones((3, 65), dtype=complex)
+        with pytest.raises(ValueError, match=rf"^kappa must be finite, got {bad}$"):
+            mrc_combine(e, e, np.array([0.5, bad, 0.5]))
 
     def test_one_delay_on_one_frame_rejected(self):
         e1 = np.ones(2049, dtype=complex)

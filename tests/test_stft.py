@@ -64,10 +64,14 @@ class TestMakeWindow:
         with pytest.raises(ValueError):
             make_window(64, np.nan)
 
-    @pytest.mark.parametrize("shape", [226.0, 300.0, np.inf])
-    def test_shape_with_non_finite_window_rejected(self, shape):
+    @pytest.mark.parametrize("shape,message", [
+        (226.0, "non-finite window"),
+        (300.0, "non-finite window"),
+        (np.inf, r"^shape must be finite and >= 0, got inf$"),  # the rule's, before any window
+    ], ids=["226.0", "300.0", "inf"])
+    def test_shape_with_non_finite_window_rejected(self, shape, message):
         # np.kaiser overflows from about 226 up; that window would zero every estimate
-        with pytest.raises(ValueError, match="non-finite window"):
+        with pytest.raises(ValueError, match=message):
             make_window(4096, shape)
         assert np.all(np.isfinite(make_window(4096, 225.0)))
 
