@@ -18,7 +18,6 @@ import numpy as np
 
 from .anc import AncConfig, anc_cancel
 from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
-from .erb import make_partition
 from .errors import NoSignalError, SolverError
 from .metrics import measure, rtf
 from .sbw import SbwConfig, sbw_cancel
@@ -279,9 +278,8 @@ def _cmd_cancel(args) -> int:
 def _cmd_evaluate(args) -> int:
     est = read_mono(args.estimate)
     ref = read_mono(args.reference_solo)
-    partition = make_partition(args.fft_size, est.sample_rate, args.bands)
     report = measure(
-        est, ref, block_size=args.block_size, partition=partition, fft_size=args.fft_size,
+        est, ref, block_size=args.block_size, num_bands=args.bands, fft_size=args.fft_size,
         hop=args.hop, elapsed=args.elapsed,
     )
     print(report.summary())

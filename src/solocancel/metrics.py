@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
-from .erb import ErbPartition, make_partition
+from .erb import make_partition
 from .errors import NoSignalError
-from .stft import _framing, _hop, _map_blocks, _num_frames
+from .stft import _hop, _map_blocks, _num_frames, make_window
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
@@ -43,7 +43,7 @@ def rmsd(
 def snrf(
     estimate: AudioBuffer,
     ref_solo: AudioBuffer,
-    partition: ErbPartition | None = None,
+    num_bands: int = 39,
     fft_size: int = 4096,
     hop: int | None = None,
 ) -> float:
@@ -54,15 +54,13 @@ def snrf(
     difference. Each cell's ratio is clamped to +-100 dB, cells with zero
     signal power are skipped, and the kept cells are averaged. Segments are
     KBD(4)-windowed, ``fft_size`` long, ``hop`` apart (None: half of
-    ``fft_size``). ``partition`` None is ``make_partition(fft_size, rate)``:
-    39 bands up to 16 kHz, or up to Nyquist below 32 kHz.
+    ``fft_size``). The bands are ``make_partition(fft_size, rate, num_bands)``'s: up to
+    16 kHz, or up to Nyquist below 32 kHz.
     """
     require_matched(estimate, ref_solo)
-    window, hop = _framing(fft_size, hop)
-    if partition is None:
-        partition = make_partition(fft_size, estimate.sample_rate)
-    if partition.num_bins != fft_size // 2 + 1:
-        raise ValueError(f"partition of {partition.num_bins} bins does not fit fft_size {fft_size}")
+    partition = make_partition(fft_size, estimate.sample_rate, num_bands)
+    window = make_window(fft_size)
+    hop = _hop(fft_size, hop)
 
     def band_powers(est, ref):
         mag_est, mag_ref = np.abs(est), np.abs(ref)
@@ -109,13 +107,8 @@ class MetricsReport:
         if self.rtf is not None:
             lines.append(f"RTF  : {self.rtf:8.3f}")
         if self.params:
-            lines.append(
-                "(block_size={block_size}, segments={segments}, bands={num_bands})".format(
-                    block_size=self.params.get("block_size", "?"),
-                    segments=self.params.get("segments", "?"),
-                    num_bands=self.params.get("num_bands", "?"),
-                )
-            )
+            lines.append("(block_size={block_size}, segments={segments}, bands={num_bands})"
+                         .format(**self.params))
         return "\n".join(lines)
 
 
@@ -123,25 +116,21 @@ def measure(
     estimate: AudioBuffer,
     ref_solo: AudioBuffer,
     block_size: int = 1024,
-    partition: ErbPartition | None = None,
+    num_bands: int = 39,
     fft_size: int = 4096,
     hop: int | None = None,
     elapsed: float | None = None,
 ) -> MetricsReport:
-    """Evaluate an estimate against the recorded-solo ground truth; the SNRF and
-    its ``partition`` None are :func:`snrf`'s, so ``hop`` None is half of ``fft_size``."""
-    rmsd_db = rmsd(estimate, ref_solo, block_size)
-    if partition is None:
-        partition = make_partition(fft_size, estimate.sample_rate)
-    hop = _hop(fft_size, hop)
-    snrf_db = snrf(estimate, ref_solo, partition, fft_size, hop)
+    """Evaluate an estimate against the recorded-solo ground truth. The SNRF is :func:`snrf`'s,
+    so ``hop`` None is half of ``fft_size``; the report gives the band count realized."""
+    bands = make_partition(fft_size, estimate.sample_rate, num_bands).num_bands
     return MetricsReport(
-        rmsd_db=rmsd_db,
-        snrf_db=snrf_db,
+        rmsd_db=rmsd(estimate, ref_solo, block_size),
+        snrf_db=snrf(estimate, ref_solo, num_bands, fft_size, hop),
         rtf=None if elapsed is None else rtf(elapsed, estimate.duration),
         params={
             "block_size": block_size,
-            "segments": _num_frames(len(estimate), fft_size, hop),
-            "num_bands": partition.num_bands,
+            "segments": _num_frames(len(estimate), fft_size, _hop(fft_size, hop)),
+            "num_bands": bands,
         },
     )

@@ -47,7 +47,7 @@ class SbwConfig:
     def __post_init__(self):
         _check_counts(num_bands=self.num_bands)
         try:
-            _, self.hop = _framing(self.fft_size, self.hop, self.window_shape)
+            self.hop = _framing(self.fft_size, self.hop, self.window_shape)
         except ValueError as exc:
             raise ValueError(f"fft_size/hop/window_shape: {exc}") from exc
         _check_reals(0, True, p=self.p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +213,10 @@ def calibrate_latency(recorded: AudioBuffer, reference: AudioBuffer, max_lag: in
     Searches non-negative lags up to ``max_lag``; intended for measuring the
     playback-to-capture offset from an accompaniment-only calibration take.
     """
-    if max_lag < 0 or max_lag >= min(len(recorded), len(reference)):
-        raise ValueError("max_lag must satisfy 0 <= max_lag < min length")
+    last = min(len(recorded), len(reference)) - 1
+    integral = isinstance(max_lag, numbers.Integral) and not isinstance(max_lag, bool)
+    if not (integral and 0 <= max_lag <= last):
+        raise ValueError(f"max_lag must be an integer from 0 to {last}, got {max_lag!r}")
     if not np.any(recorded.samples) or not np.any(reference.samples):
         raise NoSignalError("cannot calibrate on silent audio")
     import scipy.signal  # here, not at the top: importing it dominates package start-up

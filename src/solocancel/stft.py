@@ -52,16 +52,10 @@ def make_window(length: int, shape: float = 4.0) -> np.ndarray:
     """The Kaiser-Bessel-derived (KBD) window of even ``length`` >= 2, a float64 array. It
     is power-complementary (Princen-Bradley), so 50 %-overlap WOLA has a flat envelope.
     ``shape`` must be finite and >= 0 (4.0 is customary), and one whose window overflows
-    to non-finite values (about 226 and up) is rejected."""
+    to non-finite values (about 226 and up) is rejected; the checks are :func:`_framing`'s."""
     _check_counts(length=length)
-    if length < 2 or length % 2 != 0:
-        raise ValueError(f"window length must be even and >= 2, got {length}")
-    _check_reals(0, shape=shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # np.kaiser overflows
-        window = _kbd(length, shape)
-    if not np.all(np.isfinite(window)):
-        raise ValueError(f"KBD shape {shape} gives a non-finite window")
-    return window
+    _framing(length, None, shape)
+    return _kbd(length, shape)
 
 
 def _hop(fft_size: int, hop: int | None) -> int:
@@ -75,11 +69,18 @@ def _hop(fft_size: int, hop: int | None) -> int:
     return hop
 
 
-def _framing(fft_size: int, hop: int | None, shape: float = 4.0) -> tuple[np.ndarray, int]:
-    """The package's one framing rule: the KBD window of ``fft_size`` samples and
-    ``shape`` (:func:`make_window`), and the hop by :func:`_hop`."""
+def _framing(fft_size: int, hop: int | None, shape: float = 4.0) -> int:
+    """The package's one framing rule, checked without building the window: an even
+    ``fft_size`` >= 2, a KBD ``shape`` whose window is finite (exactly when I0(pi * shape),
+    which ``np.kaiser`` divides by, does not overflow), and the hop by :func:`_hop`, returned."""
     _check_counts(fft_size=fft_size)
-    return make_window(fft_size, shape), _hop(fft_size, hop)
+    if fft_size < 2 or fft_size % 2 != 0:
+        raise ValueError(f"window length must be even and >= 2, got {fft_size}")
+    _check_reals(0, shape=shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.i0 overflows in exp(x) / sqrt(x)
+        if not np.isfinite(np.i0(np.pi * shape)):
+            raise ValueError(f"KBD shape {shape} gives a non-finite window")
+    return _hop(fft_size, hop)
 
 
 @dataclass
@@ -104,6 +105,7 @@ class SpectralFrameSeq:
         if self.frames.shape[1] != self.fft_size // 2 + 1:
             raise ValueError("frame length inconsistent with the window length")
         self.hop = _hop(self.fft_size, self.hop)
+        _check_counts(sample_rate=self.sample_rate)
 
     @property
     def fft_size(self) -> int:

@@ -69,7 +69,7 @@ class MawSsConfig(BlockWienerConfig):
     def __post_init__(self):
         super().__post_init__()
         try:
-            _, self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window_shape)
+            self.fft_hop = _framing(self.fft_size, self.fft_hop, self.window_shape)
         except ValueError as exc:  # named apart from the block hop
             raise ValueError(f"fft_size/fft_hop/window_shape: {exc}") from exc
         _check_reals(0, True, p=self.p)
@@ -196,10 +196,7 @@ def block_wiener(
     runs.
     """
     n = len(mixture_block)
-    _check_counts(taps=taps)
-    _check_reals(0, regularization=regularization)
-    if taps >= n:
-        raise ValueError("need 1 <= taps < block length")
+    BlockWienerConfig(taps, n, n, regularization)  # taps and regularization by its rules
     if len(reference_window) != taps + n - 1:
         raise ValueError(
             f"reference window must hold taps + N - 1 = {taps + n - 1} samples, "

@@ -287,6 +287,10 @@ COUNT_SETTINGS = {
     "make_mic_ir.length": ("length", lambda v: sc.make_mic_ir(length=v)),
     "make_mic_ir.sample_rate": ("sample_rate", lambda v: sc.make_mic_ir(sample_rate=v)),
     "ArrayGeometry.sample_rate": ("sample_rate", lambda v: sc.ArrayGeometry(0.01, sample_rate=v)),
+    "SpectralFrameSeq.sample_rate": ("sample_rate", lambda v: sc.SpectralFrameSeq(
+        np.zeros((1, 9)), 16, v, sc.make_window(16))),
+    "snrf.num_bands": ("num_bands", lambda v: sc.snrf(_TINY, _TINY, v, 256)),
+    "measure.num_bands": ("num_bands", lambda v: sc.measure(_TINY, _TINY, 256, v, 256)),
 }
 
 

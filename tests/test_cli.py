@@ -10,7 +10,7 @@ import scipy.io.wavfile
 
 from solocancel import (
     AncConfig, ArrayGeometry, AudioBuffer, BlockWienerConfig, MawSsConfig, SbwConfig,
-    make_partition, measure, read_channels, read_mono, write_wav,
+    measure, read_channels, read_mono, write_wav,
 )
 from solocancel import cli
 from solocancel.cli import (
@@ -386,7 +386,7 @@ class TestCancelEvaluate:
         csv_path = tmp_path / "m.csv"
         assert run_cli("evaluate", str(est), str(ref), "--csv", str(csv_path), *timing,
                        "--bands", "16", "--fft-size", "1024") == 0
-        rep = measure(read_mono(est), read_mono(ref), partition=make_partition(1024, 44100, 16),
+        rep = measure(read_mono(est), read_mono(ref), num_bands=16,
                       fft_size=1024, elapsed=0.5 if timing else None)
         rtf = f"{rep.rtf:.6f}" if timing else ""
         assert csv_path.read_text() == (

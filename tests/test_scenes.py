@@ -452,6 +452,19 @@ class TestCalibrateLatency:
         with pytest.raises(ValueError):
             calibrate_latency(x, x, 100)
 
+    @pytest.mark.parametrize("max_lag", [2.5, True, np.nan, "1", -1, 2.0])
+    def test_max_lag_that_is_no_integer_rejected(self, max_lag):
+        # 2.5 was a TypeError from slicing, and True a lag of 1
+        x = AudioBuffer(np.ones(100))
+        with pytest.raises(ValueError, match=r"^max_lag must be an integer from 0 to 99, got "):
+            calibrate_latency(x, x, max_lag)
+
+    @pytest.mark.parametrize("max_lag", [0, np.int64(0), np.int32(5)])
+    def test_zero_and_numpy_integer_max_lag_accepted(self, max_lag):
+        rng = np.random.default_rng(3)
+        x = AudioBuffer(rng.standard_normal(100))
+        assert calibrate_latency(x, x.copy(), max_lag) == 0
+
 
 class TestGenerators:
     def test_solo_deterministic_and_normalized(self):

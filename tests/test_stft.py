@@ -1,8 +1,22 @@
+import importlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from solocancel import AudioBuffer, istft, make_window, stft
+from solocancel import (
+    AudioBuffer, MawSsConfig, SbwConfig, istft, make_window, maw_ss_cancel, sbw_cancel,
+    sbw_simo_cancel, snrf, stft,
+)
 from solocancel.stft import SpectralFrameSeq
+
+# The module, which the package's ``stft`` function shadows as an attribute.
+stft_module = importlib.import_module("solocancel.stft")
+
+#: The least KBD shape whose window is non-finite: I0(pi * shape) overflows from here.
+KBD_EDGE = 225.93085455631527
 
 
 def kbd_reference(length, shape):
@@ -74,6 +88,50 @@ class TestMakeWindow:
         with pytest.raises(ValueError, match=message):
             make_window(4096, shape)
         assert np.all(np.isfinite(make_window(4096, 225.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(half=st.integers(1, 4096), shape=st.floats(0.0, 300.0))
+    @example(half=1, shape=KBD_EDGE)
+    @example(half=1, shape=np.nextafter(KBD_EDGE, 0.0))
+    @example(half=2048, shape=np.nextafter(KBD_EDGE, 0.0))
+    @example(half=2048, shape=KBD_EDGE)
+    @example(half=4096, shape=np.nextafter(KBD_EDGE, np.inf))
+    @example(half=4096, shape=np.nextafter(KBD_EDGE, 0.0))
+    def test_rejected_exactly_when_the_window_is_not_finite(self, half, shape):
+        # the shape rule is one scalar test; this holds it to the window np.kaiser builds
+        length = 2 * half
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(stft_module._kbd(length, shape)).all()
+        if finite:
+            assert np.array_equal(make_window(length, shape), stft_module._kbd(length, shape))
+        else:
+            rule = f"KBD shape {shape} gives a non-finite window"
+            with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+                make_window(length, shape)
+
+
+def test_configs_build_no_window(monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a config built a window to check its settings")
+
+    monkeypatch.setattr(stft_module, "_kbd", no_window)
+    SbwConfig()
+    SbwConfig(window_shape=6)
+    MawSsConfig(16, 1024, 100, window_shape=6)
+
+
+@pytest.mark.parametrize("run", [
+    lambda x: sbw_cancel(x, x, SbwConfig(fft_size=256)),
+    lambda x: sbw_simo_cancel(x, x, x, SbwConfig(fft_size=256), kappa=0.0),
+    lambda x: maw_ss_cancel(x, x, MawSsConfig(8, 256, 128, fft_size=256)),
+    lambda x: snrf(x, x, fft_size=256),
+], ids=["sbw", "sbw-simo", "maw-ss", "snrf"])
+def test_one_window_per_call(run, monkeypatch):
+    built = []
+    kbd = stft_module._kbd
+    monkeypatch.setattr(stft_module, "_kbd", lambda *args: built.append(args) or kbd(*args))
+    run(AudioBuffer(np.random.default_rng(5).standard_normal(2048)))
+    assert len(built) == 1
 
 
 class TestStft:
