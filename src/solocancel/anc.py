@@ -259,11 +259,14 @@ def anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig) -> 
             d = np.zeros(block)
             d[:live] = x[k0 : k0 + live] - np.correlate(v[: live + m - 1], w, "valid")
             b = gram.weighted(u, v, g)
-            h = -(carry @ ep[k0 : k0 + p])
             # (I + B A) e = d + B h, the unit diagonal implied; read in Fortran order the
             # C-ordered B A is its transpose, so solve with that one transposed.
-            e = blas.dtrsv((b @ lower).T, d + b @ h, lower=0, trans=1, diag=1)
-            e_u = lower @ e - h
+            if pw:
+                h = -(carry @ ep[k0 : k0 + p])
+                e = blas.dtrsv((b @ lower).T, d + b @ h, lower=0, trans=1, diag=1)
+                e_u = lower @ e - h
+            else:  # A = I and h = 0; adding 0.0 turns a -0 of d into +0, as B h did
+                e = e_u = blas.dtrsv(b.T, d + 0.0, lower=0, trans=1, diag=1)
             ep[p + k0 : p + k0 + live] = e[:live]
             w += np.correlate(u[: live + m - 1], g[:live] * e_u[:live], "valid")
     out = ep[p:]

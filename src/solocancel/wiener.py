@@ -85,13 +85,15 @@ _STACK_BYTES = 16 * 2**20
 #   u' = ch (c1 u + s1 e) - sh (c2 v + s2 l),   e' = c1 e - s1 u,
 #   v' = ch (c2 v + s2 l) - sh (c1 u + s1 e),   l' = c2 l - s2 v,
 # with (c1, s1) and (c2, s2) the Givens rotations that zero the top of e and of l
-# and (ch, sh) the hyperbolic rotation that zeroes the top of v. The rows of that
-# 4 x 4 matrix are gathered from (ch, -sh) and (c1, s1, c2, s2) by these indices.
-_HYPERBOLIC = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])  # rows u', v'
-_GIVENS = np.array([1, 0, 3, 2])  # rows e', l', times the signs below
-_GIVENS_SIGNS = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
-_DIFF_SUM = np.array([[1.0, 1.0], [-1.0, 1.0]])
-_PLUS_MINUS = np.array([1.0, -1.0])
+# and (ch, sh) the hyperbolic rotation that zeroes the top of v. Each entry of that
+# 4 x 4 matrix is the product of two entries of the row [ch, -sh, 1, -1, 0, c1, s1,
+# c2, s2], gathered by these indices.
+_THETA = np.array([
+    [[0, 0, 1, 1], [3, 2, 4, 4], [1, 1, 0, 0], [4, 4, 3, 2]],
+    [[5, 6, 7, 8], [6, 5, 8, 7], [5, 6, 7, 8], [6, 5, 8, 7]],
+])
+# |(u, e)| and |(v, l)| to their difference and sum, |(u, e)| and -|(v, l)|
+_HYPERBOLIC = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 1.0, 0.0, -1.0]])
 
 
 def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: float) -> np.ndarray:
@@ -151,24 +153,28 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     gen[silent] = 0.0
     gen[silent, 0, 0] = 1.0  # the generator of I: no NaN, and no solve below
     factor = np.empty((count, taps * (taps + 1) // 2))  # L, column-major packed
-    theta = np.empty((count, 4, 4))
-    uv_rows, el_rows = theta[:, ::2], theta[:, 1::2]
+    spare = np.empty_like(gen)  # each step's rotated generator, apart from its operand
+    row = np.zeros((count, 9))
+    row[:, 2:4] = 1.0, -1.0
+    rot = row[:, 5:].reshape(count, 2, 2)  # (c1, s1), (c2, s2)
     start = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # singular blocks and zero pairs
         gen[:, 0] /= np.sqrt(gen[:, 0, :1])
         gen[:, 2, 1:] = gen[:, 0, 1:]
         for k in range(taps):
-            top = gen[:, :, k]
-            norm = np.hypot(top[:, ::2], top[:, 1::2])  # |(u, e)|, |(v, l)|
-            rot = top / norm.repeat(2, axis=1)  # c1, s1, c2, s2
+            top = gen[:, :, k].reshape(count, 2, 2)  # (u, e), (v, l)
+            norm = np.hypot(top[:, :, 0], top[:, :, 1])
+            np.divide(top, norm[:, :, None], out=rot)
             # a zero pair needs no rotation, so any will do: 0/0 becomes 45 degrees
             np.copyto(rot, 0.5**0.5, where=rot != rot)
-            diff_sum = norm @ _DIFF_SUM  # |(u, e)| -+ |(v, l)|
-            # ch and -sh: 1 and -rho over sqrt(1 - rho^2)
-            hyp = norm * _PLUS_MINUS / np.sqrt(diff_sum[:, :1] * diff_sum[:, 1:])
-            np.multiply(hyp[:, _HYPERBOLIC], rot[:, None, :], out=uv_rows)
-            np.multiply(rot[:, None, _GIVENS], _GIVENS_SIGNS, out=el_rows)
-            np.matmul(theta, gen[:, :, k:], out=gen[:, :, k:])
+            # ch and -sh: 1 and -rho over sqrt(1 - rho^2). Where |(v, l)| is 0 the
+            # product gives +0 for -sh, not -0; theta only enters the matmul below,
+            # whose sums start from +0, so the generator keeps its bytes.
+            terms = norm @ _HYPERBOLIC
+            np.divide(terms[:, 2:], np.sqrt(terms[:, :1] * terms[:, 1:2]), out=row[:, :2])
+            theta = row.take(_THETA, axis=1)
+            np.matmul(theta[:, 0] * theta[:, 1], gen[:, :, k:], out=spare[:, :, k:])
+            gen, spare = spare, gen
             factor[:, start : start + taps - k] = gen[:, 0, k:]
             gen[:, 0, k + 1 :] = gen[:, 0, k:-1]  # shift u down one row
             start += taps - k

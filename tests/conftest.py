@@ -7,6 +7,14 @@ so a run leaves no ``.hypothesis/`` directory in the checkout. Per-test
 ``@settings`` still set example counts and deadlines; they inherit these two
 fields from the profile.
 
+Hypothesis imports its patch writer, ``hypothesis.extra._patching``, when it
+reports a failing example. That module imports ``libcst``, whose use of
+``mypy_extensions.TypedDict`` raises a DeprecationWarning, and under
+``-W error::DeprecationWarning`` the late import ends the session in an
+INTERNALERROR that names no failing test. So it is imported here, with
+DeprecationWarning ignored for that one import; the package's own warnings
+stay errors.
+
 The ``fresh_python`` fixture runs code in a new interpreter, for tests of what
 a process loads on start-up.
 """
@@ -15,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,6 +33,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "solocancel-hypothesis")
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst Hypothesis writes no patch
+        pass
 
 
 @pytest.fixture

@@ -363,6 +363,22 @@ class TestAncCancel:
         assert np.array_equal(plain.samples, whitened.samples)
         assert plain.samples.tobytes() == whitened.samples.tobytes()
 
+    def test_negative_zero_samples_keep_the_whitened_paths_bytes(self):
+        # Without a whitener the block solve skips B h, whose zero sum turned a -0 of
+        # d into +0; the plain path keeps the identity-whitened path's bytes anyway.
+        rng = np.random.default_rng(11)
+        n = 700
+        ref = rng.standard_normal(n)
+        ref[:100] = 0.0
+        mix = np.convolve(ref, [0.3, 0.1])[:n]
+        mix[:200] = -0.0
+        plain, whitened = (
+            anc_cancel(AudioBuffer(mix), AudioBuffer(ref),
+                       AncConfig(taps=16, mu=0.5, prewhiten=pw, refresh_interval=n + 1))
+            for pw in (False, True)
+        )
+        assert plain.samples.tobytes() == whitened.samples.tobytes()
+
     def test_prewhitening_speeds_convergence_on_colored_reference(self):
         rng = np.random.default_rng(11)
         n = 120_000

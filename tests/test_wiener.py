@@ -108,6 +108,112 @@ def cholesky_solve_block(
     return w if np.ndim(block) == 2 else w[0]
 
 
+# Oracle for the step loop of ``wiener._solve_block``: the solve as it was before its
+# steps wrote into a second generator buffer and built each rotation in fewer calls,
+# kept verbatim with its rotation constants. The two must give the same bytes.
+
+# Each Schur step maps the generator rows (u, e, v, l) to
+#   u' = ch (c1 u + s1 e) - sh (c2 v + s2 l),   e' = c1 e - s1 u,
+#   v' = ch (c2 v + s2 l) - sh (c1 u + s1 e),   l' = c2 l - s2 v,
+# with (c1, s1) and (c2, s2) the Givens rotations that zero the top of e and of l
+# and (ch, sh) the hyperbolic rotation that zeroes the top of v. The rows of that
+# 4 x 4 matrix are gathered from (ch, -sh) and (c1, s1, c2, s2) by these indices.
+_HYPERBOLIC = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])  # rows u', v'
+_GIVENS = np.array([1, 0, 3, 2])  # rows e', l', times the signs below
+_GIVENS_SIGNS = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
+_DIFF_SUM = np.array([[1.0, 1.0], [-1.0, 1.0]])
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def schur_solve_block(
+    ref_window: np.ndarray, block: np.ndarray, taps: int, reg: float
+) -> np.ndarray:
+    """Wiener-Hopf solve on one block, or on a stack of blocks.
+
+    ``ref_window`` holds the M + N - 1 reference samples ending with the
+    block; returns the M optimal taps. A silent reference window yields the
+    zero filter (the normal equations vanish identically). Windows and blocks
+    stacked on a leading axis give one row of taps per block; a singular
+    block anywhere in the stack raises ``SolverError``.
+
+    With s = ``ref_window`` and a = M - 1, R[i, j] = sum_t s[a+t-i] s[a+t-j]
+    over the N block samples t; the 1/N of the sample moments cancels from
+    the normal equations, so it is left out. Column 0 of R and p are
+    correlations of s with the in-block segment s[a:a+N] and with the block.
+    R is Toeplitz-like: with Z the down-shift, R - Z R Z^T = G J G^T for the
+    M x 4 generator G = [u, e, v, l] and J = diag(1, 1, -1, -1), where
+    u = R[:, 0] / sqrt(R[0, 0]), v is u with v[0] = 0, e[i] = s[a-i] and
+    l[i] = s[a-i+N] for i >= 1, and e[0] = l[0] = 0. Loading R by lambda I
+    adds lambda to R[0, 0] alone, since I - Z Z^T = diag(1, 0, ..., 0).
+
+    The generalized Schur algorithm (Kailath & Sayed 1995) turns G into the
+    Cholesky factor L of R = L L^T in O(M^2). At step k, Givens rotations on
+    (u, e) and (v, l) and a hyperbolic rotation on (u, v), one J-unitary
+    4 x 4 matrix, bring the generator's top row to (d, 0, 0, 0). The rotated
+    u is column k of L; u shifted down one row, with e, v and l, generates
+    the Schur complement. The hyperbolic rotation needs
+    rho = |(v, l)| / |(u, e)| < 1, which holds at every step exactly when R is
+    positive definite. A block where rho reaches 1 or is not finite leaves a
+    non-positive or non-finite pivot in L and raises ``SolverError``.
+    Chandrasekaran & Sayed (1996) analyse the rounding of this algorithm; the
+    rotations here are applied directly, one matrix product per step. Each
+    step runs for the whole stack at once, and LAPACK's ``dpptrs`` solves
+    with each packed factor.
+    """
+    import scipy.fft  # here, not at the top: importing it dominates package start-up
+    from scipy.linalg.lapack import dpptrs  # here too, for the same reason
+
+    windows = np.atleast_2d(ref_window)
+    blocks = np.atleast_2d(block)
+    count, n = blocks.shape
+    a = taps - 1
+    size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
+    gen = np.zeros((count, 4, taps))  # each block's generator, rows u, e, v, l
+    cross = np.empty((count, taps))
+    for b, (window, blk) in enumerate(zip(windows, blocks)):
+        spec = scipy.fft.rfft(window, size)
+        segments = scipy.fft.rfft(np.stack((window[a : a + n], blk)), size)
+        gen[b, 0], cross[b] = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
+    gen[:, 1, 1:] = windows[:, :a][:, ::-1]
+    gen[:, 3, 1:] = windows[:, n : a + n][:, ::-1]
+    # R[i, i] - R[0, 0], the sum over 0 < j <= i of e[j]^2 - l[j]^2
+    diagonal = np.cumsum(gen[:, 1] ** 2 - gen[:, 3] ** 2, axis=1)
+    trace = taps * gen[:, 0, 0] + diagonal.sum(axis=1)
+    silent = trace <= 0.0
+    gen[:, 0, 0] += reg * trace / taps
+    gen[silent] = 0.0
+    gen[silent, 0, 0] = 1.0  # the generator of I: no NaN, and no solve below
+    factor = np.empty((count, taps * (taps + 1) // 2))  # L, column-major packed
+    theta = np.empty((count, 4, 4))
+    uv_rows, el_rows = theta[:, ::2], theta[:, 1::2]
+    start = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular blocks and zero pairs
+        gen[:, 0] /= np.sqrt(gen[:, 0, :1])
+        gen[:, 2, 1:] = gen[:, 0, 1:]
+        for k in range(taps):
+            top = gen[:, :, k]
+            norm = np.hypot(top[:, ::2], top[:, 1::2])  # |(u, e)|, |(v, l)|
+            rot = top / norm.repeat(2, axis=1)  # c1, s1, c2, s2
+            # a zero pair needs no rotation, so any will do: 0/0 becomes 45 degrees
+            np.copyto(rot, 0.5**0.5, where=rot != rot)
+            diff_sum = norm @ _DIFF_SUM  # |(u, e)| -+ |(v, l)|
+            # ch and -sh: 1 and -rho over sqrt(1 - rho^2)
+            hyp = norm * _PLUS_MINUS / np.sqrt(diff_sum[:, :1] * diff_sum[:, 1:])
+            np.multiply(hyp[:, _HYPERBOLIC], rot[:, None, :], out=uv_rows)
+            np.multiply(rot[:, None, _GIVENS], _GIVENS_SIGNS, out=el_rows)
+            np.matmul(theta, gen[:, :, k:], out=gen[:, :, k:])
+            factor[:, start : start + taps - k] = gen[:, 0, k:]
+            gen[:, 0, k + 1 :] = gen[:, 0, k:-1]  # shift u down one row
+            start += taps - k
+    pivots = factor[:, np.cumsum(np.arange(taps + 1, 1, -1)) - taps - 1]  # diagonal of L
+    if not np.all((pivots > 0.0) & (pivots < np.inf), axis=1)[~silent].all():
+        raise SolverError("sample covariance is singular; retry with regularization > 0")
+    w = np.zeros((count, taps))
+    for b in np.flatnonzero(~silent):
+        w[b] = dpptrs(taps, factor[b], cross[b, :, None], lower=1)[0][:, 0]
+    return w if np.ndim(block) == 2 else w[0]
+
+
 def assert_solves(window, block, taps, reg, got, expected):
     """The oracle criteria for one row of taps ``got``: exact zeros for a silent window,
     else a backward error within 1e-12 of the scale of the explicit system and, where
@@ -195,6 +301,18 @@ def _scene_block(taps, n):
     scene = _scene()
     k = 8820
     return scene.reference.samples[k - taps + 1 : k + n], scene.mixture.samples[k : k + n]
+
+
+def _short_take_stack():
+    """The paper-v stack of the first 192 samples of ``_scene``: (windows, blocks, taps,
+    take), three 1023-tap blocks that are almost all zero padding."""
+    taps, n, hop, take = 1023, 16384, 64, 192
+    scene = _scene()
+    ref = np.concatenate((np.zeros(taps - 1), scene.reference.samples[:take], np.zeros(n)))
+    mix = np.concatenate((scene.mixture.samples[:take], np.zeros(n)))
+    windows = np.stack([ref[k : k + taps + n - 1] for k in range(0, take, hop)])
+    blocks = np.stack([mix[k : k + n] for k in range(0, take, hop)])
+    return windows, blocks, taps, take
 
 
 class TestBlockWiener:
@@ -326,17 +444,11 @@ class TestStackedSolve:
         assert_solves(window, block, taps, 1e-8, got, expected)
 
     def test_ill_conditioned_short_take(self):
-        # The paper-v preset on the first 192 samples of a take: three blocks that
-        # are almost all zero padding, with condition numbers of about 2e5, 6e8 and
-        # 2e10. Past column 1214 of the data matrix every sample is padding, so the
-        # explicit system is built on the columns before it: a multiple of the full
-        # system, with the same solution.
-        taps, n, hop, take = 1023, 16384, 64, 192
-        scene = _scene()
-        ref = np.concatenate((np.zeros(taps - 1), scene.reference.samples[:take], np.zeros(n)))
-        mix = np.concatenate((scene.mixture.samples[:take], np.zeros(n)))
-        windows = np.stack([ref[k : k + taps + n - 1] for k in range(0, take, hop)])
-        blocks = np.stack([mix[k : k + n] for k in range(0, take, hop)])
+        # Three blocks that are almost all zero padding, with condition numbers of
+        # about 2e5, 6e8 and 2e10. Past column 1214 of the data matrix every sample is
+        # padding, so the explicit system is built on the columns before it: a
+        # multiple of the full system, with the same solution.
+        windows, blocks, taps, take = _short_take_stack()
         got = wiener._solve_block(windows, blocks, taps, 1e-8)
         used = taps - 1 + take
         for window, block, row in zip(windows, blocks, got):
@@ -430,6 +542,31 @@ class TestStackedSolve:
         buffers = 4 * 8 * (n + size) + 16 * 8 * size + 16 * 8 * m * stack
         assert stack == 16
         assert peak <= factors + buffers
+
+
+class TestSchurStepOracle:
+    """The step loop of ``_solve_block`` gives the bytes of ``schur_solve_block``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(block_stacks(), st.sampled_from([0.0, 1e-8]))
+    def test_same_bytes_as_the_old_step(self, stack, reg):
+        windows, blocks, taps = stack
+        got = solve_or_none(wiener._solve_block, windows, blocks, taps, reg)
+        expected = solve_or_none(schur_solve_block, windows, blocks, taps, reg)
+        assert (got is None) == (expected is None)  # both raise SolverError, or neither
+        if got is not None:
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("taps,n", [(511, 8192), (1023, 16384)])
+    def test_same_bytes_on_scene(self, taps, n):
+        window, block = _scene_block(taps, n)
+        got = wiener._solve_block(window, block, taps, 1e-8)
+        assert got.tobytes() == schur_solve_block(window, block, taps, 1e-8).tobytes()
+
+    def test_same_bytes_on_the_ill_conditioned_short_take(self):
+        windows, blocks, taps, _ = _short_take_stack()
+        got = wiener._solve_block(windows, blocks, taps, 1e-8)
+        assert got.tobytes() == schur_solve_block(windows, blocks, taps, 1e-8).tobytes()
 
 
 class TestMawCancel:
