@@ -5,7 +5,7 @@ subtraction, and ERB-band Wiener filtering, each scored with the block RMSD
 and the band-weighted segmental SNR on a 20-second scene. Block Wiener runs
 at a reduced scale so the script finishes in well under a minute; the
 published-preset settings (1023 taps, 16384-sample blocks, 64-sample hop)
-run about 5 times slower than real time.
+run about 4 times slower than real time.
 """
 import time
 

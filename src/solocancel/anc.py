@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
+from .audio import AudioBuffer, _check_counts, _check_reals, _require_finite, require_matched
 
 
 @dataclass
@@ -87,7 +87,8 @@ def fit_whitener(frame: AudioBuffer, order: int) -> np.ndarray:
     frame and return its predictor coefficients a_1..a_P (P = ``order``), a 1-D array.
 
     Uses the biased sample autocorrelation, so the resulting synthesis filter
-    is minimum phase. An all-zero frame yields the identity whitener (a = 0).
+    is minimum phase. An all-zero frame yields the identity whitener (a = 0), and a
+    NaN or inf sample raises FloatingPointError.
     """
     _check_counts(order=order)
     x = frame.samples
@@ -95,6 +96,7 @@ def fit_whitener(frame: AudioBuffer, order: int) -> np.ndarray:
         raise ValueError(
             f"frame length {len(x)} too short for order {order} (need > {10 * order})"
         )
+    _require_finite("frame", frame)
     n = len(x)
     # The biased autocorrelation at lags 0..order only, one dot product per lag.
     r = np.array([np.dot(x[lag:], x[: n - lag]) for lag in range(order + 1)]) / n

@@ -159,6 +159,11 @@ def require_matched(a: AudioBuffer, b: AudioBuffer, what: str = "buffers"):
         raise ValueError(
             f"{what} must share a sample rate ({a.sample_rate} != {b.sample_rate})"
         )
-    for buf in (a, b):
+    _require_finite(what, a, b)
+
+
+def _require_finite(what: str, *buffers: AudioBuffer) -> None:
+    """FloatingPointError naming ``what`` unless every sample of ``buffers`` is finite."""
+    for buf in buffers:
         if not np.isfinite(buf.samples).all():
-            raise FloatingPointError(f"{what} hold non-finite samples (NaN or inf)")
+            raise FloatingPointError(f"non-finite samples (NaN or inf) in {what}")

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, FirFilter, _check_counts, _check_reals, require_matched
+from .audio import (
+    AudioBuffer, FirFilter, _check_counts, _check_reals, _require_finite, require_matched,
+)
 from .errors import NoSignalError
 from .simo import ArrayGeometry, delay_from_angle
 
@@ -211,12 +213,14 @@ def calibrate_latency(recorded: AudioBuffer, reference: AudioBuffer, max_lag: in
     """Lag (in samples) at which the cross-correlation with the reference peaks.
 
     Searches non-negative lags up to ``max_lag``; intended for measuring the
-    playback-to-capture offset from an accompaniment-only calibration take.
+    playback-to-capture offset from an accompaniment-only calibration take. A NaN or
+    inf sample raises FloatingPointError.
     """
     last = min(len(recorded), len(reference)) - 1
     integral = isinstance(max_lag, numbers.Integral) and not isinstance(max_lag, bool)
     if not (integral and 0 <= max_lag <= last):
         raise ValueError(f"max_lag must be an integer from 0 to {last}, got {max_lag!r}")
+    _require_finite("recorded/reference", recorded, reference)
     if not np.any(recorded.samples) or not np.any(reference.samples):
         raise NoSignalError("cannot calibrate on silent audio")
     import scipy.signal  # here, not at the top: importing it dominates package start-up

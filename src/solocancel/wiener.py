@@ -20,13 +20,16 @@ overlap-add pipeline (``stft._wola``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, FirFilter, _check_counts, _check_reals, require_matched
+from .audio import (
+    AudioBuffer, FirFilter, _check_counts, _check_reals, _require_finite, require_matched,
+)
 from .errors import SolverError
 from .stft import _framing, _wola, make_window
 
@@ -94,6 +97,40 @@ _THETA = np.array([
 ])
 # |(u, e)| and |(v, l)| to their difference and sum, |(u, e)| and -|(v, l)|
 _HYPERBOLIC = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 1.0, 0.0, -1.0]])
+#: Stacks of at most this many blocks build each step's rotations from Python floats,
+#: where the ten numpy calls of the vectorized build cost more than the arithmetic.
+_SCALAR_STACK = 7
+
+
+def _scalar_theta(top: list, norm: list, out: np.ndarray) -> bool:
+    """Write one Schur step's rotations into the stack's flat θ ``out`` from Python floats.
+
+    ``top`` holds each block's top pairs [(u, e), (v, l)] and ``norm`` their ``np.hypot``
+    norms, as lists. Each entry is the IEEE quotient or product of the vectorized build.
+    Returns False, writing nothing, unless every block has 0 <= |(v, l)| < |(u, e)| < inf
+    and a non-zero sqrt(|(u, e)|^2 - |(v, l)|^2): elsewhere Python would raise on a zero
+    divisor, and the vectorized build follows numpy's inf and NaN into the same rotations
+    or ``SolverError``.
+    """
+    half = 0.5**0.5  # a zero pair needs no rotation, so any will do: 45 degrees
+    theta = []
+    for ((u, e), (v, l)), (n1, n2) in zip(top, norm):
+        if not n2 < n1 < math.inf:
+            return False
+        root = math.sqrt((n1 - n2) * (n1 + n2))
+        if root == 0.0:  # the product underflowed
+            return False
+        c1, s1 = u / n1, e / n1
+        c2, s2 = (v / n2, l / n2) if n2 else (half, half)
+        ch, msh = n1 / root, (0.0 - n2) / root  # ch, -sh; 0 - 0 is +0, as in the matmul
+        theta += (
+            ch * c1, ch * s1, msh * c2, msh * s2,
+            -s1, c1, 0.0 * s2, 0.0 * c2,
+            msh * c1, msh * s1, ch * c2, ch * s2,
+            0.0 * s1, 0.0 * c1, -s2, c2,
+        )
+    out[:] = theta
+    return True
 
 
 def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: float) -> np.ndarray:
@@ -157,6 +194,9 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     row = np.zeros((count, 9))
     row[:, 2:4] = 1.0, -1.0
     rot = row[:, 5:].reshape(count, 2, 2)  # (c1, s1), (c2, s2)
+    theta = np.empty((count, 4, 4))
+    flat_theta = theta.reshape(-1)
+    scalar = count <= _SCALAR_STACK
     start = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # singular blocks and zero pairs
         gen[:, 0] /= np.sqrt(gen[:, 0, :1])
@@ -164,16 +204,18 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
         for k in range(taps):
             top = gen[:, :, k].reshape(count, 2, 2)  # (u, e), (v, l)
             norm = np.hypot(top[:, :, 0], top[:, :, 1])
-            np.divide(top, norm[:, :, None], out=rot)
-            # a zero pair needs no rotation, so any will do: 0/0 becomes 45 degrees
-            np.copyto(rot, 0.5**0.5, where=rot != rot)
-            # ch and -sh: 1 and -rho over sqrt(1 - rho^2). Where |(v, l)| is 0 the
-            # product gives +0 for -sh, not -0; theta only enters the matmul below,
-            # whose sums start from +0, so the generator keeps its bytes.
-            terms = norm @ _HYPERBOLIC
-            np.divide(terms[:, 2:], np.sqrt(terms[:, :1] * terms[:, 1:2]), out=row[:, :2])
-            theta = row.take(_THETA, axis=1)
-            np.matmul(theta[:, 0] * theta[:, 1], gen[:, :, k:], out=spare[:, :, k:])
+            if not (scalar and _scalar_theta(top.tolist(), norm.tolist(), flat_theta)):
+                np.divide(top, norm[:, :, None], out=rot)
+                # a zero pair needs no rotation, so any will do: 0/0 becomes 45 degrees
+                np.copyto(rot, 0.5**0.5, where=rot != rot)
+                # ch and -sh: 1 and -rho over sqrt(1 - rho^2). Where |(v, l)| is 0 the
+                # product gives +0 for -sh, not -0; theta only enters the matmul below,
+                # whose sums start from +0, so the generator keeps its bytes.
+                terms = norm @ _HYPERBOLIC
+                np.divide(terms[:, 2:], np.sqrt(terms[:, :1] * terms[:, 1:2]), out=row[:, :2])
+                factors = row.take(_THETA, axis=1)
+                np.multiply(factors[:, 0], factors[:, 1], out=theta)
+            np.matmul(theta, gen[:, :, k:], out=spare[:, :, k:])
             gen, spare = spare, gen
             factor[:, start : start + taps - k] = gen[:, 0, k:]
             gen[:, 0, k + 1 :] = gen[:, 0, k:-1]  # shift u down one row
@@ -199,7 +241,7 @@ def block_wiener(
     mixture block length: the N in-block samples preceded by the taps - 1
     samples of left context the convolution needs. It is the one-block case
     of the stacked generalized Schur solve that ``matched_accompaniment``
-    runs.
+    runs. A NaN or inf sample raises ``FloatingPointError``.
     """
     n = len(mixture_block)
     BlockWienerConfig(taps, n, n, regularization)  # taps and regularization by its rules
@@ -208,6 +250,7 @@ def block_wiener(
             f"reference window must hold taps + N - 1 = {taps + n - 1} samples, "
             f"got {len(reference_window)}"
         )
+    _require_finite("reference window/mixture block", reference_window, mixture_block)
     w = _solve_block(reference_window.samples, mixture_block.samples, taps, regularization)
     return FirFilter(w)
 

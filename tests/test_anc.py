@@ -184,6 +184,14 @@ class TestFitWhitener:
     def test_zero_frame_gives_identity(self):
         assert np.all(fit_whitener(AudioBuffer(np.zeros(500)), 10) == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_raises(self, bad):
+        # a NaN returned a NaN predictor, with no error
+        x = np.random.default_rng(6).standard_normal(500)
+        x[17] = bad
+        with pytest.raises(FloatingPointError, match="frame"):
+            fit_whitener(AudioBuffer(x), 4)
+
     def test_returns_the_predictor_vector(self):
         a = fit_whitener(AudioBuffer(np.random.default_rng(4).standard_normal(500)), 6)
         assert a.shape == (6,) and a.dtype == np.float64

@@ -447,6 +447,16 @@ class TestCalibrateLatency:
         with pytest.raises(NoSignalError):
             calibrate_latency(AudioBuffer(np.zeros(100)), AudioBuffer(np.zeros(100)), 10)
 
+    @pytest.mark.parametrize("where", ["recorded", "reference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, where, bad):
+        # a NaN made every correlation NaN, and argmax returned lag 0
+        rng = np.random.default_rng(4)
+        rec, ref = rng.standard_normal((2, 1000))
+        (rec if where == "recorded" else ref)[10] = bad
+        with pytest.raises(FloatingPointError, match=r"recorded/reference"):
+            calibrate_latency(AudioBuffer(rec), AudioBuffer(ref), 100)
+
     def test_bad_max_lag_rejected(self):
         x = AudioBuffer(np.ones(100))
         with pytest.raises(ValueError):

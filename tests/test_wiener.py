@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -214,6 +214,23 @@ def schur_solve_block(
     return w if np.ndim(block) == 2 else w[0]
 
 
+def vectorized_theta(top):
+    """The rotations that ``_solve_block``'s vectorized build makes from each block's top
+    generator row (u, e, v, l), rows of ``top``: numpy's quotients, 0/0 as 45 degrees."""
+    count = len(top)
+    row = np.zeros((count, 9))  # [ch, -sh, 1, -1, 0, c1, s1, c2, s2]
+    row[:, 2:4] = 1.0, -1.0
+    pairs = top.reshape(count, 2, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm = np.hypot(pairs[:, :, 0], pairs[:, :, 1])
+        rot = pairs / norm[:, :, None]
+        row[:, 5:] = np.where(rot != rot, 0.5**0.5, rot).reshape(count, 4)
+        terms = norm @ wiener._HYPERBOLIC
+        row[:, :2] = terms[:, 2:] / np.sqrt(terms[:, :1] * terms[:, 1:2])
+        factors = row.take(wiener._THETA, axis=1)
+        return factors[:, 0] * factors[:, 1], norm
+
+
 def assert_solves(window, block, taps, reg, got, expected):
     """The oracle criteria for one row of taps ``got``: exact zeros for a silent window,
     else a backward error within 1e-12 of the scale of the explicit system and, where
@@ -273,11 +290,13 @@ def block_problems(draw, taps=None, n=None):
 
 @st.composite
 def block_stacks(draw):
-    """A (windows, blocks, taps) stack of 1 to 6 rows of ``block_problems`` that share
-    the taps and block length; one row may have an all-zero window."""
+    """A (windows, blocks, taps) stack of 1 to 12 rows of ``block_problems`` that share
+    the taps and block length; one row may have an all-zero window. Stacks of up to
+    ``wiener._SCALAR_STACK`` rows build their rotations from Python floats, larger ones
+    vectorized, so the draws take both builds."""
     taps = draw(st.integers(1, 64))
     n = draw(st.integers(taps + 1, 600))
-    rows = draw(st.lists(block_problems(taps, n), min_size=1, max_size=6))
+    rows = draw(st.lists(block_problems(taps, n), min_size=1, max_size=12))
     windows = np.stack([window for window, _, _ in rows])
     blocks = np.stack([block for _, block, _ in rows])
     zero_row = draw(st.none() | st.integers(0, len(rows) - 1))
@@ -301,6 +320,16 @@ def _scene_block(taps, n):
     scene = _scene()
     k = 8820
     return scene.reference.samples[k - taps + 1 : k + n], scene.mixture.samples[k : k + n]
+
+
+def _scene_stack(taps, n, count):
+    """``count`` reference windows and mixture blocks of ``_scene`` 64 samples (the
+    paper-v hop) apart from 0.2 s in, stacked even when ``count`` is 1."""
+    starts = range(8820, 8820 + 64 * count, 64)
+    scene = _scene()
+    windows = np.stack([scene.reference.samples[k - taps + 1 : k + n] for k in starts])
+    blocks = np.stack([scene.mixture.samples[k : k + n] for k in starts])
+    return windows, blocks
 
 
 def _short_take_stack():
@@ -344,6 +373,17 @@ class TestBlockWiener:
         ref = AudioBuffer(np.ones(107))
         with pytest.raises(SolverError):
             block_wiener(ref, AudioBuffer(np.ones(100)), taps=8, regularization=0.0)
+
+    @pytest.mark.parametrize("where", ["window", "block"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, where, bad):
+        # a NaN in the window raised SolverError, which asks for loading; an inf in the
+        # block warned, then failed in FirFilter
+        rng = np.random.default_rng(7)
+        window, block = rng.standard_normal(107), rng.standard_normal(100)
+        (window if where == "window" else block)[50] = bad
+        with pytest.raises(FloatingPointError, match="reference window/mixture block"):
+            block_wiener(AudioBuffer(window), AudioBuffer(block), taps=8)
 
     def test_window_length_validated(self):
         with pytest.raises(ValueError):
@@ -567,6 +607,86 @@ class TestSchurStepOracle:
         windows, blocks, taps, _ = _short_take_stack()
         got = wiener._solve_block(windows, blocks, taps, 1e-8)
         assert got.tobytes() == schur_solve_block(windows, blocks, taps, 1e-8).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_same_bytes_on_scene_stacks(self, count):
+        # a one-block stack and the paper-v stack size at 1023 taps
+        windows, blocks = _scene_stack(1023, 16384, count)
+        got = wiener._solve_block(windows, blocks, 1023, 1e-8)
+        assert got.tobytes() == schur_solve_block(windows, blocks, 1023, 1e-8).tobytes()
+
+    def test_stack_draws_take_both_rotation_builds(self):
+        assert 1 <= wiener._SCALAR_STACK < 12  # block_stacks() draws 1 to 12 rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e-170, 5e-324]), min_size=4,
+                 max_size=4),
+        min_size=1, max_size=4,
+    ))
+    @example([[1e-170, 0.0, 0.0, 0.0]])  # 1 - rho^2 times |(u, e)|^2 underflows to 0
+    @example([[3.0, -4.0, -0.0, 0.0], [1.0, 0.0, 0.5, -0.5]])
+    def test_scalar_rotations_are_the_vectorized_ones(self, tops):
+        # Where every block has 0 <= |(v, l)| < |(u, e)| < inf and a non-zero
+        # sqrt(|(u, e)|^2 - |(v, l)|^2), the scalar build gives the vectorized bytes;
+        # elsewhere it declines, and leaves its output alone.
+        top = np.array(tops)
+        expected, norm = vectorized_theta(top)
+        out = np.full(top.size * 4, 7.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            took = wiener._scalar_theta(top.reshape(-1, 2, 2).tolist(), norm.tolist(), out)
+            roots = np.sqrt((norm[:, 0] - norm[:, 1]) * (norm[:, 0] + norm[:, 1]))
+        inside = (norm[:, 1] < norm[:, 0]) & (norm[:, 0] < np.inf) & (roots > 0.0)
+        assert took == inside.all()
+        if took:
+            assert out.tobytes() == expected.tobytes()
+        else:
+            assert np.all(out == 7.0)
+
+    @staticmethod
+    def _record_norms(monkeypatch):
+        """Each step's (|(u, e)|, |(v, l)|) pairs, as the scalar build receives them."""
+        steps = []
+        build = wiener._scalar_theta
+
+        def recorded(top, norm, out):
+            steps.append(norm)
+            return build(top, norm, out)
+
+        monkeypatch.setattr(wiener, "_scalar_theta", recorded)
+        return steps
+
+    def test_same_bytes_with_zero_pairs_past_the_first_step(self, monkeypatch):
+        # Row 0's window holds reference only before the block (a take whose
+        # accompaniment stops): its in-block samples are a zero run, so column 0 of R
+        # and the generator's v and l are exact zeros, and every step meets a zero
+        # (v, l) pair, which takes 45 degrees. Rows 1 and 2 are noise.
+        rng = np.random.default_rng(12)
+        taps, n = 16, 100
+        windows = rng.standard_normal((3, taps + n - 1))
+        windows[0, taps - 1 :] = 0.0
+        blocks = rng.standard_normal((3, n))
+        steps = self._record_norms(monkeypatch)
+        got = wiener._solve_block(windows, blocks, taps, 1e-8)
+        assert all(norm[0][1] == 0.0 for norm in steps[1:]) and len(steps) == taps
+        assert got.tobytes() == schur_solve_block(windows, blocks, taps, 1e-8).tobytes()
+
+    @pytest.mark.parametrize("shape", ["constant", "sinusoid", "ramp"])
+    def test_rho_of_one_or_more_raises_as_the_old_step(self, shape, monkeypatch):
+        # Unloaded, these windows' covariances have rank one or two. Past that step
+        # |(v, l)| reaches |(u, e)| (rho = 1, the constant) or, by rounding, exceeds
+        # it, and the vectorized build takes the step. Row 0 is noise.
+        rng = np.random.default_rng(13)
+        taps, n = 8, 100
+        t = np.arange(taps + n - 1.0)
+        singular = {"constant": np.ones(len(t)), "sinusoid": np.sin(t + 1), "ramp": t}
+        windows = np.stack((rng.standard_normal(len(t)), singular[shape]))
+        blocks = rng.standard_normal((2, n))
+        steps = self._record_norms(monkeypatch)
+        with pytest.raises(SolverError):
+            wiener._solve_block(windows, blocks, taps, 0.0)
+        assert any(n2 >= n1 for n1, n2 in (norm[1] for norm in steps))
+        assert solve_or_none(schur_solve_block, windows, blocks, taps, 0.0) is None
 
 
 class TestMawCancel:
