@@ -13,7 +13,7 @@ from types import ModuleType as _ModuleType
 from .audio import AudioBuffer, FirFilter
 from .erb import ErbPartition, erbs, make_partition
 from .errors import NoSignalError, SolverError
-from .anc import AncConfig, LmsState, anc_cancel, fit_whitener, lms_step
+from .anc import AncConfig, anc_cancel, fit_whitener
 from .metrics import MetricsReport, measure, rmsd, rtf, snrf
 from .sbw import SbwConfig, sbw_cancel
 from .scenes import (
@@ -31,7 +31,6 @@ from .scenes import (
 from .simo import (
     ArrayGeometry,
     DelayEstimate,
-    angle_from_delay,
     delay_from_angle,
     estimate_delay,
     half_wavelength_spacing,

@@ -4,7 +4,7 @@ LMS/NLMS weight recursion driven by a reference signal, with optional
 linear-prediction pre-whitening of the regressor and error inside the weight
 update (the output error itself is never whitened). :func:`anc_cancel`
 computes the per-sample recursion block-exact (Benesty & Duhamel 1992),
-``_BLOCK_SAMPLES`` samples per step; :func:`lms_step` is one sample of it.
+``_BLOCK_SAMPLES`` samples per step.
 """
 
 from __future__ import annotations
@@ -15,53 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, _check_counts, _check_reals, _require_finite, require_matched
-
-
-@dataclass
-class LmsState:
-    """Adaptive filter state: weights, reference delay line (newest first),
-    step size, and whether the update is normalized (NLMS). :func:`lms_step`
-    advances it in place."""
-
-    weights: np.ndarray
-    delay_line: np.ndarray
-    mu: float
-    normalized: bool = False
-
-    @classmethod
-    def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
-        _check_counts(taps=taps)
-        _check_reals(0, mu=mu)
-        return cls(np.zeros(taps), np.zeros(taps), float(mu), normalized)
-
-    @property
-    def taps(self) -> int:
-        return self.weights.shape[0]
-
-
-def lms_step(state: LmsState, x_k: float, n0_k: float) -> tuple[LmsState, float]:
-    """Advance the recursion by one sample.
-
-    Shifts ``n0_k`` into the delay line, forms y = w . n0, emits the error
-    e = x_k - y, and updates the weights with mu * n0 * e (LMS) or
-    mu * n0 / ||n0||^2 * e (NLMS; skipped while the delay line is all zero).
-    Mutates ``state`` and returns it along with the error sample.
-    """
-    if not (np.isfinite(x_k) and np.isfinite(n0_k)):
-        raise ValueError("input samples must be finite")
-    dl = state.delay_line
-    dl[1:] = dl[:-1]
-    dl[0] = n0_k
-    y = float(np.dot(state.weights, dl))
-    e = float(x_k) - y
-    if state.mu != 0.0:
-        if state.normalized:
-            nsq = float(np.dot(dl, dl))
-            if nsq > 0.0:
-                state.weights += (state.mu * e / nsq) * dl
-        else:
-            state.weights += (state.mu * e) * dl
-    return state, e
 
 
 def _levinson(r: np.ndarray, order: int) -> np.ndarray:

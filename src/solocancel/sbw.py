@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .erb import ErbPartition, make_partition
-from .stft import _framing, _wola, make_window
+from .stft import _framing, _wola
 from .wiener import spectral_subtract
 
 #: Bands whose reference power falls below this fraction of the frame's mean
@@ -97,5 +97,4 @@ def sbw_cancel(
         cfg = SbwConfig()
     require_matched(mixture, reference)
     cancel = partial(cancel_frames, partition=cfg.partition_for(mixture.sample_rate), cfg=cfg)
-    window = make_window(cfg.fft_size, cfg.window_shape)
-    return _wola(cancel, (mixture, reference), window, cfg.hop)
+    return _wola(cancel, (mixture, reference), cfg.fft_size, cfg.hop, cfg.window_shape)

@@ -17,7 +17,7 @@ import numpy as np
 from .audio import AudioBuffer, _check_counts, _check_reals, require_matched
 from .errors import NoSignalError
 from .sbw import SbwConfig, cancel_frames
-from .stft import _wola, make_window
+from .stft import _wola
 
 
 #: Speed of sound in air, m/s.
@@ -64,8 +64,8 @@ class ArrayGeometry:
 
 @dataclass
 class DelayEstimate:
-    """Inter-channel delay in fractional samples; :func:`angle_from_delay` gives its
-    angle of arrival."""
+    """Inter-channel delay in fractional samples, the delay :func:`delay_from_angle` gives a
+    source at some angle."""
 
     kappa: float
     confidence: float  # fraction of usable bins that passed the threshold
@@ -77,14 +77,6 @@ def delay_from_angle(theta_deg: float, geometry: ArrayGeometry) -> float:
     :func:`~solocancel.scenes.synth_sido` gives channel 2."""
     sin_theta = math.sin(math.radians(theta_deg))
     return geometry.spacing * sin_theta * geometry.sample_rate / SPEED_OF_SOUND
-
-
-def angle_from_delay(kappa: float, geometry: ArrayGeometry) -> float:
-    """Inverse of :func:`delay_from_angle`, degrees; delays past the physical
-    bound read as +-90."""
-    # A Python clip, far cheaper than np.clip on a scalar; s first, so NaN stays NaN.
-    s = min(max(kappa / geometry.max_delay_samples, -1.0), 1.0)
-    return float(np.degrees(np.arcsin(s)))
 
 
 #: Share of its frame's peak |X1| that a bin must reach to enter the delay median.
@@ -239,5 +231,5 @@ def sbw_simo_cancel(
         est2 = cancel_frames(mix2, ref, partition, cfg)
         return mrc_combine(est1, est2, track(mix1, est1, est2) if kappa is None else float(kappa))
 
-    window = make_window(cfg.fft_size, cfg.window_shape)
-    return _wola(cancel_both, (mixture1, mixture2, reference), window, cfg.hop)
+    return _wola(cancel_both, (mixture1, mixture2, reference),
+                 cfg.fft_size, cfg.hop, cfg.window_shape)

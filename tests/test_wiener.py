@@ -364,6 +364,22 @@ class TestBlockWiener:
         w = block_wiener(AudioBuffer(ref), AudioBuffer(mix), taps=16)
         assert np.linalg.norm(w.taps - h) / np.linalg.norm(h) < 0.05
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-162, 1e153, 1e300, 2.0**-500, 2.0**500])
+    def test_planted_filter_recovered_at_any_level(self, scale):
+        # Unscaled, R underflowed (a silent block at 1e-170, drifting taps at 1e-162) or
+        # overflowed (SolverError after overflow warnings from 1e153 up).
+        rng = np.random.default_rng(11)
+        h = np.array([0.5, -0.3, 0.2])
+        ref = rng.standard_normal(258)
+        mix = np.convolve(ref, h, "valid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = block_wiener(AudioBuffer(scale * ref), AudioBuffer(scale * mix), 3, 0.0)
+        assert np.allclose(w.taps, h, rtol=0.0, atol=1e-12)
+        if np.frexp(scale)[0] == 0.5:  # a power of two: the unscaled solve's taps, exactly
+            unscaled = block_wiener(AudioBuffer(ref), AudioBuffer(mix), 3, 0.0)
+            assert w.taps.tobytes() == unscaled.taps.tobytes()
+
     def test_zero_reference_gives_zero_filter(self):
         w = block_wiener(AudioBuffer(np.zeros(107)), AudioBuffer(np.ones(100)), taps=8)
         assert np.all(w.taps == 0.0)
