@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,10 @@ from .stft import _hop, _map_blocks, _num_frames, make_window
 
 RMSD_FLOOR_DB = -120.0
 SNRF_CLAMP_DB = 100.0
+
+#: The partition of the running :func:`measure`, which has checked its inputs once for the
+#: ``rmsd`` and ``snrf`` it calls: neither scans them nor builds bands again.
+_MEASURING = ContextVar("measuring", default=None)
 
 
 def rmsd(
@@ -27,7 +32,8 @@ def rmsd(
     with full scale 1.0; a floor of -120 dB absorbs the perfect-estimate
     case. An incomplete tail block is dropped.
     """
-    require_matched(estimate, ref_solo)
+    if _MEASURING.get() is None:
+        require_matched(estimate, ref_solo)
     _check_counts(block_size=block_size)
     num_blocks = len(estimate) // block_size
     if num_blocks == 0:
@@ -57,8 +63,10 @@ def snrf(
     ``fft_size``). The bands are ``make_partition(fft_size, rate, num_bands)``'s: up to
     16 kHz, or up to Nyquist below 32 kHz.
     """
-    require_matched(estimate, ref_solo)
-    partition = make_partition(fft_size, estimate.sample_rate, num_bands)
+    partition = _MEASURING.get()
+    if partition is None:
+        require_matched(estimate, ref_solo)
+        partition = make_partition(fft_size, estimate.sample_rate, num_bands)
     window = make_window(fft_size)
     hop = _hop(fft_size, hop)
 
@@ -123,14 +131,19 @@ def measure(
 ) -> MetricsReport:
     """Evaluate an estimate against the recorded-solo ground truth. The SNRF is :func:`snrf`'s,
     so ``hop`` None is half of ``fft_size``; the report gives the band count realized."""
-    bands = make_partition(fft_size, estimate.sample_rate, num_bands).num_bands
-    return MetricsReport(
-        rmsd_db=rmsd(estimate, ref_solo, block_size),
-        snrf_db=snrf(estimate, ref_solo, num_bands, fft_size, hop),
-        rtf=None if elapsed is None else rtf(elapsed, estimate.duration),
-        params={
-            "block_size": block_size,
-            "segments": _num_frames(len(estimate), fft_size, _hop(fft_size, hop)),
-            "num_bands": bands,
-        },
-    )
+    partition = make_partition(fft_size, estimate.sample_rate, num_bands)
+    require_matched(estimate, ref_solo)
+    token = _MEASURING.set(partition)
+    try:
+        return MetricsReport(
+            rmsd_db=rmsd(estimate, ref_solo, block_size),
+            snrf_db=snrf(estimate, ref_solo, num_bands, fft_size, hop),
+            rtf=None if elapsed is None else rtf(elapsed, estimate.duration),
+            params={
+                "block_size": block_size,
+                "segments": _num_frames(len(estimate), fft_size, _hop(fft_size, hop)),
+                "num_bands": partition.num_bands,
+            },
+        )
+    finally:
+        _MEASURING.reset(token)

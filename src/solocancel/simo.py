@@ -150,8 +150,8 @@ def mrc_combine(frame1: np.ndarray, frame2: np.ndarray, kappa: float | np.ndarra
     for value in values.tolist():
         _check_reals(kappa=value)
     rot = np.exp(2j * np.pi * values[:, None] * np.arange(n_bins) / fft_size)
-    rot = rot[inverse.ravel()].reshape(np.shape(kappa) + (n_bins,))
-    return 0.5 * (frame1 + rot * frame2)
+    out = rot[inverse.ravel()].reshape(np.shape(kappa) + (n_bins,)) * frame2
+    return np.multiply(0.5, np.add(frame1, out, out=out), out=out)  # 0.5 * (frame1 + out)'s order
 
 
 #: Delay estimates the track takes the median of.

@@ -10,14 +10,14 @@ The spectral cancellers and the SNRF share one frame-block engine
 in blocks of ``_BLOCK_FRAMES``: each block is analysed by ``stft`` of the
 zero-padded segment it covers, mapped, and overlap-added into the output,
 whose samples are divided by the envelope as soon as no later frame reaches
-them; ``fft_size - hop`` samples of output and envelope (rounded up to whole
-hops) carry over to the next block. Every stage is frame-local and the
-overlap-add sums each sample in frame order, so the bytes do not depend on
-the block size. Beyond its output and inputs, a run holds one block of
-frames, whatever the input length. ``istft`` is the one-block case of the
-same overlap-add. The cancellers frame a take as if ``ceil(fft_size / hop) - 1``
-hops of zeros came before and after it, so that no sample of it is divided by
-one window's edge alone (about 1e-7 at the default KBD(4)/4096).
+them. Every stage is frame-local, and output and envelope sum each sample in
+frame order: the bytes do not depend on the block size, and every hop that all
+``ceil(fft_size / hop)`` frames reach shares one envelope row, computed once;
+only the edge hops have rows of their own. Beyond its output and inputs, a run
+holds one block of frames, whatever the input length. ``istft`` is the one-block
+case of the same overlap-add. The cancellers frame a take as if ``ceil(fft_size /
+hop) - 1`` hops of zeros came before and after it, so that no sample of it is
+divided by one window's edge alone (about 1e-7 at the default KBD(4)/4096).
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def stft(signal: AudioBuffer, window: np.ndarray, hop: int) -> SpectralFrameSeq:
     hop = _hop(n_fft, hop)
     n = len(signal)
     num_frames = _num_frames(n, n_fft, hop)
-    padded_len = (num_frames - 1) * hop + n_fft
-    x = np.zeros(padded_len)
-    x[:n] = signal.samples
+    x = signal.samples  # an engine segment fills its frames already: framed without a copy
+    if n != (num_frames - 1) * hop + n_fft:
+        x = np.concatenate((x, np.zeros((num_frames - 1) * hop + n_fft - n)))
 
     segments = sliding_window_view(x, n_fft)[::hop]
     frames = np.fft.rfft(segments * window[None, :], axis=1)
@@ -151,51 +151,42 @@ def stft(signal: AudioBuffer, window: np.ndarray, hop: int) -> SpectralFrameSeq:
 
 def _overlap_add(blocks, window: np.ndarray, hop: int, length: int) -> np.ndarray:
     """The first ``length`` samples of the weighted overlap-add of the consecutive frame
-    stacks in ``blocks``, each divided by its envelope as soon as no later frame can
-    reach it.
+    stacks in ``blocks``, whose frames start less than a hop past ``length``.
 
-    Each frame's windowed irfft is zero-padded to ``chunks`` whole hops, so sample
-    chunk k sums frame k - r's chunk r over r = chunks-1 .. 0. That is frame order,
-    the order of a frame-by-frame loop, so the bytes do not depend on how the frames
-    are blocked; the padding adds +0.0, which changes no sum. The last
-    ``chunks - 1`` chunks of output and envelope carry over to the next block.
+    The output is a stack of hop-long chunks. Chunk k sums chunk r of frame k - r's
+    windowed irfft over r = chunks-1 .. 0, frame order, whatever the blocking, and is
+    divided by its envelope, summed in the same order, once no later frame reaches it.
     """
     n_fft = len(window)
     chunks = -(-n_fft // hop)
-    wsq = np.zeros(chunks * hop)
-    wsq[:n_fft] = window * window
-    wsq = wsq.reshape(chunks, hop)
-    out = np.empty(length)
-    done = 0
-    carry = np.zeros((2, chunks - 1, hop))  # output and envelope
+    wsq = np.pad(window * window, (0, chunks * hop - n_fft)).reshape(chunks, hop)
+    out = np.zeros((-(-length // hop) + chunks, hop))
+
+    def settle(first: int, stop: int, total: int) -> None:
+        """Divide chunks ``first`` .. ``stop - 1`` by their envelope when frames 0 ..
+        ``total - 1`` exist (silence where it is not above the floor). Chunks that all
+        ``chunks`` frames reach share one row; only edge chunks are summed one by one."""
+        shared = chunks - 1 <= first and stop <= total
+        envelope = np.zeros((1 if shared else stop - first, hop))
+        for r in range(chunks - 1, -1, -1):
+            envelope[max(first, r) - first : min(stop, r + total) - first] += wsq[r]
+        live = envelope > _ENVELOPE_FLOOR
+        np.divide(out[first:stop], envelope, out=out[first:stop], where=live)
+        np.copyto(out[first:stop], 0.0, where=~live)
+
+    seen = 0  # frames added
     for frames in blocks:
         count = frames.shape[0]
-        pieces = np.zeros((count, chunks * hop))
-        np.multiply(np.fft.irfft(frames, n=n_fft, axis=1), window, out=pieces[:, :n_fft])
-        pieces = pieces.reshape(count, chunks, hop)
-        acc = np.zeros((2, count + chunks - 1, hop))
-        acc[:, : chunks - 1] = carry
+        pieces = np.fft.irfft(frames, n=n_fft, axis=1)
+        pieces *= window
         for r in range(chunks - 1, -1, -1):
-            acc[0, r : r + count] += pieces[:, r]
-            acc[1, r : r + count] += wsq[r]
-        done = _emit(out, done, acc[:, :count])
-        carry = acc[:, count:].copy()
-        del frames, pieces, acc  # none is needed while the next block is computed
-    _emit(out, done, carry)
-    return out
-
-
-def _emit(out: np.ndarray, done: int, acc: np.ndarray) -> int:
-    """Divide the final samples ``acc[0]`` by their envelope ``acc[1]`` (silence where
-    it is not above the floor), copy them into ``out`` from ``done`` on as far as it
-    reaches, and return the new count of samples done."""
-    samples, envelope = acc[0].ravel(), acc[1].ravel()
-    live = envelope > _ENVELOPE_FLOOR
-    np.divide(samples, envelope, out=samples, where=live)
-    samples[~live] = 0.0
-    take = min(samples.size, out.size - done)
-    out[done : done + take] = samples[:take]
-    return done + take
+            part = pieces[:, r * hop : (r + 1) * hop]  # the last may be narrower than a hop
+            out[seen + r : seen + r + count, : part.shape[1]] += part
+        seen += count
+        settle(seen - count, seen, seen)
+        del frames, pieces, part  # none is needed while the next block is computed
+    settle(seen, seen + chunks - 1, seen)
+    return out.ravel()[:length]
 
 
 def istft(seq: SpectralFrameSeq) -> AudioBuffer:

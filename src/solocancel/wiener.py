@@ -321,26 +321,30 @@ def spectral_subtract(spec_x: np.ndarray, spec_y: np.ndarray, p: float) -> np.nd
 
     |E| = (|X|^p - |Y|^p)^(1/p) where |X| > |Y| and 0 elsewhere; the phase of X is
     kept. Works on single frames or stacks of frames; finite spectra give a finite E. The
-    magnitude is clamped to |X|, but E's parts round again: |E| can exceed |X| by an ulp.
+    magnitude is clamped to |X| (at p = 1 it is |X| - |Y|, which needs neither powers nor
+    clamp), but E's parts round again: |E| can exceed |X| by an ulp.
     """
     _check_reals(0, True, p=p)
     spec_x = np.asarray(spec_x, dtype=np.complex128)
     spec_y = np.asarray(spec_y, dtype=np.complex128)
     if spec_x.shape != spec_y.shape:
         raise ValueError("spectra must have identical shapes")
-    ax = np.abs(spec_x)
-    ay = np.abs(spec_y)
     # Computed in place on every bin, then overwritten: bins where |X| <= |Y| may give NaN
-    # or negative magnitudes, all zeroed. A subnormal |X| or overflowing powers leave a bin
-    # (and so the sum) non-finite; it is redone on X, Y scaled by a power of two (exact).
+    # or negative magnitudes, all zeroed. A subnormal |X| or an overflowing |X| or power leave
+    # a bin (and so the sum) non-finite; it is redone on X, Y scaled by a power of two (exact).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mag = ax**p
-        mag -= ay**p
-        mag **= 1.0 / p
-        np.minimum(mag, ax, out=mag)  # the magnitude, not |E|, is at most |X|
+        ax = np.abs(spec_x)
+        ay = np.abs(spec_y)
+        if p == 1.0:  # the bytes of the general path: x**1 is x, and ax - ay <= ax
+            mag = ax - ay
+        else:
+            mag = ax**p
+            mag -= ay**p
+            mag **= 1.0 / p
+            np.minimum(mag, ax, out=mag)  # the magnitude, not |E|, is at most |X|
         out = spec_x / ax
         out *= mag
-        out[~(ax > ay)] = 0.0
+        np.copyto(out, 0.0, where=~(ax > ay))
         np.copyto(out, spec_x, where=ay == 0.0)
         if not np.isfinite(out.sum()):
             redo = ~np.isfinite(out) & np.isfinite(spec_x)

@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
+from solocancel import metrics
 from solocancel import (
     AudioBuffer,
     NoSignalError,
@@ -175,6 +178,25 @@ class TestMeasure:
         rep = measure(est, ref, fft_size=512, hop=256)
         assert rep.rtf is None
         assert "RTF" not in rep.summary()
+
+    def test_checks_inputs_and_builds_bands_once(self, monkeypatch):
+        # rmsd and snrf each check both inputs and build their bands when called alone;
+        # under measure, which calls both, each input is scanned and the bands built once.
+        calls = collections.Counter()
+        for name in ("require_matched", "make_partition"):
+            def counted(*args, original=getattr(metrics, name), name=name):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(metrics, name, counted)
+        est, ref = noise_pair(seed=6)
+        rep = measure(est, ref, fft_size=512)
+        assert calls == {"require_matched": 1, "make_partition": 1}
+        assert (rep.rmsd_db, rep.snrf_db) == (rmsd(est, ref), snrf(est, ref, fft_size=512))
+        assert calls == {"require_matched": 3, "make_partition": 2}
+        bad = AudioBuffer(np.where(np.arange(len(est)) == 7, np.nan, est.samples))
+        for call in (lambda: measure(est, bad), lambda: rmsd(bad, ref), lambda: snrf(est, bad)):
+            with pytest.raises(FloatingPointError, match="^non-finite samples"):
+                call()
 
 
 @pytest.mark.parametrize("measure_it,message", [

@@ -77,6 +77,11 @@ def loop_mrc_combine(frame1, frame2, kappa):
     return out
 
 
+#: Parts for the MRC oracle test: signed zeros, subnormals, and values whose products
+#: and sums overflow.
+MRC_PARTS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308]
+
+
 def median_estimate_delay(frame1, frame2, geometry):
     """Oracle: the delay estimate with ``np.median`` and ``np.clip``, returned as
     (kappa, confidence), or the ``NoSignalError`` message."""
@@ -349,6 +354,34 @@ class TestMrcCombine:
         assert got.shape == (n_bins,)
         assert got.tobytes() == loop_mrc_combine(e1[0], e2[0], kappas[0]).tobytes()
         assert mrc_combine(e1, e2, kappas[0]).tobytes() == loop_mrc_combine(e1, e2, same).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_bins=st.sampled_from([3, 65]),
+        frames=st.integers(1, 6),
+        parts=st.lists(
+            st.sampled_from(MRC_PARTS) | st.floats(-4.0, 4.0), min_size=4, max_size=4 * 6 * 65
+        ),
+        tie=st.sampled_from(["none", "equal", "negated", "zero-2"]),
+        kappas=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.75, -2.25]), min_size=6, max_size=6),
+        scalar=st.booleans(),
+    )
+    def test_matches_row_by_row_rotation_on_special_values(
+        self, n_bins, frames, parts, tie, kappas, scalar
+    ):
+        # Spectra of signed zeros, subnormals and parts whose products overflow, with channel
+        # 2 equal to channel 1, its negative or zero: the in-place sum and scaling keep the
+        # oracle's operand order, so even the overflowed bins' NaN and inf bits agree.
+        shape = (frames, n_bins)
+        values = np.resize(np.array(parts), (4,) + shape)
+        e1 = values[0] + 1j * values[1]
+        e2 = {"none": values[2] + 1j * values[3], "equal": e1.copy(), "negated": -e1,
+              "zero-2": np.full(shape, complex(-0.0, 0.0))}[tie]
+        kappa = kappas[0] if scalar else np.array(kappas[:frames])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mrc_combine(e1, e2, kappa)
+            want = loop_mrc_combine(e1, e2, kappa)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_delay_per_frame_rejected(self, bad):

@@ -794,13 +794,36 @@ def where_spectral_subtract(spec_x, spec_y, p):
     return np.where(np.isfinite(out), out, scaled)
 
 
-#: Real and imaginary parts for the oracle test: signed zeros and values whose
-#: squares and sums tie.
-PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, -4.0, 5.0, 0.5, 1e-300, 1e300]
+#: Real and imaginary parts for the oracle test: signed zeros, values whose squares and
+#: sums tie, subnormals, and values whose |X| or powers overflow, which sends a bin to the
+#: power-of-two redo.
+PARTS = [0.0, -0.0, 1.0, -1.0, 3.0, -4.0, 5.0, 0.5, 1e-300, 1e300, 1.5e308, -1.7e308, 9e307,
+         5e-324, -5e-324, 2.2e-308]
+
+#: What a bin's Y may be forced to: nothing, |Y| = |X| (Y = X, or X with its parts
+#: swapped and one negated), or zero |X| or |Y| with signed zero parts.
+TIES = ["none", "equal", "swapped", "zero-x", "zero-y"]
+
+
+def drawn_spectra(parts, tie):
+    """X and Y from drawn (re X, im X, re Y, im Y) parts, each bin then forced as ``tie``
+    says."""
+    x = np.array([complex(a, b) for a, b, _, _ in parts])
+    y = np.array([complex(c, d) for _, _, c, d in parts])
+    for k, kind in enumerate(tie[: len(parts)]):
+        if kind == "equal":
+            y[k] = x[k]
+        elif kind == "swapped":
+            y[k] = complex(-x[k].imag, x[k].real)
+        elif kind == "zero-x":
+            x[k] = complex(-0.0, 0.0)
+        elif kind == "zero-y":
+            y[k] = complex(0.0, -0.0)
+    return x, y
 
 
 class TestSpectralSubtract:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         p=st.sampled_from([0.5, 1.0, 1.7, 2.0]),
         parts=st.lists(
@@ -808,23 +831,15 @@ class TestSpectralSubtract:
             min_size=1,
             max_size=24,
         ),
-        tie=st.lists(st.sampled_from(["none", "equal", "swapped", "zero-x", "zero-y"]), min_size=24, max_size=24),
+        tie=st.lists(st.sampled_from(TIES), min_size=24, max_size=24),
     )
+    @example(p=1.0, parts=[(1.5e308, -1.7e308, 9e307, 0.0), (-0.0, 5e-324, -0.0, 0.0)],
+             tie=TIES[:1] * 24)
     def test_matches_nested_where_oracle(self, p, parts, tie):
-        # Each bin draws X and Y from signed zeros, ties and random values, then
-        # may force |X| = |Y| (Y = X, or Y = X with its parts swapped and
-        # negated), zero |X| or zero |Y|.
-        x = np.array([complex(a, b) for a, b, _, _ in parts])
-        y = np.array([complex(c, d) for _, _, c, d in parts])
-        for k, kind in enumerate(tie[: len(parts)]):
-            if kind == "equal":
-                y[k] = x[k]
-            elif kind == "swapped":
-                y[k] = complex(-x[k].imag, x[k].real)
-            elif kind == "zero-x":
-                x[k] = complex(-0.0, 0.0)
-            elif kind == "zero-y":
-                y[k] = complex(0.0, -0.0)
+        # Each bin draws X and Y from the parts above and random values, then may force
+        # |X| = |Y|, zero |X| or zero |Y|. At p = 1 the subtraction takes |X| - |Y| without
+        # powers or clamp; the oracle still takes both.
+        x, y = drawn_spectra(parts, tie)
         got = spectral_subtract(x, y, p)
         assert got.tobytes() == where_spectral_subtract(x, y, p).tobytes()
         stack = np.stack([x, y[::-1]])
