@@ -202,10 +202,10 @@ def sbw_simo_cancel(
     When ``kappa`` is given (finite and within the ``max_delay_samples + 0.5`` that
     :func:`estimate_delay` searches, else ``ValueError`` before any work) it is used for
     every frame; otherwise each frame takes the causal delay track's value
-    (:func:`_delay_track`). Like ``sbw_cancel``, it holds one block of frames beyond its
-    inputs and output. The output is aligned with channel 1. ``geometry`` None is the
-    half-wavelength array for 8 kHz at the mixture's sample rate; a given geometry must
-    share that rate.
+    (:func:`_delay_track`). Like ``sbw_cancel``, it holds two blocks of frames (the one
+    mapped, the one added) beyond its inputs and output. The output is aligned with
+    channel 1. ``geometry`` None is the half-wavelength array for 8 kHz at the mixture's
+    sample rate; a given geometry must share that rate.
     """
     if kappa is not None:
         _check_reals(kappa=kappa)

@@ -8,20 +8,24 @@ and well-behaved resynthesis of modified spectra.
 The spectral cancellers and the SNRF share one frame-block engine
 (weighted overlap-add, Crochiere 1980, IEEE TASSP 28(1)). It runs the frames
 in blocks of ``_BLOCK_FRAMES``: each block is analysed by ``stft`` of the
-zero-padded segment it covers, mapped, and overlap-added into the output,
-whose samples are divided by the envelope as soon as no later frame reaches
-them. Every stage is frame-local, and output and envelope sum each sample in
-frame order: the bytes do not depend on the block size, and every hop that all
+zero-padded segment it covers and mapped on the calling thread, then overlap-added
+into the output on one worker thread while the next block is mapped; the output's
+samples are divided by the envelope as soon as no later frame reaches them. Every
+stage is frame-local, and output and envelope sum each sample in frame order: the
+bytes do not depend on the block size or on the threads, and every hop that all
 ``ceil(fft_size / hop)`` frames reach shares one envelope row, computed once;
 only the edge hops have rows of their own. Beyond its output and inputs, a run
-holds one block of frames, whatever the input length. ``istft`` is the one-block
-case of the same overlap-add. The cancellers frame a take as if ``ceil(fft_size /
-hop) - 1`` hops of zeros came before and after it, so that no sample of it is
-divided by one window's edge alone (about 1e-7 at the default KBD(4)/4096).
+holds two blocks of frames (the one mapped, the one added), whatever the input
+length. ``istft`` is the one-block case of the same overlap-add. The cancellers
+frame a take as if ``ceil(fft_size / hop) - 1`` hops of zeros came before and after
+it, so that no sample of it is divided by one window's edge alone (about 1e-7 at
+the default KBD(4)/4096).
 """
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +37,7 @@ from .audio import AudioBuffer, _check_counts, _check_reals
 _ENVELOPE_FLOOR = 1e-12
 
 #: Frames per block of the weighted overlap-add engine.
-_BLOCK_FRAMES = 64
+_BLOCK_FRAMES = 32
 
 
 def _kbd(length: int, shape: float) -> np.ndarray:
@@ -156,26 +160,30 @@ def _overlap_add(blocks, window: np.ndarray, hop: int, length: int) -> np.ndarra
     The output is a stack of hop-long chunks. Chunk k sums chunk r of frame k - r's
     windowed irfft over r = chunks-1 .. 0, frame order, whatever the blocking, and is
     divided by its envelope, summed in the same order, once no later frame reaches it.
+    One worker thread adds each block while this thread draws the next from ``blocks``,
+    in a copy of this thread's context (so under its ``np.errstate``); each block is added
+    before the next is handed over, and an exception on either thread is raised here.
     """
     n_fft = len(window)
     chunks = -(-n_fft // hop)
     wsq = np.pad(window * window, (0, chunks * hop - n_fft)).reshape(chunks, hop)
     out = np.zeros((-(-length // hop) + chunks, hop))
+    seen = 0  # frames added; only the worker advances it
 
-    def settle(first: int, stop: int, total: int) -> None:
+    def settle(first: int, stop: int) -> None:
         """Divide chunks ``first`` .. ``stop - 1`` by their envelope when frames 0 ..
-        ``total - 1`` exist (silence where it is not above the floor). Chunks that all
+        ``seen - 1`` exist (silence where it is not above the floor). Chunks that all
         ``chunks`` frames reach share one row; only edge chunks are summed one by one."""
-        shared = chunks - 1 <= first and stop <= total
+        shared = chunks - 1 <= first and stop <= seen
         envelope = np.zeros((1 if shared else stop - first, hop))
         for r in range(chunks - 1, -1, -1):
-            envelope[max(first, r) - first : min(stop, r + total) - first] += wsq[r]
+            envelope[max(first, r) - first : min(stop, r + seen) - first] += wsq[r]
         live = envelope > _ENVELOPE_FLOOR
         np.divide(out[first:stop], envelope, out=out[first:stop], where=live)
         np.copyto(out[first:stop], 0.0, where=~live)
 
-    seen = 0  # frames added
-    for frames in blocks:
+    def add(frames: np.ndarray) -> None:
+        nonlocal seen
         count = frames.shape[0]
         pieces = np.fft.irfft(frames, n=n_fft, axis=1)
         pieces *= window
@@ -183,9 +191,18 @@ def _overlap_add(blocks, window: np.ndarray, hop: int, length: int) -> np.ndarra
             part = pieces[:, r * hop : (r + 1) * hop]  # the last may be narrower than a hop
             out[seen + r : seen + r + count, : part.shape[1]] += part
         seen += count
-        settle(seen - count, seen, seen)
-        del frames, pieces, part  # none is needed while the next block is computed
-    settle(seen, seen + chunks - 1, seen)
+        settle(seen - count, seen)
+
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(1) as worker:
+        added = None
+        for frames in blocks:
+            if added is not None:
+                added.result()
+            added = worker.submit(context.run, add, frames)
+            del frames  # freed once added, not after the next block is mapped
+        added.result()
+    settle(seen, seen + chunks - 1)
     return out.ravel()[:length]
 
 
@@ -232,9 +249,10 @@ def _map_blocks(process, signals, window: np.ndarray, hop: int, lead: int = 0):
 def _wola(process, signals, fft_size: int, hop: int, shape: float) -> AudioBuffer:
     """Run ``process`` over the frame stacks of the equal-length ``signals``, ``fft_size``
     long, KBD(``shape``)-windowed and ``hop`` apart, framed as if ``ceil(fft_size / hop) - 1``
-    hops of zeros came before and after them, one block of frames at a time, and return the
-    weighted overlap-add resynthesis of its result without those zeros. A signal shorter
-    than one window is a ValueError."""
+    hops of zeros came before and after them, one block of frames at a time on the calling
+    thread, and return the weighted overlap-add resynthesis of its result without those
+    zeros, each block added on a worker thread while the next is mapped (``_overlap_add``).
+    A signal shorter than one window is a ValueError."""
     window = make_window(fft_size, shape)
     n = len(signals[0])
     _num_frames(n, fft_size, hop)

@@ -12,6 +12,8 @@ bit with a frame-by-frame overlap-add loop.
 """
 
 import importlib
+import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -366,10 +368,17 @@ class TestOverlapAdd:
     row, against the one that summed and carried the envelope of every hop."""
 
     @settings(max_examples=100, deadline=None)
-    @given(framing=small_framings(), seed=st.integers(0, 2**32 - 1), engine=st.booleans())
-    def test_matches_carried_envelope_at_every_block_size(self, framing, seed, engine):
+    @given(
+        framing=small_framings(),
+        seed=st.integers(0, 2**32 - 1),
+        engine=st.booleans(),
+        uneven=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    )
+    def test_matches_carried_envelope_at_every_block_size(self, framing, seed, engine, uneven):
         # An engine run's length ends up to a hop before its last frame starts; istft's
         # ends with its last frame. Some frames are silent, some spectra carry signed zeros.
+        # Besides equal blocks of every size, the frames go in blocks of unequal sizes, each
+        # handed to the worker thread as the one before it is added.
         fft_size, hop, n, shape = framing
         window = make_window(fft_size, shape)
         lead = (-(-fft_size // hop) - 1) * hop if engine else 0
@@ -380,48 +389,116 @@ class TestOverlapAdd:
         frames *= rng.uniform(0.0, 1.0, frames.shape)
         frames[rng.random(count) < 0.2] = -0.0
         want = carried_overlap_add([frames], window, hop, length)
-        for block in range(1, count + 1):
-            blocks = (frames[first : first + block] for first in range(0, count, block))
-            got = stft_module._overlap_add(blocks, window, hop, length)
-            assert got.tobytes() == want.tobytes(), block
+        blockings = [[block] for block in range(1, count + 1)] + [[1, 5, 2, 32, 7], uneven]
+        for sizes in blockings:
+            got = stft_module._overlap_add(blocked(frames, sizes), window, hop, length)
+            assert got.tobytes() == want.tobytes(), sizes
+
+
+def blocked(frames, sizes):
+    """The consecutive blocks of ``frames`` whose sizes cycle through ``sizes``."""
+    first = 0
+    for size in itertools.cycle(sizes):
+        if first >= frames.shape[0]:
+            return
+        yield frames[first : first + size]
+        first += size
+
+
+class TestWorkerThread:
+    """The overlap-add's worker thread: every failure reaches the caller, no thread
+    outlives the call, and the caller's floating-point error state holds there."""
+
+    def run(self, process):
+        # 64 + 200 * 32 samples, framed with the engine's padding: 203 frames, 7 blocks
+        take = two_mic_take(3, 64 + 200 * 32)
+        return stft_module._wola(process, take[:1], 64, 32, 4.0)
+
+    def test_error_in_the_frame_map_reaches_the_caller(self):
+        calls = []
+
+        def process(frames):
+            calls.append(frames.shape[0])
+            if len(calls) == 3:
+                raise ValueError("third block")
+            return frames
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^third block$"):
+            self.run(process)
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_error_in_the_overlap_add_reaches_the_caller(self, monkeypatch):
+        irfft = np.fft.irfft
+        calls = []
+
+        def failing_irfft(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", failing_irfft)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^second block$"):
+            self.run(lambda frames: frames)
+        assert len(calls) == 2
+        assert threading.main_thread() not in calls  # the blocks were added on the worker
+        assert threading.active_count() == before
+
+    def test_caller_error_state_holds_in_the_worker(self):
+        # Frames of 1e308 overflow the irfft, which runs on the worker: under the caller's
+        # np.errstate(over="raise") it raises, as the serial engine did, and under
+        # over="ignore" it returns, its samples not all finite.
+        def process(frames):
+            return np.full_like(frames, 1e308)
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            self.run(process)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(self.run(process).samples).all()
+
+
+def least_peak_beyond_output(cancel, *signals):
+    """The least traced peak of three calls ``cancel(*signals)``, less the 8 bytes per
+    sample of its output. A call's peak depends on whether the worker thread still holds
+    the block it adds when the mapped block peaks; the least of three is the working set
+    without that race."""
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            cancel(*signals)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks) - 8 * len(signals[0])
 
 
 class TestBoundedMemory:
     def test_sbw_working_set_does_not_grow_with_length(self):
-        """Beyond its 8-byte-per-sample output, ``sbw_cancel`` holds one block of frames:
-        its traced peak past the output is the same for 5 s and 20 s of noise."""
+        """Beyond its 8-byte-per-sample output, ``sbw_cancel`` holds two blocks of frames,
+        the one it maps and the one its worker adds: its traced peak past the output is the
+        same for 5 s and 20 s of noise."""
 
         def peak_beyond_output(seconds):
             rng = np.random.default_rng(5)
             n = int(seconds * FS)
             mix = AudioBuffer(rng.standard_normal(n), FS)
             ref = AudioBuffer(rng.standard_normal(n), FS)
-            tracemalloc.start()
-            try:
-                sbw_cancel(mix, ref)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - 8 * n
+            return least_peak_beyond_output(sbw_cancel, mix, ref)
 
         assert peak_beyond_output(20.0) <= peak_beyond_output(5.0) + 2 * 2**20
 
     def test_sbw_simo_working_set_does_not_grow_with_length(self):
-        """``sbw_simo_cancel`` holds one block of both channels' frames and a five-value
+        """``sbw_simo_cancel`` holds two blocks of both channels' frames and a five-value
         delay track: past the output, its traced peak is the same for 5 s and 20 s.
-        (Both takes span more than one 64-frame block; a take of one partial block
+        (Both takes span more than two 32-frame blocks; a take of one partial block
         holds less.)"""
 
         def peak_beyond_output(seconds):
-            n = int(seconds * FS)
-            mix1, mix2, ref = two_mic_take(5, n)
-            tracemalloc.start()
-            try:
-                sbw_simo_cancel(mix1, mix2, ref)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - 8 * n
+            return least_peak_beyond_output(sbw_simo_cancel, *two_mic_take(5, int(seconds * FS)))
 
         assert peak_beyond_output(20.0) <= peak_beyond_output(5.0) + 2 * 2**20
 
